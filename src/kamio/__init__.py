@@ -13,16 +13,16 @@ from .syntax import (
     Stack, EMPTY, stack_of, Process, Pair, TOP,
     ParseError, ClosednessError, NotProofLike, InvalidPosition,
     parse_term, parse_stack, parse_process, pretty,
-    substitute, free_variables, is_proof_like, effect_constants,
+    substitute, is_proof_like, effect_constants,
     church_numeral,
 )
 from .verdict import Verdict
 from .machine import (
     Action, ExecutionContext, RunResult, DEFAULT_FUEL,
-    eval_step, exec_step, run, bin_nat, nat_of_bin, implements_on,
+    eval_step, lts_step, exec_step, run, bin_nat, nat_of_bin, implements_on,
 )
 from .equivalence import (
-    Observable, lts_step, observable, weak_bisim,
+    Observable, observable, weak_bisim,
     beta_redexes, beta_contract, top_equiv,
 )
 from .combinators import (

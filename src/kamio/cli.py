@@ -21,7 +21,7 @@ from .combinators import (
     prelude_definitions, resolve_names,
 )
 from .equivalence import top_equiv, weak_bisim
-from .machine import ExecutionContext, RunResult, implements_row, implements_on, run
+from .machine import ExecutionContext, RunResult, implements_row, run
 from .syntax import (
     ClosednessError, NotProofLike, ParseError, Process, Term,
     parse_process, parse_term, pretty,
@@ -131,10 +131,10 @@ def _cmd_parse(args, config: Config) -> int:
     return 0
 
 
-def _cmd_run(args, config: Config, show_trace: bool) -> int:
+def _cmd_run(args, config: Config) -> int:
     proc = _load_process(args.file, config)
     result = run(ExecutionContext(proc, args.input, args.output), config.fuel)
-    _print_run(result, show_trace or args.trace, config)
+    _print_run(result, args.command == "trace" or args.trace, config)
     return {"terminated": 0, "stuck": 2, "fuel": 3}[result.outcome]
 
 
@@ -185,11 +185,9 @@ def _parse_table(text: str) -> dict[int, int]:
 def _cmd_verify_impl(args, config: Config) -> int:
     proc = _load_process(args.file, config)
     table = _parse_table(_read(args.table))
-    rows = []
-    for n in sorted(table):
-        verdict = implements_row(proc, n, table[n], config.fuel)
-        rows.append((n, table[n], verdict))
-    overall = implements_on(proc, table, config.fuel)
+    rows = [(n, table[n], implements_row(proc, n, table[n], config.fuel))
+            for n in sorted(table)]
+    overall = Verdict.all_of(verdict for _, _, verdict in rows)
     if config.output_format == "json":
         print(json.dumps({
             "rows": [{"input": n, "expected": m, "status": v.status}
@@ -204,7 +202,10 @@ def _cmd_verify_impl(args, config: Config) -> int:
 
 
 def _cmd_realize(args, config: Config) -> int:
-    scenario = realizability.scenario_from_json(json.loads(_read(args.file)))
+    obj = json.loads(_read(args.file))
+    if isinstance(obj, dict):
+        obj.setdefault("fuel", config.fuel)  # a scenario's own fuel wins
+    scenario = realizability.scenario_from_json(obj)
     verdict, report = realizability.run_scenario(scenario)
     print(json.dumps(report, indent=2))
     return _verdict_exit(verdict)
@@ -261,12 +262,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse a process or term and reprint it")
+    p.set_defaults(func=_cmd_parse)
     p.add_argument("file")
     _add_common(p)
 
     for name, help_text in (("run", "run a process on an input string"),
                             ("trace", "run a process and print its action trace")):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=_cmd_run)
         p.add_argument("file")
         p.add_argument("--input", default="", help="input bit string")
         p.add_argument("--output", default="", help="initial output bit string")
@@ -274,11 +277,13 @@ def _build_parser() -> argparse.ArgumentParser:
         _add_common(p)
 
     p = sub.add_parser("bisim", help="bounded weak-bisimilarity check")
+    p.set_defaults(func=_cmd_bisim)
     p.add_argument("left")
     p.add_argument("right")
     _add_common(p)
 
     p = sub.add_parser("topequiv", help="bounded TOP-equivalence check")
+    p.set_defaults(func=_cmd_topequiv)
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--input-a", default="", help="input for the left context")
@@ -289,25 +294,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile-fn",
                        help="compile a numeral-level function term to an I/O process")
+    p.set_defaults(func=_cmd_compile_fn)
     p.add_argument("file")
     p.add_argument("-o", "--output", default="-", help="output file (default stdout)")
     _add_common(p)
 
     p = sub.add_parser("verify-impl",
                        help="check a process against an input/output table")
+    p.set_defaults(func=_cmd_verify_impl)
     p.add_argument("file")
     p.add_argument("--table", required=True, help="TSV file of `n<TAB>m` rows")
     _add_common(p)
 
     p = sub.add_parser("realize", help="check a realizability scenario (JSON)")
+    p.set_defaults(func=_cmd_realize)
     p.add_argument("file")
     _add_common(p)
 
     p = sub.add_parser("decode", help="decode a term as a Church numeral")
+    p.set_defaults(func=_cmd_decode)
     p.add_argument("file")
     _add_common(p)
 
     p = sub.add_parser("prelude-list", help="list the prelude combinators")
+    p.set_defaults(func=_cmd_prelude_list)
     p.add_argument("--expanded", action="store_true",
                    help="print fully expanded definitions")
     _add_common(p)
@@ -324,27 +334,7 @@ def main(argv: list[str] | None = None) -> int:
         output_format=args.output_format,
     )
     try:
-        if args.command == "parse":
-            return _cmd_parse(args, config)
-        if args.command == "run":
-            return _cmd_run(args, config, show_trace=False)
-        if args.command == "trace":
-            return _cmd_run(args, config, show_trace=True)
-        if args.command == "bisim":
-            return _cmd_bisim(args, config)
-        if args.command == "topequiv":
-            return _cmd_topequiv(args, config)
-        if args.command == "compile-fn":
-            return _cmd_compile_fn(args, config)
-        if args.command == "verify-impl":
-            return _cmd_verify_impl(args, config)
-        if args.command == "realize":
-            return _cmd_realize(args, config)
-        if args.command == "decode":
-            return _cmd_decode(args, config)
-        if args.command == "prelude-list":
-            return _cmd_prelude_list(args, config)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.func(args, config)
     except _USAGE_ERRORS as exc:
         print(f"kamio: error: {exc}", file=sys.stderr)
         return 1

@@ -1,20 +1,20 @@
-"""Labeled transitions, bounded weak bisimilarity, and TOP-equivalence.
+"""Bounded weak bisimilarity and TOP-equivalence.
 
-The labeled transition system has silent (tau) transitions exactly where
-effect-free evaluation steps, and labeled transitions for the instruction
-constants.  Silent steps are deterministic, and only a read head offers
-more than one labeled transition, so the bounded bisimulation check can
-compare unique successors per label instead of searching relations.
+Both are checked over the labeled transition system of the machine
+(`machine.lts_step`, re-exported here).  Silent steps are deterministic,
+and only a read head offers more than one labeled transition, so the
+bounded bisimulation check can compare unique successors per label
+instead of searching relations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .machine import Action, ExecutionContext, eval_step, run
+from .machine import Action, ExecutionContext, lts_step, run
 from .syntax import (
-    Abs, App, InvalidPosition, Pair, Position, Process, READ, TOP,
-    WRITE0, WRITE1, END, replace_at, subterm_at, substitute, term_positions,
+    Abs, App, InvalidPosition, Position, Process,
+    replace_at, subterm_at, substitute, term_positions,
 )
 from .verdict import Verdict
 
@@ -46,39 +46,6 @@ class Observable:
     @property
     def is_menu(self) -> bool:
         return self.kind == "menu"
-
-
-def lts_step(p: Process) -> tuple[tuple[Action, Process], ...]:
-    """All transitions of p, as (action, successor) pairs.
-
-    A read head with at least three stack entries offers exactly the
-    three read branches; every other head offers at most one transition.
-    """
-    if p is TOP or not isinstance(p, Pair):
-        return ()
-    t, pi = p.term, p.stack
-    if t is END:
-        return ((Action.E, TOP),)
-    if t is READ:
-        if len(pi) < 3:
-            return ()
-        first = pi.head
-        rest1 = pi.tail
-        second = rest1.head
-        rest2 = rest1.tail
-        third = rest2.head
-        tail = rest2.tail
-        return (
-            (Action.R0, Pair(first, tail)),
-            (Action.R1, Pair(second, tail)),
-            (Action.REPS, Pair(third, tail)),
-        )
-    if t is WRITE0:
-        return () if pi.is_empty else ((Action.W0, Pair(pi.head, pi.tail)),)
-    if t is WRITE1:
-        return () if pi.is_empty else ((Action.W1, Pair(pi.head, pi.tail)),)
-    q = eval_step(p)
-    return () if q is None else ((Action.TAU, q),)
 
 
 def observable(p: Process, fuel: int = DEFAULT_OBS_FUEL) -> Observable:

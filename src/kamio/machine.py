@@ -1,12 +1,16 @@
-"""The evaluation and execution relations of the machine.
+"""The evaluation relation, the labeled transition system, and execution.
 
 Effect-free evaluation rewrites a process by weak head reduction
-(push/pop) plus continuation capture and restore.  Execution acts on a
-context (process, input bits, output bits): instruction constants in head
-position consume input bits or prepend output bits, and `end` discards
-the stack and terminates at TOP.  Written bits are prepended, so the
-final output string is read verbatim as a most-significant-bit-first
-binary numeral.
+(push/pop) plus continuation capture and restore.  The labeled
+transition system (`lts_step`) is the one place the machine rules live:
+its silent (tau) transitions are exactly the evaluation steps, and the
+instruction constants in head position give the visible ones (read,
+write, end).  Execution is that system on a context (process, input
+bits, output bits), with the read branch chosen by the next input bit:
+reads consume input bits, writes prepend output bits, and `end`
+discards the stack and terminates at TOP.  Written bits are prepended,
+so the final output string is read verbatim as a
+most-significant-bit-first binary numeral.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .verdict import Verdict
 
 __all__ = [
     "DEFAULT_FUEL", "Action", "ExecutionContext", "RunResult",
-    "eval_step", "exec_step", "exec_step_labeled", "run",
+    "eval_step", "lts_step", "exec_step", "exec_step_labeled", "run",
     "bin_nat", "nat_of_bin", "implements_row", "implements_on",
 ]
 
@@ -121,40 +125,69 @@ def eval_step(p: Process) -> Process | None:
     return None
 
 
-def exec_step_labeled(c: ExecutionContext) -> tuple[Action, ExecutionContext] | None:
-    """One execution step together with its action, or None if stuck."""
-    p = c.process
+def lts_step(p: Process) -> tuple[tuple[Action, Process], ...]:
+    """All transitions of p, as (action, successor) pairs.
+
+    A read head with at least three stack entries offers exactly the
+    three read branches, in the order R0, R1, REPS; every other head
+    offers at most one transition.
+    """
     if p is TOP or not isinstance(p, Pair):
-        return None
+        return ()
     t, pi = p.term, p.stack
     if t is END:
-        return Action.E, ExecutionContext(TOP, c.input, c.output)
+        return ((Action.E, TOP),)
     if t is READ:
         if len(pi) < 3:
-            return None
+            return ()
         first = pi.head
         rest1 = pi.tail
         second = rest1.head
         rest2 = rest1.tail
         third = rest2.head
         tail = rest2.tail
-        if c.input == "":
-            return Action.REPS, ExecutionContext(Pair(third, tail), "", c.output)
-        if c.input[0] == "0":
-            return Action.R0, ExecutionContext(Pair(first, tail), c.input[1:], c.output)
-        return Action.R1, ExecutionContext(Pair(second, tail), c.input[1:], c.output)
+        return (
+            (Action.R0, Pair(first, tail)),
+            (Action.R1, Pair(second, tail)),
+            (Action.REPS, Pair(third, tail)),
+        )
     if t is WRITE0:
-        if pi.is_empty:
-            return None
-        return Action.W0, ExecutionContext(Pair(pi.head, pi.tail), c.input, "0" + c.output)
+        return () if pi.is_empty else ((Action.W0, Pair(pi.head, pi.tail)),)
     if t is WRITE1:
-        if pi.is_empty:
-            return None
-        return Action.W1, ExecutionContext(Pair(pi.head, pi.tail), c.input, "1" + c.output)
+        return () if pi.is_empty else ((Action.W1, Pair(pi.head, pi.tail)),)
     q = eval_step(p)
-    if q is None:
+    return () if q is None else ((Action.TAU, q),)
+
+
+# Index of the read branch (in lts_step's order) that the next input bit
+# selects; "" stands for the used-up input.
+_READ_BRANCH = {"0": 0, "1": 1, "": 2}
+
+# Per action: input bits consumed, and the bit prepended to the output.
+_IO_EFFECT = {
+    Action.TAU: (0, ""), Action.R0: (1, ""), Action.R1: (1, ""),
+    Action.REPS: (0, ""), Action.W0: (0, "0"), Action.W1: (0, "1"),
+    Action.E: (0, ""),
+}
+
+
+def _exec(p: Process, bit: str) -> tuple[Action, Process] | None:
+    """The execution step of p when `bit` is the next input bit, or None
+    if stuck: the only transition of p, or the read branch `bit` selects."""
+    transitions = lts_step(p)
+    if len(transitions) > 1:
+        return transitions[_READ_BRANCH[bit]]
+    return transitions[0] if transitions else None
+
+
+def exec_step_labeled(c: ExecutionContext) -> tuple[Action, ExecutionContext] | None:
+    """One execution step together with its action, or None if stuck."""
+    step = _exec(c.process, c.input[:1])
+    if step is None:
         return None
-    return Action.TAU, ExecutionContext(q, c.input, c.output)
+    action, q = step
+    consumed, bit = _IO_EFFECT[action]
+    return action, ExecutionContext(q, c.input[consumed:], bit + c.output)
 
 
 def exec_step(c: ExecutionContext) -> ExecutionContext | None:
@@ -167,23 +200,27 @@ def run(c: ExecutionContext, fuel: int = DEFAULT_FUEL) -> RunResult:
     """Iterate the execution relation at most `fuel` steps.
 
     Stops early at TOP ("terminated") or when no step applies ("stuck").
+    A run whose last allowed step lands on a stuck state is "stuck", not
+    "fuel".
     """
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
+    p, source = c.process, c.input
+    read = 0
+    written: list[str] = []  # in writing order; the output gets them prepended
     trace: list[Action] = []
-    for _ in range(fuel):
-        if c.process is TOP:
-            return RunResult("terminated", c, tuple(trace))
-        step = exec_step_labeled(c)
-        if step is None:
-            return RunResult("stuck", c, tuple(trace))
-        action, c = step
+    step = _exec(p, source[:1])
+    while step is not None and len(trace) < fuel:
+        action, p = step
         trace.append(action)
-    if c.process is TOP:
-        return RunResult("terminated", c, tuple(trace))
-    if exec_step_labeled(c) is None:
-        return RunResult("stuck", c, tuple(trace))
-    return RunResult("fuel", c, tuple(trace))
+        if action is not Action.TAU:
+            consumed, bit = _IO_EFFECT[action]
+            read += consumed
+            written.append(bit)
+        step = _exec(p, source[read:read + 1])
+    final = ExecutionContext(p, source[read:], "".join(reversed(written)) + c.output)
+    outcome = "terminated" if p is TOP else "stuck" if step is None else "fuel"
+    return RunResult(outcome, final, tuple(trace))
 
 
 def bin_nat(n: int) -> str:
@@ -223,11 +260,4 @@ def implements_on(p: Process, table: dict[int, int], fuel: int = DEFAULT_FUEL) -
     Verified covers only the supplied rows; it is a bounded proxy for
     implementing the function on its whole domain.
     """
-    first_unknown: Verdict | None = None
-    for n in sorted(table):
-        verdict = implements_row(p, n, table[n], fuel)
-        if verdict.is_refuted:
-            return verdict
-        if verdict.is_unknown and first_unknown is None:
-            first_unknown = verdict
-    return first_unknown if first_unknown is not None else Verdict.verified()
+    return Verdict.all_of(implements_row(p, n, table[n], fuel) for n in sorted(table))

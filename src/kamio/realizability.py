@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping
 
 from .machine import (
-    Action, DEFAULT_FUEL, ExecutionContext, eval_step, implements_on, run,
+    Action, DEFAULT_FUEL, ExecutionContext, eval_step, implements_row, run,
 )
 from .syntax import (
     Abs, App, CALLCC, Pair, Process, Stack, Term, TOP, Var,
@@ -31,7 +31,7 @@ __all__ = [
     "TruthValue", "Predicate", "RealizerList", "Sequent", "ContextEntry",
     "Pole", "FinitePole", "FunctionPole", "TracePole", "UnionPole",
     "COPY", "READ_ALL_THEN_WRITE",
-    "pole_member", "trace_conforms", "all_inputs",
+    "trace_conforms", "all_inputs",
     "realizes", "implication", "forall_along", "reindex",
     "Connective", "encode", "and_antecedent", "MissingRealizers",
     "check_entailment",
@@ -190,10 +190,9 @@ class FunctionPole(Pole):
         return FunctionPole(tuple(sorted(table.items())), fuel)
 
     def member(self, p: Process, fuel: int | None = None) -> Verdict:
-        verdict = implements_on(p, dict(self.table), self.fuel if fuel is None else fuel)
-        if verdict.is_verified:
-            return Verdict.verified(sampled=True)  # table rows only, not all of dom(f)
-        return verdict
+        budget = self.fuel if fuel is None else fuel
+        return Verdict.all_of((implements_row(p, n, m, budget) for n, m in self.table),
+                              sampled=True)  # table rows only, not all of dom(f)
 
 
 def all_inputs(max_len: int) -> Iterator[str]:
@@ -259,16 +258,9 @@ class TracePole(Pole):
 
     def member(self, p: Process, fuel: int | None = None) -> Verdict:
         budget = self.fuel if fuel is None else fuel
-        first_unknown: Verdict | None = None
-        for input_bits in all_inputs(self.max_input_len):
-            verdict = trace_conforms(self.spec, p, input_bits, budget)
-            if verdict.is_refuted:
-                return verdict
-            if verdict.is_unknown and first_unknown is None:
-                first_unknown = verdict
-        if first_unknown is not None:
-            return first_unknown
-        return Verdict.verified(sampled=True)  # inputs up to max_input_len only
+        return Verdict.all_of((trace_conforms(self.spec, p, input_bits, budget)
+                               for input_bits in all_inputs(self.max_input_len)),
+                              sampled=True)  # inputs up to max_input_len only
 
 
 @dataclass(frozen=True)
@@ -294,11 +286,6 @@ class UnionPole(Pole):
         return Verdict.refuted(tuple(refutations))
 
 
-def pole_member(pole: Pole, p: Process, fuel: int | None = None) -> Verdict:
-    """Bounded membership check, dispatching on the pole variant."""
-    return pole.member(p, fuel)
-
-
 # ---------------------------------------------------------------------------
 # Realizing, connectives, entailment
 
@@ -307,18 +294,8 @@ def realizes(pole: Pole, t: Term, s: TruthValue, fuel: int | None = None) -> Ver
     """Does t paired with every stack of s land in the pole?"""
     if t.fvs:
         raise ValueError(f"realizer candidate is not closed: {pretty(t)}")
-    sampled = s.all_stacks
-    unknown: Verdict | None = None
-    for stack in s:
-        verdict = pole_member(pole, Pair(t, stack), fuel)
-        if verdict.is_refuted:
-            return Verdict.refuted(stack)
-        if verdict.is_unknown and unknown is None:
-            unknown = Verdict.unknown(verdict.reason or "fuel", witness=stack)
-        sampled = sampled or verdict.sampled
-    if unknown is not None:
-        return unknown
-    return Verdict.verified(sampled=sampled)
+    return Verdict.all_of((pole.member(Pair(t, stack), fuel).at(stack) for stack in s),
+                          sampled=s.all_stacks)
 
 
 def implication(realizers_of_s: RealizerList, t: TruthValue) -> TruthValue:
@@ -434,27 +411,18 @@ def check_entailment(pole: Pole, seq: Sequent, fuel: int | None = None) -> Verdi
     """Check the candidate against every index, every tuple of context
     realizers, and every conclusion stack.  The first refutation in
     enumeration order (indices, then tuples, then stacks) is reported."""
-    unknown: Verdict | None = None
-    sampled = False
-    for index in seq.conclusion.index_set:
-        lists = [tuple(entry.realizers_at(index)) for entry in seq.context]
-        conclusion_tv = seq.conclusion(index)
-        sampled = sampled or conclusion_tv.all_stacks
-        for combo in itertools.product(*lists):
-            for pi in conclusion_tv:
-                stack = pi
-                for u in reversed(combo):
-                    stack = stack.push(u)
-                verdict = pole_member(pole, Pair(seq.candidate, stack), fuel)
-                if verdict.is_refuted:
-                    return Verdict.refuted((index, combo, pi))
-                if verdict.is_unknown and unknown is None:
-                    unknown = Verdict.unknown(verdict.reason or "fuel",
-                                              witness=(index, combo, pi))
-                sampled = sampled or verdict.sampled
-    if unknown is not None:
-        return unknown
-    return Verdict.verified(sampled=sampled)
+    def parts() -> Iterator[Verdict]:
+        for index in seq.conclusion.index_set:
+            lists = [tuple(entry.realizers_at(index)) for entry in seq.context]
+            for combo in itertools.product(*lists):
+                for pi in seq.conclusion(index):
+                    stack = pi
+                    for u in reversed(combo):
+                        stack = stack.push(u)
+                    yield pole.member(Pair(seq.candidate, stack), fuel).at((index, combo, pi))
+
+    sampled = any(seq.conclusion(index).all_stacks for index in seq.conclusion.index_set)
+    return Verdict.all_of(parts(), sampled)
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +581,7 @@ def consistency_probe(pole: Pole, candidates: Iterable[Term],
         witness: Stack | None = None
         unknown = False
         for pi in stacks:
-            verdict = pole_member(pole, Pair(t, pi), fuel)
+            verdict = pole.member(Pair(t, pi), fuel)
             if verdict.is_refuted:
                 witness = pi
                 break
@@ -629,7 +597,7 @@ def consistency_probe(pole: Pole, candidates: Iterable[Term],
             probes.append(CandidateProbe(t, "no_witness_in_sample"))
 
     for p in member_samples:
-        verdict = pole_member(pole, p, fuel)
+        verdict = pole.member(p, fuel)
         if verdict.is_verified:
             note_member(p)
 

@@ -32,7 +32,7 @@ __all__ = [
     "Process", "Pair", "TOP",
     "ParseError", "ClosednessError", "NotProofLike", "InvalidPosition",
     "parse_term", "parse_stack", "parse_process", "pretty",
-    "substitute", "free_variables", "fresh_name",
+    "substitute", "fresh_name",
     "is_proof_like", "effect_constants", "church_numeral",
     "Position", "subterm_at", "replace_at", "term_positions",
     "RESERVED",
@@ -83,10 +83,6 @@ class Term:
         if not isinstance(other, Term):
             return NotImplemented
         return _alpha_eq(self, other, {}, {}, 0)
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
 
     def __hash__(self):
         h = self._hash
@@ -220,10 +216,6 @@ class Stack:
             return False
         return all(a == b for a, b in zip(self, other))
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
     def __hash__(self):
         # iterative: machine runs grow stacks far beyond the recursion limit
         if self._hash is not None:
@@ -282,10 +274,6 @@ class Pair(Process):
         if not isinstance(other, Pair):
             return False if isinstance(other, Process) else NotImplemented
         return self.term == other.term and self.stack == other.stack
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
 
     def __hash__(self):
         h = self._hash
@@ -378,11 +366,6 @@ def _alpha_hash(t: Term, env: dict, depth: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Substitution and structural predicates
-
-
-def free_variables(t: Term) -> frozenset[str]:
-    """The free variable names of a term."""
-    return t.fvs
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, replace
+from typing import Any, Iterable
 
 __all__ = ["Verdict"]
 
@@ -32,6 +32,24 @@ class Verdict:
     @staticmethod
     def unknown(reason: str = "fuel", witness: Any = None) -> "Verdict":
         return Verdict("unknown", witness=witness, reason=reason)
+
+    @staticmethod
+    def all_of(verdicts: Iterable["Verdict"], sampled: bool = False) -> "Verdict":
+        """The conjunction of `verdicts`: the first refuted one, else the
+        first unknown one, else Verified, sampled if `sampled` is set or
+        any part was.  Reads no verdict past the first refutation."""
+        unknown: Verdict | None = None
+        for verdict in verdicts:
+            if verdict.is_refuted:
+                return verdict
+            if verdict.is_unknown and unknown is None:
+                unknown = verdict
+            sampled = sampled or verdict.sampled
+        return unknown or Verdict.verified(sampled)
+
+    def at(self, witness: Any) -> "Verdict":
+        """This verdict with its witness replaced."""
+        return replace(self, witness=witness)
 
     @property
     def is_verified(self) -> bool:

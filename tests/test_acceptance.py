@@ -26,7 +26,7 @@ from kamio.realizability import (
     Ax, Contract, ContextEntry, FinitePole, FunctionPole, ImpE, Peirce,
     Predicate, RealizerList, Sequent, TracePole, TruthValue, Weaken,
     check_entailment, consistency_probe, falsity_sample, implication,
-    pole_member, realizes, rule_realizer, COPY,
+    realizes, rule_realizer, COPY,
 )
 from kamio.syntax import (
     App, CALLCC, EMPTY, END, Kont, Pair, READ, TOP, WRITE0, WRITE1,
@@ -303,7 +303,7 @@ def test_10_copy_pole():
         copier = Pair(Y, stack_of(parse_term(r"\x. read (write0 x) (write1 x) end")))
         pole = TracePole(COPY, max_input_len=8, fuel=100_000)
         assert sum(1 for _ in _all_inputs_len(8)) == 511
-        verdict = pole_member(pole, copier)
+        verdict = pole.member(copier)
         assert verdict.is_verified, verdict
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from kamio import machine
 from kamio.cli import main
 from kamio.syntax import parse_process
 
@@ -161,6 +162,24 @@ class TestCompileAndVerify:
         payload = json.loads(out)
         assert payload["rows"][0]["status"] == "refuted"
 
+    def test_each_row_runs_once(self, files, capsys, tmp_path, monkeypatch):
+        lam = files("id.lam", r"\x. x")
+        out_path = str(tmp_path / "id.kam")
+        run_cli(capsys, "compile-fn", lam, "-o", out_path)
+        table = files("id.tsv", "".join(f"{n}\t{n}\n" for n in range(4)))
+        calls = []
+        real_run = machine.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(machine, "run", counting_run)
+        code, out, _ = run_cli(capsys, "verify-impl", out_path, "--table", table)
+        assert code == 0
+        assert out.splitlines()[:4] == [f"{n}\t{n}\tverified" for n in range(4)]
+        assert len(calls) == 4
+
     def test_tiny_fuel_unknown(self, files, capsys, tmp_path):
         lam = files("id.lam", r"\x. x")
         out_path = str(tmp_path / "id.kam")
@@ -211,6 +230,31 @@ class TestRealize:
             "candidate": "cc",
         }))
         code, out, _ = run_cli(capsys, "realize", scenario)
+        assert code == 0
+
+    def test_cli_fuel_applies_without_scenario_fuel(self, files, capsys):
+        # 8 evaluation steps from the seed: more than --fuel 2 allows
+        scenario = files("slow.json", json.dumps({
+            "kind": "realizes",
+            "pole": {"kind": "finite", "seeds": ["end * nil"]},
+            "term": r"(\a. \b. \c. \d. end) cc cc cc cc",
+            "truth_value": {"stacks": ["nil"]},
+        }))
+        code, out, _ = run_cli(capsys, "realize", scenario, "--fuel", "2")
+        assert code == 3
+        assert json.loads(out)["verdict"]["status"] == "unknown"
+        code, out, _ = run_cli(capsys, "realize", scenario)
+        assert code == 0
+
+    def test_scenario_fuel_beats_cli_fuel(self, files, capsys):
+        scenario = files("slow.json", json.dumps({
+            "kind": "realizes",
+            "fuel": 100,
+            "pole": {"kind": "finite", "seeds": ["end * nil"]},
+            "term": r"(\a. \b. \c. \d. end) cc cc cc cc",
+            "truth_value": {"stacks": ["nil"]},
+        }))
+        code, _, _ = run_cli(capsys, "realize", scenario, "--fuel", "2")
         assert code == 0
 
     def test_effectful_candidate_exit_1(self, files, capsys):

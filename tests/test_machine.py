@@ -5,13 +5,15 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import gen
+import reference_machine as reference
+from kamio.combinators import Y
 from kamio.machine import (
     Action, ExecutionContext, bin_nat, eval_step, exec_step,
     exec_step_labeled, implements_on, nat_of_bin, run,
 )
 from kamio.syntax import (
     App, END, EMPTY, Pair, READ, TOP, WRITE0, WRITE1,
-    parse_process, stack_of,
+    parse_process, parse_term, stack_of,
 )
 
 
@@ -245,3 +247,38 @@ class TestRunProperties:
             assert second.outcome == "terminated"
             assert second.final == first.final
             assert second.trace == first.trace
+
+
+COPY_LOOP = Pair(Y, stack_of(parse_term(r"\x. read (write0 x) (write1 x) end")))
+
+
+class TestAgainstReference:
+    """The lts_step-based execution matches the hand-written rules it
+    replaced (tests/reference_machine.py) on outcome, final context and
+    trace."""
+
+    @given(gen.contexts())
+    def test_exec_step_labeled(self, c):
+        assert exec_step_labeled(c) == reference.exec_step_labeled(c)
+
+    @given(gen.contexts(), st.integers(0, 60))
+    def test_run_on_random_contexts(self, c, fuel):
+        assert run(c, fuel) == reference.run(c, fuel)
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 7, 64, 333, 1000])
+    def test_run_copy_loop(self, length):
+        rng = random.Random(length)
+        bits = "".join(rng.choice("01") for _ in range(length))
+        c = ExecutionContext(COPY_LOOP, bits, "")
+        result = run(c)
+        assert result.terminated and result.final.output == bits[::-1]
+        assert result == reference.run(c)
+
+    @given(gen.contexts())
+    def test_fuel_set_to_the_last_step(self, c):
+        full = run(c, 200)
+        if full.outcome == "fuel":
+            return
+        for fuel in {full.steps, max(full.steps - 1, 0)}:
+            assert run(c, fuel) == reference.run(c, fuel)
+        assert run(c, full.steps) == full

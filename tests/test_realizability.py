@@ -15,7 +15,7 @@ from kamio.realizability import (
     Peirce, Predicate, READ_ALL_THEN_WRITE, RealizerList, Sequent,
     TracePole, UnionPole, Weaken, all_inputs, and_antecedent,
     check_entailment, consistency_probe, encode, falsity_sample,
-    forall_along, implication, pole_from_json, pole_member, realizes,
+    forall_along, implication, pole_from_json, realizes,
     reindex, rule_realizer, run_scenario, scenario_from_json,
     trace_conforms, TruthValue,
 )
@@ -36,25 +36,25 @@ def finite_pole(*seed_texts, fuel=5000):
 class TestFinitePole:
     def test_seed_is_member(self):
         pole = finite_pole("end * nil")
-        assert pole_member(pole, parse_process("end * nil")).is_verified
+        assert pole.member(parse_process("end * nil")).is_verified
 
     def test_predecessors_are_members(self):
         pole = finite_pole("end * nil")
-        assert pole_member(pole, parse_process(r"(\x. x) end * nil")).is_verified
+        assert pole.member(parse_process(r"(\x. x) end * nil")).is_verified
 
     def test_stuck_chain_refuted(self):
         pole = finite_pole("end * nil")
-        verdict = pole_member(pole, parse_process(r"(\x. x) * nil"))
+        verdict = pole.member(parse_process(r"(\x. x) * nil"))
         assert verdict.is_refuted
 
     def test_cycling_chain_refuted(self):
         pole = finite_pole("end * nil")
-        assert pole_member(pole, parse_process(r"(\x. x x) (\x. x x) * nil")).is_refuted
+        assert pole.member(parse_process(r"(\x. x x) (\x. x x) * nil")).is_refuted
 
     def test_fuel_exhaustion_unknown(self):
         pole = finite_pole("end * nil", fuel=1)
         grower = parse_process(r"(\x. x x x) (\x. x x x) * nil")
-        assert pole_member(pole, grower).is_unknown
+        assert pole.member(grower).is_unknown
 
     @given(gen.processes())
     def test_saturation(self, q):
@@ -64,38 +64,38 @@ class TestFinitePole:
         pole = FinitePole.of([q], fuel=50)
         pop_predecessor = Pair(Abs("w", q.term), q.stack.push(END))
         assert eval_step(pop_predecessor) == q
-        assert pole_member(pole, pop_predecessor, 51).is_verified
+        assert pole.member(pop_predecessor, 51).is_verified
         if not q.stack.is_empty:
             push_predecessor = Pair(App(q.term, q.stack.head), q.stack.tail)
             assert eval_step(push_predecessor) == q
-            assert pole_member(pole, push_predecessor, 51).is_verified
+            assert pole.member(push_predecessor, 51).is_verified
 
 
 class TestFunctionPole:
     def test_compiled_identity_is_member(self):
         pole = FunctionPole.of({n: n for n in range(5)})
-        verdict = pole_member(pole, compile_function(IDENTITY))
+        verdict = pole.member(compile_function(IDENTITY))
         assert verdict.is_verified
         assert verdict.sampled  # finite table only
 
     def test_end_not_member_of_identity(self):
         pole = FunctionPole.of({1: 1})
-        assert pole_member(pole, parse_process("end * nil")).is_refuted
+        assert pole.member(parse_process("end * nil")).is_refuted
 
     def test_end_member_of_zero_only_table(self):
         pole = FunctionPole.of({0: 0})
-        assert pole_member(pole, parse_process("end * nil")).is_verified
+        assert pole.member(parse_process("end * nil")).is_verified
 
 
 class TestTracePole:
     def test_copy_process_in_copy_pole(self):
         pole = TracePole(COPY, max_input_len=4, fuel=100_000)
-        verdict = pole_member(pole, COPY_PROCESS)
+        verdict = pole.member(COPY_PROCESS)
         assert verdict.is_verified
 
     def test_end_refuted_by_copy_on_nonempty_input(self):
         pole = TracePole(COPY, max_input_len=2, fuel=1000)
-        assert pole_member(pole, parse_process("end * nil")).is_refuted
+        assert pole.member(parse_process("end * nil")).is_refuted
 
     def test_copy_trace_shape(self):
         verdict = trace_conforms(COPY, COPY_PROCESS, "101", 100_000)
@@ -115,11 +115,11 @@ class TestTracePole:
         verdict = trace_conforms(READ_ALL_THEN_WRITE, echo, "0", 10**6)
         assert verdict.is_refuted
         pole = TracePole(READ_ALL_THEN_WRITE, max_input_len=1, fuel=10**6)
-        assert pole_member(pole, echo).is_refuted
+        assert pole.member(echo).is_refuted
 
     def test_copy_process_violates_read_all_then_write(self):
         pole = TracePole(READ_ALL_THEN_WRITE, max_input_len=2, fuel=10_000)
-        assert pole_member(pole, COPY_PROCESS).is_refuted
+        assert pole.member(COPY_PROCESS).is_refuted
 
     def test_all_inputs_enumeration(self):
         inputs = list(all_inputs(3))
@@ -131,16 +131,16 @@ class TestTracePole:
 class TestUnionPole:
     def test_member_of_any_part(self):
         union = UnionPole((FunctionPole.of({1: 1}), finite_pole("end * nil")))
-        assert pole_member(union, parse_process(r"(\x. x) end * nil")).is_verified
+        assert union.member(parse_process(r"(\x. x) end * nil")).is_verified
 
     def test_refuted_only_if_all_refute(self):
         union = UnionPole((finite_pole("cc * nil"), finite_pole("end * nil")))
-        assert pole_member(union, parse_process("write0 * nil")).is_refuted
+        assert union.member(parse_process("write0 * nil")).is_refuted
 
     def test_unknown_if_undecided_part(self):
         grower = parse_process(r"(\x. x x x) (\x. x x x) * nil")
         union = UnionPole((finite_pole("end * nil", fuel=1),))
-        assert pole_member(union, grower).is_unknown
+        assert union.member(grower).is_unknown
 
 
 class TestRealizes:
@@ -351,7 +351,7 @@ class TestRuleRealizers:
         for t, f in ((IDENTITY, lambda n: n), (S, lambda n: n + 1),
                      (doubling, lambda n: 2 * n)):
             pole = FunctionPole.of({n: f(n) for n in range(6)})
-            assert pole_member(pole, compile_function(t)).is_verified
+            assert pole.member(compile_function(t)).is_verified
 
     def test_contract_semantically(self):
         pole = FinitePole.of([Pair(FST, EMPTY)], fuel=500)
@@ -427,8 +427,8 @@ class TestPoleFromBisimulation:
             pytest.skip("no redex to contract")
         other = beta_contract(process, redexes[0])
         assert weak_bisim(process, other, 10, 100_000).is_verified
-        left = pole_member(pole, process)
-        right = pole_member(pole, other)
+        left = pole.member(process)
+        right = pole.member(other)
         if not left.is_unknown and not right.is_unknown:
             assert left.status == right.status
 
@@ -480,7 +480,7 @@ class TestScenarioJson:
             {"kind": "finite", "seeds": ["end * nil"], "fuel": 10},
         ]})
         assert isinstance(pole, UnionPole)
-        assert pole_member(pole, parse_process("end * nil")).is_verified
+        assert pole.member(parse_process("end * nil")).is_verified
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import gen
 from kamio.syntax import (
     Abs, App, CALLCC, ClosednessError, END, EMPTY, Kont, Pair, ParseError,
     READ, TOP, Var, WRITE0, WRITE1, church_numeral, effect_constants,
-    free_variables, is_proof_like, parse_process, parse_stack, parse_term,
+    is_proof_like, parse_process, parse_stack, parse_term,
     pretty, stack_of, substitute,
 )
 
@@ -149,10 +149,10 @@ class TestSubstitute:
 
     @given(gen.open_terms(), gen.closed_terms(max_size=8))
     def test_free_variable_bookkeeping(self, body, arg):
-        before = free_variables(body)
+        before = body.fvs
         result = substitute(body, "x", arg)
         if "x" in before:
-            assert free_variables(result) == (before - {"x"}) | free_variables(arg)
+            assert result.fvs == (before - {"x"}) | arg.fvs
         else:
             assert result == body
 
@@ -180,14 +180,14 @@ class TestProofLike:
 
 class TestFreeVariables:
     def test_variable(self):
-        assert free_variables(Var("x")) == {"x"}
+        assert Var("x").fvs == {"x"}
 
     def test_abstraction_binds(self):
-        assert free_variables(Abs("x", Var("x"))) == frozenset()
+        assert Abs("x", Var("x")).fvs == frozenset()
 
     def test_mixed(self):
         t = App(Var("x"), Abs("x", Var("x")))
-        assert free_variables(t) == {"x"}
+        assert t.fvs == {"x"}
 
 
 class TestStackInvariants:
