@@ -26,7 +26,7 @@ from .equivalence import (
     beta_redexes, beta_contract, top_equiv,
 )
 from .combinators import (
-    church, decode_numeral, storage_apply, compile_function,
+    decode_numeral, storage_apply, compile_function,
     reader_process, MalformedOutput, COMBINATORS,
 )
 from . import realizability

@@ -21,7 +21,7 @@ from .syntax import (
 )
 
 __all__ = [
-    "church", "decode_numeral", "storage_apply", "compile_function",
+    "decode_numeral", "storage_apply", "compile_function",
     "reader_process", "MalformedOutput",
     "COMBINATORS", "PRELUDE_NAMES", "PRELUDE_SOURCE", "prelude_definitions",
     "load_prelude", "resolve_names",
@@ -31,9 +31,6 @@ __all__ = [
 
 class MalformedOutput(Exception):
     """A numeral decode terminated with output that is not a binary numeral."""
-
-
-church = church_numeral
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +126,7 @@ def storage_apply(t: Term, n: int) -> Process:
     """The configuration #n * F, t, #0, F, W, #0 whose run forces the
     numeral through the storage operator, applies t, and writes the
     result: its terminal output is bin(value of t #n)."""
-    return Pair(church(n), stack_of(F, t, church(0), F, W, church(0)))
+    return Pair(church_numeral(n), stack_of(F, t, church_numeral(0), F, W, church_numeral(0)))
 
 
 def compile_function(t: Term) -> Process:
@@ -140,7 +137,7 @@ def compile_function(t: Term) -> Process:
     if not is_proof_like(t):
         raise NotProofLike(
             f"term contains instruction constants {sorted(effect_constants(t))}")
-    return Pair(R, stack_of(F, t, church(0), F, W, church(0)))
+    return Pair(R, stack_of(F, t, church_numeral(0), F, W, church_numeral(0)))
 
 
 def reader_process(tail: Stack) -> Process:

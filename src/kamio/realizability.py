@@ -139,8 +139,6 @@ READ_ALL_THEN_WRITE = "read_all_then_write"
 class Pole:
     """Base class for bounded pole-membership engines."""
 
-    fuel: int
-
     def member(self, p: Process, fuel: int | None = None) -> Verdict:
         raise NotImplementedError
 
@@ -268,7 +266,6 @@ class UnionPole(Pole):
     """Union of poles: member of any part means member of the union."""
 
     members: tuple[Pole, ...]
-    fuel: int = DEFAULT_FUEL
 
     def member(self, p: Process, fuel: int | None = None) -> Verdict:
         refutations = []
@@ -609,31 +606,29 @@ def consistency_probe(pole: Pole, candidates: Iterable[Term],
 # strings; predicates are lists of {"index": ..., "stacks": [...]} rows.
 
 
-def pole_from_json(obj: dict) -> Pole:
+def pole_from_json(obj: dict, fuel: int | None = None) -> Pole:
+    """Build a pole whose budget is its own "fuel" key, else `fuel`, else
+    the pole kind's default; a union hands its budget to its members."""
+    budget = obj.get("fuel", fuel)
+    kw = {} if budget is None else {"fuel": int(budget)}
     kind = obj.get("kind")
     if kind == "finite":
-        seeds = [parse_process(s) for s in obj["seeds"]]
-        return FinitePole.of(seeds, int(obj.get("fuel", 10_000)))
+        return FinitePole.of([parse_process(s) for s in obj["seeds"]], **kw)
     if kind == "function":
-        table = {int(k): int(v) for k, v in obj["table"].items()}
-        return FunctionPole.of(table, int(obj.get("fuel", DEFAULT_FUEL)))
+        return FunctionPole.of({int(k): int(v) for k, v in obj["table"].items()}, **kw)
     if kind == "trace":
         spec = obj["spec"]
         if spec not in (COPY, READ_ALL_THEN_WRITE):
             raise ValueError(f"unknown trace discipline {spec!r}")
-        return TracePole(spec, int(obj.get("max_input_len", 4)),
-                         int(obj.get("fuel", 100_000)))
+        return TracePole(spec, int(obj.get("max_input_len", 4)), **kw)
     if kind == "union":
-        return UnionPole(tuple(pole_from_json(m) for m in obj["members"]))
+        return UnionPole(tuple(pole_from_json(m, budget) for m in obj["members"]))
     raise ValueError(f"unknown pole kind {kind!r}")
 
 
-def _predicate_from_json(rows: list[dict]) -> Predicate:
-    mapping = {}
-    for row in rows:
-        mapping[row["index"]] = TruthValue.of(
-            parse_stack(s) for s in row["stacks"])
-    return Predicate.of(mapping)
+def _predicate_from_json(rows: list[dict], index_set: Iterable | None = None) -> Predicate:
+    return Predicate.of({row["index"]: TruthValue.of(parse_stack(s) for s in row["stacks"])
+                         for row in rows}, index_set)
 
 
 def _realizers_from_json(rows: list[dict]) -> dict[Any, RealizerList]:
@@ -645,7 +640,7 @@ def _realizers_from_json(rows: list[dict]) -> dict[Any, RealizerList]:
 class Scenario:
     kind: str
     pole: Pole
-    fuel: int
+    fuel: int  # the budget a pole without its own "fuel" key was given
     sequent: Sequent | None = None
     term: Term | None = None
     truth_value: TruthValue | None = None
@@ -658,16 +653,13 @@ def scenario_from_json(obj: dict) -> Scenario:
     if not isinstance(obj, dict):
         raise ValueError("scenario must be a JSON object")
     kind = obj.get("kind", "entailment")
-    pole = pole_from_json(obj["pole"])
     fuel = int(obj.get("fuel", DEFAULT_FUEL))
+    pole = pole_from_json(obj["pole"], fuel)
     if kind == "entailment":
         conclusion = _predicate_from_json(obj["conclusion"])
         context = []
         for entry in obj.get("context", ()):
-            predicate = Predicate.of(
-                {row["index"]: TruthValue.of(parse_stack(s) for s in row["stacks"])
-                 for row in entry["predicate"]},
-                index_set=conclusion.index_set)
+            predicate = _predicate_from_json(entry["predicate"], conclusion.index_set)
             context.append(ContextEntry(predicate, _realizers_from_json(entry["realizers"])))
         sequent = Sequent(tuple(context), conclusion, parse_term(obj["candidate"]))
         return Scenario(kind, pole, fuel, sequent=sequent)
@@ -710,14 +702,13 @@ def verdict_to_json(verdict: Verdict) -> dict:
 def run_scenario(scenario: Scenario) -> tuple[Verdict, dict]:
     """Execute a scenario and return (overall verdict, JSON-able report)."""
     if scenario.kind == "entailment":
-        verdict = check_entailment(scenario.pole, scenario.sequent, scenario.fuel)
+        verdict = check_entailment(scenario.pole, scenario.sequent)
         return verdict, {"kind": scenario.kind, "verdict": verdict_to_json(verdict)}
     if scenario.kind == "realizes":
-        verdict = realizes(scenario.pole, scenario.term, scenario.truth_value, scenario.fuel)
+        verdict = realizes(scenario.pole, scenario.term, scenario.truth_value)
         return verdict, {"kind": scenario.kind, "verdict": verdict_to_json(verdict)}
     report = consistency_probe(scenario.pole, scenario.candidates,
-                               scenario.stack_samples, scenario.fuel,
-                               scenario.member_samples)
+                               scenario.stack_samples, member_samples=scenario.member_samples)
     if report.all_witnessed and not report.violations:
         verdict = Verdict.verified()
     elif any(p.status == "unknown" for p in report.probes):

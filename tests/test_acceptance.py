@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import gen
 from kamio.cli import main as cli_main
 from kamio.combinators import (
-    B, C, E, F, H, S, W, Y, Z, church, compile_function, decode_numeral,
+    B, C, E, F, H, S, W, Y, Z, compile_function, decode_numeral,
     R as READER,
 )
 from kamio.equivalence import (
@@ -30,7 +30,7 @@ from kamio.realizability import (
 )
 from kamio.syntax import (
     App, CALLCC, EMPTY, END, Kont, Pair, READ, TOP, WRITE0, WRITE1,
-    effect_constants, parse_process, parse_stack, parse_term, stack_of,
+    church_numeral, effect_constants, parse_process, parse_stack, parse_term, stack_of,
 )
 
 FUEL = 10**6
@@ -175,9 +175,9 @@ def test_02_determinism():
 
 def test_03_combinator_contracts():
     with criterion(3, "combinator contracts", 30.0):
-        three, seven = church(3), church(7)
+        three, seven = church_numeral(3), church_numeral(7)
         for n in range(65):
-            numeral = church(n)
+            numeral = church_numeral(n)
             assert decode_numeral(App(B, numeral), FUEL) == 2 * n
             assert decode_numeral(App(C, numeral), FUEL) == 2 * n + 1
             assert decode_numeral(App(H, numeral), FUEL) == n // 2
@@ -190,11 +190,11 @@ def test_03_combinator_contracts():
 
 def test_04_reader_lemma():
     with criterion(4, "reader lemma", 30.0):
-        tail = stack_of(F, W, church(0))
+        tail = stack_of(F, W, church_numeral(0))
         for n in range(65):
             verdict = top_equiv(
                 ExecutionContext(Pair(READER, tail), bin_nat(n), ""),
-                ExecutionContext(Pair(church(n), tail), "", ""), FUEL)
+                ExecutionContext(Pair(church_numeral(n), tail), "", ""), FUEL)
             assert verdict.is_verified, (n, verdict)
 
 
@@ -202,7 +202,7 @@ def test_05_writer_lemma():
     with criterion(5, "writer lemma", 30.0):
         inputs = ["", "1", "00", "101", "111000"]
         for n in range(65):
-            process = Pair(App(W, church(n)), EMPTY)
+            process = Pair(App(W, church_numeral(n)), EMPTY)
             for inp in inputs:
                 result = run(ExecutionContext(process, inp, ""), FUEL)
                 assert result.terminated, (n, inp)
@@ -212,11 +212,11 @@ def test_05_writer_lemma():
 def test_06_storage_law():
     with criterion(6, "storage law", 30.0):
         from kamio.combinators import storage_apply
-        tail = stack_of(F, W, church(0))
+        tail = stack_of(F, W, church_numeral(0))
         for t in (IDENTITY, S, B):
             for n in range(33):
                 staged = run(ExecutionContext(storage_apply(t, n), "", ""), FUEL)
-                direct = run(ExecutionContext(Pair(App(t, church(n)), tail), "", ""), FUEL)
+                direct = run(ExecutionContext(Pair(App(t, church_numeral(n)), tail), "", ""), FUEL)
                 assert staged.terminated and direct.terminated, (pretty_name(t), n)
                 assert staged.final.output == direct.final.output, (pretty_name(t), n)
 

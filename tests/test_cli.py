@@ -257,6 +257,35 @@ class TestRealize:
         code, _, _ = run_cli(capsys, "realize", scenario, "--fuel", "2")
         assert code == 0
 
+    def _slow(self, files, pole, **top):
+        # the term needs 8 evaluation steps to reach the seed `end * nil`
+        return files("slow.json", json.dumps({
+            "kind": "realizes", **top, "pole": pole,
+            "term": r"(\a. \b. \c. \d. end) cc cc cc cc",
+            "truth_value": {"stacks": ["nil"]},
+        }))
+
+    def test_pole_fuel_beats_scenario_fuel(self, files, capsys):
+        scenario = self._slow(files, {"kind": "finite", "seeds": ["end * nil"], "fuel": 2},
+                              fuel=100)
+        code, out, _ = run_cli(capsys, "realize", scenario)
+        assert code == 3
+        assert json.loads(out)["verdict"]["status"] == "unknown"
+
+    def test_union_member_fuel_applies(self, files, capsys):
+        scenario = self._slow(files, {"kind": "union", "members": [
+            {"kind": "finite", "seeds": ["end * nil"], "fuel": 2}]}, fuel=100)
+        code, _, _ = run_cli(capsys, "realize", scenario)
+        assert code == 3
+
+    def test_union_member_inherits_cli_fuel(self, files, capsys):
+        scenario = self._slow(files, {"kind": "union", "members": [
+            {"kind": "finite", "seeds": ["end * nil"]}]})
+        code, _, _ = run_cli(capsys, "realize", scenario, "--fuel", "2")
+        assert code == 3
+        code, _, _ = run_cli(capsys, "realize", scenario)
+        assert code == 0
+
     def test_effectful_candidate_exit_1(self, files, capsys):
         scenario = files("bad.json", json.dumps({
             "kind": "entailment",
@@ -308,6 +337,38 @@ class TestPreludeList:
         code, out, _ = run_cli(capsys, "prelude-list", "--expanded")
         assert code == 0
         assert out.startswith("S = \\n. \\f. \\x. f (n f x)")
+
+
+class TestUsageErrors:
+    def test_unknown_flag_exit_1(self, files, capsys):
+        path = files("end.kam", "end * nil")
+        code, _, err = run_cli(capsys, "run", path, "--bogus")
+        assert code == 1
+        assert err.strip() == "kamio: error: unrecognized arguments: --bogus"
+
+    def test_missing_file_argument_exit_1(self, capsys):
+        code, _, err = run_cli(capsys, "run")
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+
+    def test_bad_env_fuel_exit_1(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("KAMIO_FUEL", "abc")
+        path = files("end.kam", "end * nil")
+        code, _, err = run_cli(capsys, "run", path)
+        assert code == 1
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_option_the_subcommand_does_not_take_exit_1(self, files, capsys):
+        path = files("n.lam", "#3")
+        code, _, _ = run_cli(capsys, "decode", path, "--depth", "3")
+        assert code == 1
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert "--fuel" in capsys.readouterr().out
 
 
 class TestDeterminism:

@@ -5,14 +5,14 @@ import hypothesis.strategies as st
 from kamio.combinators import (
     B, C, E, F, H, Q, R, S, W, Y, Z,
     COMBINATORS, MalformedOutput, PRELUDE_SOURCE,
-    church, compile_function, decode_numeral, load_prelude,
+    compile_function, decode_numeral, load_prelude,
     prelude_definitions, reader_process, resolve_names, storage_apply,
 )
 from kamio.equivalence import top_equiv, weak_bisim
 from kamio.machine import ExecutionContext, bin_nat, implements_on, run
 from kamio.syntax import (
     App, NotProofLike, Pair, READ, Var, WRITE0,
-    effect_constants, is_proof_like, parse_term, stack_of,
+    church_numeral, effect_constants, is_proof_like, parse_term, stack_of,
 )
 
 FUEL = 10**6
@@ -24,14 +24,14 @@ def decode(t, fuel=FUEL):
 
 class TestChurch:
     def test_zero(self):
-        assert church(0) == parse_term(r"\f. \x. x")
+        assert church_numeral(0) == parse_term(r"\f. \x. x")
 
     def test_two(self):
-        assert church(2) == parse_term(r"\f. \x. f (f x)")
+        assert church_numeral(2) == parse_term(r"\f. \x. f (f x)")
 
     @given(st.integers(0, 40))
     def test_closed_and_proof_like(self, n):
-        t = church(n)
+        t = church_numeral(n)
         assert not t.fvs
         assert is_proof_like(t)
 
@@ -39,10 +39,10 @@ class TestChurch:
 class TestDecodeNumeral:
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 13, 64])
     def test_decodes_numerals(self, n):
-        assert decode(church(n)) == n
+        assert decode(church_numeral(n)) == n
 
     def test_decodes_through_beta(self):
-        assert decode(App(B, church(3))) == 6
+        assert decode(App(B, church_numeral(3))) == 6
 
     def test_identity_term_acts_as_one(self):
         # \x. x applies like the numeral 1, so the writer observes 1
@@ -60,16 +60,17 @@ class TestDecodeNumeral:
 class TestArithmeticContracts:
     @pytest.mark.parametrize("n", list(range(0, 17)) + [31, 64])
     def test_doubling_increment_halving(self, n):
-        assert decode(App(B, church(n))) == 2 * n
-        assert decode(App(C, church(n))) == 2 * n + 1
-        assert decode(App(H, church(n))) == n // 2
-        assert decode(App(S, church(n))) == n + 1
+        assert decode(App(B, church_numeral(n))) == 2 * n
+        assert decode(App(C, church_numeral(n))) == 2 * n + 1
+        assert decode(App(H, church_numeral(n))) == n // 2
+        assert decode(App(S, church_numeral(n))) == n + 1
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_parity_and_zero_branching(self, n):
-        three, seven = church(3), church(7)
-        assert decode(App(App(App(E, church(n)), three), seven)) == (3 if n % 2 == 0 else 7)
-        assert decode(App(App(App(Z, church(n)), three), seven)) == (3 if n == 0 else 7)
+        three, seven = church_numeral(3), church_numeral(7)
+        assert (decode(App(App(App(E, church_numeral(n)), three), seven))
+                == (3 if n % 2 == 0 else 7))
+        assert decode(App(App(App(Z, church_numeral(n)), three), seven)) == (3 if n == 0 else 7)
 
     def test_fixed_point_unfolds(self):
         # Y g ~ g (Y g): both sides write the same bit when g ignores its argument
@@ -113,10 +114,10 @@ class TestStorage:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 12])
     def test_matches_direct_application(self, n):
-        tail = stack_of(F, W, church(0))
+        tail = stack_of(F, W, church_numeral(0))
         for t in (parse_term(r"\x. x"), S, B):
             staged = run(ExecutionContext(storage_apply(t, n), "", ""), FUEL)
-            direct = run(ExecutionContext(Pair(App(t, church(n)), tail), "", ""), FUEL)
+            direct = run(ExecutionContext(Pair(App(t, church_numeral(n)), tail), "", ""), FUEL)
             assert staged.terminated and direct.terminated
             assert staged.final.output == direct.final.output
 
@@ -124,23 +125,23 @@ class TestStorage:
 class TestReader:
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 6, 13])
     def test_echoes_value_through_writer(self, n):
-        tail = stack_of(F, W, church(0))
+        tail = stack_of(F, W, church_numeral(0))
         result = run(ExecutionContext(reader_process(tail), bin_nat(n), ""), FUEL)
         assert result.terminated
         assert result.final.input == ""
         assert result.final.output == bin_nat(n)
 
     def test_empty_input_reads_zero(self):
-        tail = stack_of(F, W, church(0))
+        tail = stack_of(F, W, church_numeral(0))
         result = run(ExecutionContext(reader_process(tail), "", ""), FUEL)
         assert result.terminated
         assert result.final.output == ""
 
     @pytest.mark.parametrize("n", [0, 1, 3, 9, 16])
     def test_reader_lemma_instance(self, n):
-        tail = stack_of(F, W, church(0))
+        tail = stack_of(F, W, church_numeral(0))
         verdict = top_equiv(ExecutionContext(Pair(R, tail), bin_nat(n), ""),
-                            ExecutionContext(Pair(church(n), tail), "", ""), FUEL)
+                            ExecutionContext(Pair(church_numeral(n), tail), "", ""), FUEL)
         assert verdict.is_verified, (n, verdict)
 
 
@@ -148,13 +149,14 @@ class TestWriter:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 21])
     @pytest.mark.parametrize("inp", ["", "0", "110"])
     def test_writer_lemma_instance(self, n, inp):
-        result = run(ExecutionContext(Pair(App(W, church(n)), stack_of()), inp, ""), FUEL)
+        result = run(ExecutionContext(Pair(App(W, church_numeral(n)), stack_of()), inp, ""), FUEL)
         assert result.terminated
         assert result.final.input == inp
         assert result.final.output == bin_nat(n)
 
     def test_writer_ignores_its_stack(self):
-        result = run(ExecutionContext(Pair(App(W, church(6)), stack_of(READ)), "", ""), FUEL)
+        proc = Pair(App(W, church_numeral(6)), stack_of(READ))
+        result = run(ExecutionContext(proc, "", ""), FUEL)
         assert result.terminated
         assert result.final.output == bin_nat(6)
 
@@ -186,7 +188,7 @@ class TestCompileFunction:
 
     def test_effectful_term_rejected(self):
         with pytest.raises(NotProofLike):
-            compile_function(App(WRITE0, church(1)))
+            compile_function(App(WRITE0, church_numeral(1)))
 
     def test_open_term_rejected(self):
         with pytest.raises(ValueError):
@@ -215,7 +217,7 @@ class TestPrelude:
     def test_numeral_contract_against_spec_table(self):
         # one joint sanity row: C = S . B pointwise on a sample value
         n = 11
-        assert decode(App(C, church(n))) == decode(App(S, App(B, church(n))))
+        assert decode(App(C, church_numeral(n))) == decode(App(S, App(B, church_numeral(n))))
 
 
 class TestBisimulationFacts:

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 
 import gen
 from kamio.combinators import R as READER
-from kamio.combinators import F, S, W, Y, church, compile_function
+from kamio.combinators import F, S, W, Y, compile_function
 from kamio.equivalence import weak_bisim
 from kamio.machine import bin_nat, eval_step
 from kamio.realizability import (
@@ -21,7 +21,7 @@ from kamio.realizability import (
 )
 from kamio.syntax import (
     Abs, App, CALLCC, EMPTY, END, Kont, NotProofLike, Pair,
-    effect_constants, parse_process, parse_stack, parse_term, stack_of,
+    church_numeral, effect_constants, parse_process, parse_stack, parse_term, stack_of,
 )
 
 IDENTITY = parse_term(r"\x. x")
@@ -103,7 +103,7 @@ class TestTracePole:
 
     def test_read_all_then_write_on_canonical_inputs(self):
         # the echo pipeline conforms on every canonical bin(n) input
-        echo = Pair(READER, stack_of(F, W, church(0)))
+        echo = Pair(READER, stack_of(F, W, church_numeral(0)))
         for n in range(9):
             verdict = trace_conforms(READ_ALL_THEN_WRITE, echo, bin_nat(n), 10**6)
             assert verdict.is_verified, (n, verdict)
@@ -111,7 +111,7 @@ class TestTracePole:
     def test_read_all_then_write_refutes_on_leading_zero(self):
         # leading zeros are not canonical numerals: the echo pipeline
         # writes back the value, not the raw string
-        echo = Pair(READER, stack_of(F, W, church(0)))
+        echo = Pair(READER, stack_of(F, W, church_numeral(0)))
         verdict = trace_conforms(READ_ALL_THEN_WRITE, echo, "0", 10**6)
         assert verdict.is_refuted
         pole = TracePole(READ_ALL_THEN_WRITE, max_input_len=1, fuel=10**6)
@@ -481,6 +481,19 @@ class TestScenarioJson:
         ]})
         assert isinstance(pole, UnionPole)
         assert pole.member(parse_process("end * nil")).is_verified
+
+    def test_pole_fuel_precedence(self):
+        union = pole_from_json({"kind": "union", "fuel": 50, "members": [
+            {"kind": "finite", "seeds": [], "fuel": 3},
+            {"kind": "function", "table": {}},
+        ]}, fuel=7)
+        assert [m.fuel for m in union.members] == [3, 50]
+        assert pole_from_json({"kind": "trace", "spec": "copy"}, fuel=7).fuel == 7
+        assert pole_from_json({"kind": "trace", "spec": "copy"}).fuel == TracePole("copy").fuel
+        scenario = scenario_from_json({"kind": "realizes", "fuel": 9, "term": r"\x. x",
+                                       "pole": {"kind": "finite", "seeds": []},
+                                       "truth_value": {"stacks": ["nil"]}})
+        assert (scenario.fuel, scenario.pole.fuel) == (9, 9)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
