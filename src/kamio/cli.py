@@ -35,7 +35,7 @@ from .verdict import Verdict
 __all__ = ["main"]
 
 _USAGE_ERRORS = (ParseError, ClosednessError, NotProofLike, MalformedOutput,
-                 OSError, ValueError, json.JSONDecodeError, KeyError)
+                 OSError, ValueError)  # json.JSONDecodeError is a ValueError
 
 
 def _read(path: str) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .machine import Action, ExecutionContext, lts_step, run
 from .syntax import (
     Abs, App, InvalidPosition, Position, Process,
-    replace_at, subterm_at, substitute, term_positions,
+    replace_at, subterm_at, substitute, subterms,
 )
 from .verdict import Verdict
 
@@ -126,12 +126,8 @@ def weak_bisim(p: Process, q: Process,
 
 def beta_redexes(host: Process) -> list[Position]:
     """Positions of all beta-redexes in host, in preorder left to right."""
-    out = []
-    for pos in term_positions(host):
-        sub = subterm_at(host, pos)
-        if sub.__class__ is App and sub.fun.__class__ is Abs:
-            out.append(pos)
-    return out
+    return [pos for pos, sub in subterms(host)
+            if sub.__class__ is App and sub.fun.__class__ is Abs]
 
 
 def beta_contract(host: Process, at: Position) -> Process:

@@ -34,7 +34,7 @@ __all__ = [
     "parse_term", "parse_stack", "parse_process", "pretty",
     "substitute", "fresh_name",
     "is_proof_like", "effect_constants", "church_numeral",
-    "Position", "subterm_at", "replace_at", "term_positions",
+    "Position", "subterms", "subterm_at", "replace_at",
     "RESERVED",
 ]
 
@@ -399,32 +399,8 @@ def substitute(body: Term, name: str, arg: Term) -> Term:
 def effect_constants(x: Term | Stack | Process) -> frozenset[str]:
     """The instruction constants (read/write0/write1/end) occurring in x,
     including inside saved continuation stacks."""
-    found: set[str] = set()
-    _collect_effects(x, found)
-    return frozenset(found)
-
-
-def _collect_effects(x, found: set[str]) -> None:
-    if isinstance(x, Stack):
-        for entry in x:
-            _collect_effects(entry, found)
-        return
-    if isinstance(x, Process):
-        if x is not TOP:
-            _collect_effects(x.term, found)
-            _collect_effects(x.stack, found)
-        return
-    cls = x.__class__
-    if cls is Const:
-        if x is not CALLCC:
-            found.add(x.kind)
-    elif cls is App:
-        _collect_effects(x.fun, found)
-        _collect_effects(x.arg, found)
-    elif cls is Abs:
-        _collect_effects(x.body, found)
-    elif cls is Kont:
-        _collect_effects(x.stack, found)
+    return frozenset(t.kind for _, t in subterms(x)
+                     if t.__class__ is Const and t is not CALLCC)
 
 
 def is_proof_like(t: Term) -> bool:
@@ -447,116 +423,84 @@ def church_numeral(n: int) -> Term:
 # ---------------------------------------------------------------------------
 # Positions: paths addressing a subterm inside a term, stack, or process.
 #
-# A position is a tuple of selectors:
+# A position is a tuple of selectors.  `_children` is the only place that
+# says which selector addresses which child, and `_with_child` undoes it:
 #   "term"         the head term of a Pair
-#   ("stack", i)   the i-th entry (from the top) of a Pair's stack
+#   ("stack", i)   the i-th entry (from the top) of a Stack or a Pair's stack
+#   ("saved", i)   the i-th entry of a continuation's saved stack
 #   "fun" / "arg"  children of an App
 #   "body"         child of an Abs
-#   ("saved", i)   the i-th entry of a continuation's saved stack
 
 Position = tuple
 
 
-def _stack_entry(stack: Stack, i: int) -> Term:
-    entries = list(stack)
-    if not 0 <= i < len(entries):
-        raise IndexError(i)
-    return entries[i]
+def _children(x) -> list[tuple]:
+    """The (selector, child) pairs of x, left to right."""
+    cls = x.__class__
+    if cls is App:
+        return [("fun", x.fun), ("arg", x.arg)]
+    if cls is Abs:
+        return [("body", x.body)]
+    if cls is Kont:
+        return [(("saved", i), entry) for i, entry in enumerate(x.stack)]
+    if cls is Stack:
+        return [(("stack", i), entry) for i, entry in enumerate(x)]
+    if cls is Pair:
+        return [("term", x.term)] + _children(x.stack)
+    return []
 
 
-def _stack_replace(stack: Stack, i: int, new: Term) -> Stack:
-    entries = list(stack)
-    if not 0 <= i < len(entries):
-        raise IndexError(i)
-    entries[i] = new
-    return stack_of(*entries)
+def _with_child(host, step, new: Term):
+    """host with the child that `step`, one of its selectors, replaced by new."""
+    cls = host.__class__
+    if cls is App:
+        return App(new, host.arg) if step == "fun" else App(host.fun, new)
+    if cls is Abs:
+        return Abs(host.param, new)
+    if cls is Pair:
+        if step == "term":
+            return Pair(new, host.stack)
+        return Pair(host.term, _with_child(host.stack, step, new))
+    entries = list(host if cls is Stack else host.stack)
+    entries[step[1]] = new
+    return stack_of(*entries) if cls is Stack else Kont(stack_of(*entries))
+
+
+def subterms(host: Term | Stack | Process) -> Iterator[tuple[Position, Term]]:
+    """Every (position, subterm) of host, in preorder, left to right."""
+    work = [((), host)]
+    while work:
+        pos, x = work.pop()
+        if isinstance(x, Term):
+            yield pos, x
+        work.extend((pos + (step,), child) for step, child in reversed(_children(x)))
+
+
+def _path_nodes(host, path: Position) -> list:
+    """host and the node each step of `path` reaches, ending at a term."""
+    nodes = [host]
+    for step in path:
+        try:
+            nodes.append(dict(_children(nodes[-1]))[step])
+        except (KeyError, TypeError) as exc:
+            raise InvalidPosition(f"path {path!r} invalid at {step!r}") from exc
+    if not isinstance(nodes[-1], Term):
+        raise InvalidPosition(f"path {path!r} does not address a term")
+    return nodes
 
 
 def subterm_at(host: Term | Stack | Process, path: Position) -> Term:
     """The subterm addressed by `path`; raises InvalidPosition if absent."""
-    node = host
-    for step in path:
-        try:
-            if step == "term":
-                node = node.term
-            elif step == "fun":
-                node = node.fun
-            elif step == "arg":
-                node = node.arg
-            elif step == "body":
-                node = node.body
-            else:
-                kind, i = step
-                if kind not in ("stack", "saved"):
-                    raise InvalidPosition(f"unknown selector {step!r}")
-                holder = node if isinstance(node, Stack) else node.stack
-                node = _stack_entry(holder, i)
-        except (AttributeError, IndexError, TypeError, ValueError) as exc:
-            raise InvalidPosition(f"path {path!r} invalid at {step!r}") from exc
-    if not isinstance(node, Term):
-        raise InvalidPosition(f"path {path!r} does not address a term")
-    return node
+    return _path_nodes(host, path)[-1]
 
 
 def replace_at(host, path: Position, new: Term):
     """Replace the subterm addressed by `path` with `new`; returns a value
     of the same shape as `host`."""
-    if not path:
-        if not isinstance(host, Term):
-            raise InvalidPosition("empty path addresses a term only inside a term")
-        return new
-    step, rest = path[0], path[1:]
-    try:
-        if step == "term":
-            return Pair(replace_at(host.term, rest, new), host.stack)
-        if step == "fun":
-            return App(replace_at(host.fun, rest, new), host.arg)
-        if step == "arg":
-            return App(host.fun, replace_at(host.arg, rest, new))
-        if step == "body":
-            return Abs(host.param, replace_at(host.body, rest, new))
-        kind, i = step
-        if kind == "stack" and isinstance(host, Stack):
-            return _stack_replace(host, i, replace_at(_stack_entry(host, i), rest, new))
-        if kind == "stack":
-            entry = _stack_entry(host.stack, i)
-            return Pair(host.term, _stack_replace(host.stack, i, replace_at(entry, rest, new)))
-        if kind == "saved":
-            entry = _stack_entry(host.stack, i)
-            return Kont(_stack_replace(host.stack, i, replace_at(entry, rest, new)))
-        raise InvalidPosition(f"unknown selector {step!r}")
-    except InvalidPosition:
-        raise
-    except (AttributeError, IndexError, TypeError, ValueError) as exc:
-        raise InvalidPosition(f"path {path!r} invalid at {step!r}") from exc
-
-
-def term_positions(host: Term | Stack | Process) -> list[Position]:
-    """All positions of subterms of `host`, in preorder, left to right."""
-    out: list[Position] = []
-
-    def walk_term(t: Term, prefix: tuple) -> None:
-        out.append(prefix)
-        cls = t.__class__
-        if cls is App:
-            walk_term(t.fun, prefix + ("fun",))
-            walk_term(t.arg, prefix + ("arg",))
-        elif cls is Abs:
-            walk_term(t.body, prefix + ("body",))
-        elif cls is Kont:
-            for i, entry in enumerate(t.stack):
-                walk_term(entry, prefix + (("saved", i),))
-
-    if isinstance(host, Term):
-        walk_term(host, ())
-    elif isinstance(host, Stack):
-        for i, entry in enumerate(host):
-            walk_term(entry, (("stack", i),))
-    elif isinstance(host, Pair):
-        walk_term(host.term, ("term",))
-        for i, entry in enumerate(host.stack):
-            walk_term(entry, (("stack", i),))
-    return out
+    nodes = _path_nodes(host, path)
+    for node, step in zip(reversed(nodes[:-1]), reversed(path)):
+        new = _with_child(node, step, new)
+    return new
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,21 @@
-"""The execution relation as it stood before it was rewritten on top of
-`lts_step`: hand-written read/write/end rules, and a `run` that builds an
-`ExecutionContext` on every step.  Kept unchanged as a differential
-oracle for `kamio.machine.exec_step_labeled` and `kamio.machine.run`.
+"""Earlier versions of rewritten code, kept unchanged as differential
+oracles.
+
+- The execution relation as it stood before it was rewritten on top of
+  `lts_step`: hand-written read/write/end rules, and a `run` that builds
+  an `ExecutionContext` on every step.  Oracle for
+  `kamio.machine.exec_step_labeled` and `kamio.machine.run`.
+- `trace_conforms` as it stood when it tested the read_all_then_write
+  discipline clause by clause.  Oracle for
+  `kamio.realizability.trace_conforms`.
 """
 
 from __future__ import annotations
 
 from kamio.machine import DEFAULT_FUEL, Action, ExecutionContext, RunResult, eval_step
-from kamio.syntax import END, READ, TOP, WRITE0, WRITE1, Pair
+from kamio.realizability import COPY, READ_ALL_THEN_WRITE
+from kamio.syntax import END, READ, TOP, WRITE0, WRITE1, Pair, Process
+from kamio.verdict import Verdict
 
 
 def exec_step_labeled(c: ExecutionContext) -> tuple[Action, ExecutionContext] | None:
@@ -67,3 +75,48 @@ def run(c: ExecutionContext, fuel: int = DEFAULT_FUEL) -> RunResult:
     if exec_step_labeled(c) is None:
         return RunResult("stuck", c, tuple(trace))
     return RunResult("fuel", c, tuple(trace))
+
+
+def _read_label(bit: str) -> Action:
+    return Action.R0 if bit == "0" else Action.R1
+
+
+def trace_conforms(spec: str, p: Process, input_bits: str, fuel: int) -> Verdict:
+    """Does running p on input_bits produce the visible trace the
+    discipline requires?  Silent steps are unconstrained throughout.
+
+    copy: strictly alternate reading a bit and writing that same bit,
+    then observe the empty input and terminate.
+
+    read_all_then_write: all reads (the input bits, then at least one
+    empty-input probe) strictly before all writes, terminal output equal
+    to the input string, then terminate.
+    """
+    result = run(ExecutionContext(p, input_bits, ""), fuel)
+    if result.outcome == "fuel":
+        return Verdict.unknown("fuel", witness=input_bits)
+    visible = result.visible_trace()
+    if result.outcome == "stuck":
+        return Verdict.refuted((input_bits, visible))
+    if spec == COPY:
+        expected: list[Action] = []
+        for bit in input_bits:
+            expected.append(_read_label(bit))
+            expected.append(Action.W0 if bit == "0" else Action.W1)
+        expected.append(Action.REPS)
+        expected.append(Action.E)
+        ok = visible == tuple(expected)
+    elif spec == READ_ALL_THEN_WRITE:
+        reads = [a for a in visible if a in (Action.R0, Action.R1, Action.REPS)]
+        boundary = len(reads)
+        read_bits = "".join("0" if a is Action.R0 else "1"
+                            for a in reads if a is not Action.REPS)
+        ok = (visible[:boundary] == tuple(reads)          # no read after a write
+              and read_bits == input_bits                  # whole input consumed
+              and Action.REPS in reads and reads[-1] is Action.REPS
+              and visible[-1] is Action.E
+              and all(a in (Action.W0, Action.W1) for a in visible[boundary:-1])
+              and result.final.output == input_bits)
+    else:
+        raise ValueError(f"unknown trace discipline {spec!r}")
+    return Verdict.verified() if ok else Verdict.refuted((input_bits, visible))

@@ -299,8 +299,25 @@ class TestRealize:
 
     def test_schema_violation_exit_1(self, files, capsys):
         scenario = files("bad.json", json.dumps({"kind": "entailment"}))
-        code, _, _ = run_cli(capsys, "realize", scenario)
+        code, _, err = run_cli(capsys, "realize", scenario)
         assert code == 1
+        assert err == "kamio: error: scenario is missing key 'pole'\n"
+
+    @pytest.mark.parametrize("payload", [
+        {"kind": "realizes", "pole": ["x"]},
+        {"kind": "realizes", "pole": {"kind": "function", "table": [1, 2]}},
+        {"kind": "entailment", "pole": {"kind": "finite", "seeds": []},
+         "conclusion": [{"index": "i", "stacks": 5}], "candidate": "cc"},
+        {"kind": "entailment", "pole": {"kind": "finite", "seeds": []},
+         "conclusion": [{"index": ["i"], "stacks": ["nil"]}], "candidate": "cc"},
+    ])
+    def test_wrong_typed_scenario_one_line(self, files, capsys, payload):
+        scenario = files("bad.json", json.dumps(payload))
+        code, _, err = run_cli(capsys, "realize", scenario)
+        assert code == 1
+        assert "Traceback" not in err
+        [line] = err.strip().splitlines()
+        assert line.startswith("kamio: error: malformed scenario: ")
 
 
 class TestDecode:

@@ -186,6 +186,10 @@ class TestCompileFunction:
             result = run(ExecutionContext(p, bin_nat(n), ""), FUEL)
             assert result.terminated and result.final.input == ""
 
+    def test_deep_numeral_compiles(self):
+        t = church_numeral(2000)
+        assert compile_function(t).stack.tail.head is t
+
     def test_effectful_term_rejected(self):
         with pytest.raises(NotProofLike):
             compile_function(App(WRITE0, church_numeral(1)))

@@ -9,7 +9,9 @@ from kamio.equivalence import (
     beta_contract, beta_redexes, lts_step, observable, top_equiv, weak_bisim,
 )
 from kamio.machine import Action, ExecutionContext, eval_step, run
-from kamio.syntax import InvalidPosition, TOP, parse_process
+from kamio.syntax import (
+    Abs, App, CALLCC, EMPTY, END, InvalidPosition, Pair, TOP, Var, parse_process, subterm_at,
+)
 
 OMEGA = r"(\x. x x) (\x. x x) * nil"
 
@@ -162,9 +164,24 @@ class TestBetaPositions:
         with pytest.raises(InvalidPosition):
             beta_contract(host, ("term", "fun"))
 
+    def test_saved_selector_does_not_address_a_process_stack(self):
+        host = parse_process(r"read * ((\x. x) end) :: nil")
+        with pytest.raises(InvalidPosition):
+            beta_contract(host, (("saved", 0),))
+
+    def test_redex_under_deep_applications(self):
+        t = App(Abs("x", Var("x")), END)
+        for _ in range(2000):
+            t = App(CALLCC, t)
+        host = Pair(t, EMPTY)
+        pos = ("term",) + ("arg",) * 2000
+        assert beta_redexes(host) == [pos]
+        contracted = beta_contract(host, pos)
+        assert subterm_at(contracted, pos) is END
+        assert beta_redexes(contracted) == []
+
     @given(gen.processes())
     def test_redex_listing_matches_shape(self, p):
-        from kamio.syntax import Abs, App, subterm_at
         for pos in beta_redexes(p):
             sub = subterm_at(p, pos)
             assert isinstance(sub, App) and isinstance(sub.fun, Abs)

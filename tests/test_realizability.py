@@ -1,10 +1,11 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import gen
+import reference_machine as reference
 from kamio.combinators import R as READER
 from kamio.combinators import F, S, W, Y, compile_function
 from kamio.equivalence import weak_bisim
@@ -20,7 +21,7 @@ from kamio.realizability import (
     trace_conforms, TruthValue,
 )
 from kamio.syntax import (
-    Abs, App, CALLCC, EMPTY, END, Kont, NotProofLike, Pair,
+    Abs, App, CALLCC, EMPTY, END, Kont, NotProofLike, Pair, READ, WRITE0, WRITE1,
     church_numeral, effect_constants, parse_process, parse_stack, parse_term, stack_of,
 )
 
@@ -87,6 +88,31 @@ class TestFunctionPole:
         assert pole.member(parse_process("end * nil")).is_verified
 
 
+@st.composite
+def near_conforming(draw):
+    """An input of at most 3 bits and a process that follows, whatever bits
+    it reads, the reads and writes one discipline expects on that input,
+    with up to two actions inserted or deleted."""
+    bits = draw(st.text("01", max_size=3))
+    write = {"0": WRITE0, "1": WRITE1}
+    if draw(st.sampled_from((COPY, READ_ALL_THEN_WRITE))) == COPY:
+        script = [op for bit in bits for op in (READ, write[bit])] + [READ]
+    else:
+        script = ([READ] * (len(bits) + draw(st.integers(1, 2)))
+                  + [write[bit] for bit in reversed(bits)])
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(script)))
+        op = draw(st.sampled_from((READ, WRITE0, WRITE1, None)))
+        if op is None:
+            del script[i:i + 1]
+        else:
+            script.insert(i, op)
+    t = END
+    for op in reversed(script):
+        t = App(App(App(READ, t), t), t) if op is READ else App(op, t)
+    return Pair(t, EMPTY), bits
+
+
 class TestTracePole:
     def test_copy_process_in_copy_pole(self):
         pole = TracePole(COPY, max_input_len=4, fuel=100_000)
@@ -120,6 +146,14 @@ class TestTracePole:
     def test_copy_process_violates_read_all_then_write(self):
         pole = TracePole(READ_ALL_THEN_WRITE, max_input_len=2, fuel=10_000)
         assert pole.member(COPY_PROCESS).is_refuted
+
+    @settings(max_examples=300)
+    @given(st.one_of(st.tuples(gen.processes(), st.text("01", max_size=3)), near_conforming()),
+           st.sampled_from((COPY, READ_ALL_THEN_WRITE)), st.integers(0, 200))
+    def test_matches_reference(self, run_on, spec, fuel):
+        p, input_bits = run_on
+        assert (trace_conforms(spec, p, input_bits, fuel)
+                == reference.trace_conforms(spec, p, input_bits, fuel))
 
     def test_all_inputs_enumeration(self):
         inputs = list(all_inputs(3))

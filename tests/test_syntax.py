@@ -3,11 +3,13 @@ from hypothesis import given
 
 import gen
 from kamio.syntax import (
-    Abs, App, CALLCC, ClosednessError, END, EMPTY, Kont, Pair, ParseError,
-    READ, TOP, Var, WRITE0, WRITE1, church_numeral, effect_constants,
+    Abs, App, CALLCC, ClosednessError, END, EMPTY, InvalidPosition, Kont, Pair,
+    ParseError, READ, TOP, Var, WRITE0, WRITE1, church_numeral, effect_constants,
     is_proof_like, parse_process, parse_stack, parse_term,
-    pretty, stack_of, substitute,
+    pretty, replace_at, stack_of, substitute, subterm_at, subterms,
 )
+
+DEEP = 2000  # nesting well past the default recursion limit
 
 
 class TestParseTerm:
@@ -176,6 +178,59 @@ class TestProofLike:
     def test_effect_constant_listing(self):
         t = parse_term(r"\x. read (write0 x) (write1 x) end")
         assert effect_constants(t) == frozenset({"read", "write0", "write1", "end"})
+
+
+class TestPositions:
+    def test_subterms_in_preorder(self):
+        p = parse_process(r"(\x. x) kont{end :: nil} * cc :: nil")
+        assert [pos for pos, _ in subterms(p)] == [
+            ("term",), ("term", "fun"), ("term", "fun", "body"),
+            ("term", "arg"), ("term", "arg", ("saved", 0)), (("stack", 0),)]
+        assert [pos for pos, _ in subterms(p.stack)] == [(("stack", 0),)]
+        assert list(subterms(TOP)) == []
+
+    @given(gen.processes())
+    def test_round_trip(self, p):
+        for pos, sub in subterms(p):
+            assert subterm_at(p, pos) is sub
+            assert replace_at(p, pos, sub) == p
+
+    def test_selectors_belong_to_their_node(self):
+        p = parse_process(r"kont{end :: nil} * (\x. x) :: nil")
+        assert subterm_at(p, ("term", ("saved", 0))) is END
+        for bad in [(("saved", 0),), ("term", ("stack", 0)), ("term", "fun"),
+                    (("stack", 0), "fun"), (("stack", 1),), ("body",), (), (["stack", 0],)]:
+            with pytest.raises(InvalidPosition):
+                subterm_at(p, bad)
+            with pytest.raises(InvalidPosition):
+                replace_at(p, bad, END)
+
+    def test_replace_keeps_the_host_shape(self):
+        s = stack_of(CALLCC, END)
+        assert replace_at(s, (("stack", 1),), READ) == stack_of(CALLCC, READ)
+        p = parse_process(r"kont{end :: cc :: nil} * nil")
+        assert replace_at(p, ("term", ("saved", 1)), READ) == \
+            parse_process("kont{end :: read :: nil} * nil")
+
+
+class TestDeepTerms:
+    def test_effect_constants_of_a_deep_numeral(self):
+        assert effect_constants(church_numeral(DEEP)) == frozenset()
+        assert is_proof_like(church_numeral(DEEP))
+
+    def test_effect_constant_at_depth(self):
+        t = END
+        for _ in range(DEEP):
+            t = App(CALLCC, t)
+        assert effect_constants(t) == {"end"}
+        assert not is_proof_like(Kont(stack_of(t)))
+
+    def test_replace_at_depth(self):
+        path = ("body", "body") + ("arg",) * DEEP
+        replaced = replace_at(church_numeral(DEEP), path, END)
+        assert subterm_at(replaced, path) is END
+        assert subterm_at(replaced, path[:-1]).fun.name == "f"
+        assert effect_constants(replaced) == {"end"}
 
 
 class TestFreeVariables:
