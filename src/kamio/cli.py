@@ -4,7 +4,7 @@ Subcommands: parse, run, trace, bisim, topequiv, compile-fn, verify-impl,
 realize, decode, prelude-list.  Each takes only the options it reads.
 Exit codes encode verdicts: 0 for Verified/Terminated, 2 for
 Refuted/Stuck, 3 for Unknown/FuelExhausted, and 1 for parse, schema, or
-usage errors.
+usage errors and for input nested too deeply to process.
 
 Fuel: `--fuel`, else KAMIO_FUEL, else 1000000.  A realizability pole's
 budget is settled when its scenario is loaded: the pole's own "fuel" key
@@ -311,6 +311,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except _USAGE_ERRORS as exc:
         print(f"kamio: error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("kamio: error: input is nested too deeply", file=sys.stderr)
         return 1
 
 

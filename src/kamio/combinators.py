@@ -16,8 +16,8 @@ from importlib import resources
 
 from .machine import DEFAULT_FUEL, ExecutionContext, nat_of_bin, run
 from .syntax import (
-    App, NotProofLike, Pair, Process, Stack, Term, church_numeral,
-    effect_constants, is_proof_like, parse_term, stack_of,
+    App, Pair, Process, Stack, Term, church_numeral,
+    parse_term, require_proof_like, stack_of,
 )
 
 __all__ = [
@@ -132,11 +132,7 @@ def storage_apply(t: Term, n: int) -> Process:
 def compile_function(t: Term) -> Process:
     """Wrap a numeral-level function t (t #n ~ #f(n)) into a process that
     reads bin(n), applies t, and writes bin(f(n))."""
-    if t.fvs:
-        raise ValueError("compile_function requires a closed term")
-    if not is_proof_like(t):
-        raise NotProofLike(
-            f"term contains instruction constants {sorted(effect_constants(t))}")
+    require_proof_like(t, "term")
     return Pair(R, stack_of(F, t, church_numeral(0), F, W, church_numeral(0)))
 
 

@@ -22,8 +22,8 @@ from .machine import (
 )
 from .syntax import (
     Abs, App, CALLCC, Pair, Process, Stack, Term, TOP, Var,
-    NotProofLike, effect_constants, is_proof_like, parse_process,
-    parse_stack, parse_term, pretty,
+    effect_constants, parse_process, parse_stack, parse_term, pretty,
+    require_proof_like,
 )
 from .verdict import Verdict
 
@@ -378,12 +378,7 @@ class Sequent:
     candidate: Term
 
     def __post_init__(self):
-        if self.candidate.fvs:
-            raise ValueError(f"candidate is not closed: {pretty(self.candidate)}")
-        if not is_proof_like(self.candidate):
-            raise NotProofLike(
-                "candidate contains instruction constants "
-                f"{sorted(effect_constants(self.candidate))}")
+        require_proof_like(self.candidate, "candidate")
         for entry in self.context:
             if tuple(entry.predicate.index_set) != tuple(self.conclusion.index_set):
                 raise ValueError("all predicates in a sequent share one index set")
@@ -455,15 +450,6 @@ class Peirce:
     pass
 
 
-def _require_proof_like(t: Term) -> Term:
-    if t.fvs:
-        raise ValueError(f"rule premise must be closed: {pretty(t)}")
-    if not is_proof_like(t):
-        raise NotProofLike(
-            f"rule premise contains instruction constants {sorted(effect_constants(t))}")
-    return t
-
-
 def _apply_vars(t: Term, names: list[str]) -> Term:
     for name in names:
         t = App(t, Var(name))
@@ -477,14 +463,14 @@ def rule_realizer(rule) -> Term:
             return Abs("x", Var("x"))
         case BotE(premise=t) | ImpI(premise=t):
             # premise and conclusion have the same realizers
-            return _require_proof_like(t)
+            return require_proof_like(t, "rule premise")
         case Weaken(premise=t):
-            return Abs("x", _require_proof_like(t))
+            return Abs("x", require_proof_like(t, "rule premise"))
         case Contract(premise=t):
-            _require_proof_like(t)
+            require_proof_like(t, "rule premise")
             return Abs("x", App(App(t, Var("x")), Var("x")))
         case Exchange(premise=t, sigma=sigma):
-            _require_proof_like(t)
+            require_proof_like(t, "rule premise")
             n = len(sigma)
             if sorted(sigma) != list(range(1, n + 1)):
                 raise ValueError(f"sigma must permute 1..{n}: {sigma!r}")
@@ -494,8 +480,8 @@ def rule_realizer(rule) -> Term:
                 body = Abs(names[i - 1], body)
             return body
         case ImpE(implication_realizer=t, argument_realizer=u, n=n, m=m):
-            _require_proof_like(t)
-            _require_proof_like(u)
+            require_proof_like(t, "rule premise")
+            require_proof_like(u, "rule premise")
             xs = [f"x{i}" for i in range(1, n + 1)]
             ys = [f"y{i}" for i in range(1, m + 1)]
             body = App(_apply_vars(t, ys), _apply_vars(u, xs))
@@ -559,7 +545,7 @@ def consistency_probe(pole: Pole, candidates: Iterable[Term],
             audit.append(AuditEntry(p, bool(effect_constants(p))))
 
     for t in candidates:
-        _require_proof_like(t)
+        require_proof_like(t, "rule premise")
         witness: Stack | None = None
         unknown = False
         for pi in stacks:

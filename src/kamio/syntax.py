@@ -4,7 +4,11 @@ Terms are lambda terms extended with call/cc, first-class continuations,
 and four instruction constants (read, write0, write1, end).  A stack is a
 list of closed terms; a process is a closed term paired with a stack, or
 the terminal constant TOP.  All values are immutable, hashable, and
-compared up to alpha-equivalence.
+compared up to alpha-equivalence.  Each term and stack node gets its hash
+when it is built, from its children's hashes and never from names, so
+alpha-equivalent values hash alike.  Equality and printing walk explicit
+work lists, so nesting depth does not limit them; the parser and
+`substitute` still recurse.
 
 The concrete grammar (comments run from ``--`` to end of line)::
 
@@ -33,7 +37,7 @@ __all__ = [
     "ParseError", "ClosednessError", "NotProofLike", "InvalidPosition",
     "parse_term", "parse_stack", "parse_process", "pretty",
     "substitute", "fresh_name",
-    "is_proof_like", "effect_constants", "church_numeral",
+    "is_proof_like", "require_proof_like", "effect_constants", "church_numeral",
     "Position", "subterms", "subterm_at", "replace_at",
     "RESERVED",
 ]
@@ -71,31 +75,31 @@ class InvalidPosition(Exception):
 
 
 class Term:
-    """Base class; concrete terms are Var, Abs, App, Const, and Kont."""
+    """Base class; concrete terms are Var, Abs, App, Const, and Kont.
+
+    Each constructor sets `_hash` from its children's stored hashes and
+    never from names, so alpha-equivalent terms hash alike."""
 
     __slots__ = ("fvs", "_hash")
 
     fvs: frozenset[str]
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if not isinstance(other, Term):
             return NotImplemented
-        return _alpha_eq(self, other, {}, {}, 0)
+        return _same(self, other)
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = _alpha_hash(self, {}, 0)
-            self._hash = h
-        return h
+        return self._hash
 
     def __str__(self):
         return pretty(self)
 
     def __repr__(self):
         return f"<{type(self).__name__} {pretty(self)}>"
+
+
+_VAR_HASH = hash("var")
 
 
 class Var(Term):
@@ -105,7 +109,7 @@ class Var(Term):
     def __init__(self, name: str):
         self.name = name
         self.fvs = frozenset((name,))
-        self._hash = None
+        self._hash = _VAR_HASH
 
 
 class Abs(Term):
@@ -116,8 +120,9 @@ class Abs(Term):
         self.param = param
         self.body = body
         bf = body.fvs
-        self.fvs = bf - {param} if param in bf else bf
-        self._hash = None
+        used = param in bf
+        self.fvs = bf - {param} if used else bf
+        self._hash = hash(("abs", body._hash, used))
 
 
 class App(Term):
@@ -129,7 +134,7 @@ class App(Term):
         self.arg = arg
         ff, af = fun.fvs, arg.fvs
         self.fvs = ff | af if (ff and af) else (ff or af)
-        self._hash = None
+        self._hash = hash((fun._hash, arg._hash))
 
 
 class Const(Term):
@@ -144,7 +149,7 @@ class Const(Term):
     def __init__(self, kind: str):
         self.kind = kind
         self.fvs = _NO_FVS
-        self._hash = None
+        self._hash = hash(("const", kind))
 
 
 CALLCC = Const("cc")
@@ -165,7 +170,7 @@ class Kont(Term):
     def __init__(self, stack: "Stack"):
         self.stack = stack
         self.fvs = _NO_FVS  # stack entries are closed by construction
-        self._hash = None
+        self._hash = hash(("kont", stack._hash))
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +187,15 @@ class Stack:
             self.head = None
             self.tail = None
             self._len = 0
+            self._hash = hash("empty-stack")
         else:
             if head.fvs:
                 raise ClosednessError(
                     f"stack entry has free variables {sorted(head.fvs)}: {pretty(head)}")
             self.head = head
-            self.tail = tail if tail is not None else EMPTY
-            self._len = self.tail._len + 1
-        self._hash = None
+            self.tail = tail = tail if tail is not None else EMPTY
+            self._len = tail._len + 1
+            self._hash = hash((head._hash, tail._hash))
 
     def push(self, term: Term) -> "Stack":
         return Stack(term, self)
@@ -208,29 +214,12 @@ class Stack:
         return self._len
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if not isinstance(other, Stack):
             return NotImplemented
-        if self._len != other._len:
-            return False
-        return all(a == b for a, b in zip(self, other))
+        return _same(self, other)
 
     def __hash__(self):
-        # iterative: machine runs grow stacks far beyond the recursion limit
-        if self._hash is not None:
-            return self._hash
-        chain = []
-        node = self
-        while node._hash is None and node.head is not None:
-            chain.append(node)
-            node = node.tail
-        h = node._hash if node._hash is not None else hash("empty-stack")
-        node._hash = h
-        for link in reversed(chain):
-            h = hash((hash(link.head), h))
-            link._hash = h
-        return h
+        return self._hash
 
     def __str__(self):
         return pretty(self)
@@ -257,7 +246,7 @@ class Process:
 
 
 class Pair(Process):
-    __slots__ = ("term", "stack", "_hash")
+    __slots__ = ("term", "stack")
     __match_args__ = ("term", "stack")
 
     def __init__(self, term: Term, stack: Stack):
@@ -266,21 +255,14 @@ class Pair(Process):
                 f"process head has free variables {sorted(term.fvs)}: {pretty(term)}")
         self.term = term
         self.stack = stack
-        self._hash = None
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if not isinstance(other, Pair):
             return False if isinstance(other, Process) else NotImplemented
-        return self.term == other.term and self.stack == other.stack
+        return _same(self, other)
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((hash(self.term), hash(self.stack)))
-            self._hash = h
-        return h
+        return hash((self.term._hash, self.stack._hash))
 
     def __str__(self):
         return pretty(self)
@@ -309,59 +291,60 @@ TOP = _Top()
 
 
 # ---------------------------------------------------------------------------
-# Alpha-equivalence and hashing
-
-def _alpha_eq(t: Term, u: Term, envt: dict, envu: dict, depth: int) -> bool:
-    # envs map a name to the depth of its binder; depth grows in lockstep
-    # on both sides, so shadowed names can never collide
-    ct = t.__class__
-    if ct is not u.__class__:
-        return False
-    if ct is Var:
-        it = envt.get(t.name)
-        iu = envu.get(u.name)
-        if it is None and iu is None:
-            return t.name == u.name
-        return it == iu
-    if ct is App:
-        return (_alpha_eq(t.fun, u.fun, envt, envu, depth)
-                and _alpha_eq(t.arg, u.arg, envt, envu, depth))
-    if ct is Abs:
-        envt2 = dict(envt)
-        envt2[t.param] = depth
-        envu2 = dict(envu)
-        envu2[u.param] = depth
-        return _alpha_eq(t.body, u.body, envt2, envu2, depth + 1)
-    if ct is Const:
-        return t.kind == u.kind
-    # Kont: saved stacks contain closed terms, so plain equality applies
-    return t.stack == u.stack
+# Alpha-equivalence
 
 
-def _alpha_hash(t: Term, env: dict, depth: int) -> int:
-    # Bound variables hash by their distance to the binder, so the hash of
-    # a closed subterm is context-free and can be cached on the node; this
-    # keeps rehashing along a machine run incremental.
-    closed = not t.fvs
-    if closed and t._hash is not None:
-        return t._hash
-    ct = t.__class__
-    if ct is Var:
-        i = env.get(t.name)
-        h = hash(("fv", t.name)) if i is None else hash(("bv", depth - i))
-    elif ct is App:
-        h = hash(("app", _alpha_hash(t.fun, env, depth), _alpha_hash(t.arg, env, depth)))
-    elif ct is Abs:
-        env2 = dict(env)
-        env2[t.param] = depth
-        h = hash(("abs", _alpha_hash(t.body, env2, depth + 1)))
-    elif ct is Const:
-        h = hash(("const", t.kind))
-    else:
-        h = hash(("kont", hash(t.stack)))
-    if closed:
-        t._hash = h
-    return h
+_NO_ENV: dict[str, int] = {}
+
+
+def _same(x, y) -> bool:
+    """x and y (two terms, two stacks, or two pairs) are equal up to the
+    names of bound variables.
+
+    One walk over node pairs from an explicit work list.  Each side has a
+    map from a bound name to the depth of its binder; depths grow in
+    lockstep, so shadowed names never collide.  Stack entries are closed
+    and are compared with empty maps, as is any pair of closed terms, where
+    one shared node is equal to itself.  Hashes leave names out, so the
+    first pair of nodes whose hashes differ settles the answer."""
+    work = [(x, y, _NO_ENV, _NO_ENV, 0)]
+    pop, push = work.pop, work.append
+    while work:
+        a, b, ea, eb, depth = pop()
+        cls = a.__class__
+        if cls is not b.__class__:
+            return False
+        if cls is Pair:
+            push((a.stack, b.stack, _NO_ENV, _NO_ENV, 0))
+            push((a.term, b.term, _NO_ENV, _NO_ENV, 0))
+            continue
+        if ea is not eb and not a.fvs and not b.fvs:
+            ea = eb = _NO_ENV
+        if a is b and ea is eb:
+            continue
+        if a._hash != b._hash:
+            return False
+        if cls is App:
+            push((a.arg, b.arg, ea, eb, depth))
+            push((a.fun, b.fun, ea, eb, depth))
+        elif cls is Var:
+            da = ea.get(a.name)
+            db = eb.get(b.name)
+            if da != db or (da is None and a.name != b.name):
+                return False
+        elif cls is Abs:
+            push((a.body, b.body, {**ea, a.param: depth}, {**eb, b.param: depth}, depth + 1))
+        elif cls is Const:
+            if a.kind != b.kind:
+                return False
+        elif cls is Kont:
+            push((a.stack, b.stack, _NO_ENV, _NO_ENV, 0))
+        elif a._len != b._len:  # two stacks
+            return False
+        elif a._len:
+            push((a.tail, b.tail, _NO_ENV, _NO_ENV, 0))
+            push((a.head, b.head, _NO_ENV, _NO_ENV, 0))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +390,16 @@ def is_proof_like(t: Term) -> bool:
     """True iff t contains no instruction constant anywhere (cc and
     continuations are allowed)."""
     return not effect_constants(t)
+
+
+def require_proof_like(t: Term, noun: str) -> Term:
+    """t, if it is closed and proof-like; the errors name it as `noun`."""
+    if t.fvs:
+        raise ValueError(f"{noun} is not closed: {pretty(t)}")
+    effects = effect_constants(t)
+    if effects:
+        raise NotProofLike(f"{noun} contains instruction constants {sorted(effects)}")
+    return t
 
 
 def church_numeral(n: int) -> Term:
@@ -695,45 +688,45 @@ def parse_process(text: str) -> Process:
 
 
 def pretty(x: Term | Stack | Process) -> str:
-    if isinstance(x, Term):
-        return _pretty_term(x)
-    if isinstance(x, Stack):
-        return _pretty_stack(x)
     if x is TOP:
         return "TOP"
-    if isinstance(x, Pair):
-        return f"{_pretty_term(x.term)} * {_pretty_stack(x.stack)}"
-    raise TypeError(f"cannot print {x!r}")
-
-
-def _pretty_term(t: Term) -> str:
-    cls = t.__class__
-    if cls is Abs:
-        return f"\\{t.param}. {_pretty_term(t.body)}"
-    if cls is App:
-        spine = []
-        node = t
-        while node.__class__ is App:
-            spine.append(node.arg)
-            node = node.fun
-        spine.append(node)
-        spine.reverse()
-        return " ".join(_pretty_atom(part) for part in spine)
-    return _pretty_atom(t)
-
-
-def _pretty_atom(t: Term) -> str:
-    cls = t.__class__
-    if cls is Var:
-        return t.name
-    if cls is Const:
-        return t.kind
-    if cls is Kont:
-        return "kont{" + _pretty_stack(t.stack) + "}"
-    return "(" + _pretty_term(t) + ")"
-
-
-def _pretty_stack(s: Stack) -> str:
-    parts = [_pretty_term(entry) for entry in s]
-    parts.append("nil")
-    return " :: ".join(parts)
+    if not isinstance(x, (Term, Stack, Pair)):
+        raise TypeError(f"cannot print {x!r}")
+    out: list[str] = []
+    work: list = [x]  # strings to emit and nodes to print, last one first
+    push = work.append
+    while work:
+        item = work.pop()
+        cls = item.__class__
+        if cls is str:
+            out.append(item)
+        elif cls is Var:
+            out.append(item.name)
+        elif cls is Const:
+            out.append(item.kind)
+        elif cls is Abs:
+            out.append(f"\\{item.param}. ")
+            push(item.body)
+        elif cls is App:
+            parts = []  # the arguments last to first, then the head
+            while cls is App:
+                parts.append(item.arg)
+                item = item.fun
+                cls = item.__class__
+            parts.append(item)
+            for i, part in enumerate(parts):
+                if i:
+                    push(" ")
+                if part.__class__ in (Abs, App):
+                    work += (")", part, "(")
+                else:
+                    push(part)
+        elif cls is Kont:
+            work += ("}", item.stack, "kont{")
+        elif cls is Stack:
+            push("nil")
+            for entry in reversed(list(item)):
+                work += (" :: ", entry)
+        else:  # Pair
+            work += (item.stack, " * ", item.term)
+    return "".join(out)

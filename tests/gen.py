@@ -12,12 +12,13 @@ import random
 import hypothesis.strategies as st
 
 from kamio.syntax import (
-    Abs, App, CALLCC, END, Kont, Pair, READ, Stack, Term, TOP,
-    Var, WRITE0, WRITE1, church_numeral, stack_of,
+    Abs, App, CALLCC, ClosednessError, END, Kont, Pair, READ, Stack, Term, TOP,
+    Var, WRITE0, WRITE1, church_numeral, replace_at, stack_of, subterms,
 )
 from kamio.machine import ExecutionContext
 
 NAMES = ("a", "b", "c", "f", "g", "x", "y", "z")
+_SPARE_NAMES = ("u", "v", "w")  # binder names random_term never uses
 
 _LEAF_CONSTANTS = (CALLCC, READ, WRITE0, WRITE1, END)
 
@@ -66,6 +67,48 @@ def random_process(rng: random.Random, size: int = 12, effects: bool = True,
     return Pair(random_term(rng, size, (), effects), random_stack(rng, effects=effects))
 
 
+def alpha_rename(rng: random.Random, x):
+    """A copy of x (a term, stack or process) with every binder renamed at
+    random.  A new name may shadow an outer binder but never captures a
+    free variable, so the copy is alpha-equivalent to x."""
+    if isinstance(x, Stack):
+        return stack_of(*(_rename(rng, entry, {}) for entry in x))
+    if isinstance(x, Pair):
+        return Pair(_rename(rng, x.term, {}), alpha_rename(rng, x.stack))
+    return x if x is TOP else _rename(rng, x, {})
+
+
+def _rename(rng: random.Random, t: Term, env: dict[str, str]) -> Term:
+    cls = t.__class__
+    if cls is Var:
+        return Var(env.get(t.name, t.name))
+    if cls is App:
+        return App(_rename(rng, t.fun, env), _rename(rng, t.arg, env))
+    if cls is Abs:
+        taken = {env.get(n, n) for n in t.body.fvs if n != t.param}
+        name = rng.choice([n for n in NAMES + _SPARE_NAMES if n not in taken])
+        return Abs(name, _rename(rng, t.body, {**env, t.param: name}))
+    if cls is Kont:
+        return Kont(alpha_rename(rng, t.stack))
+    return t
+
+
+def mutate(rng: random.Random, x):
+    """x with one subterm, chosen at random, replaced by a small term; x
+    itself if it has no subterm."""
+    spots = list(subterms(x))
+    if not spots:
+        return x
+    path, _ = rng.choice(spots)
+    name = rng.choice(NAMES)
+    new = rng.choice((Var(name), Abs(name, Var(rng.choice(NAMES))), CALLCC, END,
+                      church_numeral(rng.randrange(3))))
+    try:
+        return replace_at(x, path, new)
+    except ClosednessError:  # a free variable cannot enter a stack or a process head
+        return replace_at(x, path, Abs(name, Var(name)))
+
+
 def random_bits(rng: random.Random, max_len: int = 4) -> str:
     return "".join(rng.choice("01") for _ in range(rng.randrange(0, max_len + 1)))
 
@@ -86,6 +129,12 @@ def open_terms(draw, max_size: int = 16) -> Term:
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     bound = tuple(draw(st.sets(st.sampled_from(NAMES), max_size=3)))
     return random_term(rng, draw(st.integers(1, max_size)), bound)
+
+
+@st.composite
+def stacks(draw, max_entries: int = 4) -> Stack:
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return random_stack(rng, max_entries)
 
 
 @st.composite

@@ -8,13 +8,25 @@ oracles.
 - `trace_conforms` as it stood when it tested the read_all_then_write
   discipline clause by clause.  Oracle for
   `kamio.realizability.trace_conforms`.
+- The recursive printer.  Oracle for `kamio.syntax.pretty`.
+- The recursive alpha-equivalence `_alpha_eq` and alpha-invariant hash
+  `_alpha_hash`, and `equal` and `alpha_hash`, which extend them to
+  stacks and processes as `Stack` and `Pair` did.  Oracle for `==` and
+  `hash` on terms, stacks and processes.  Two edits keep the oracle
+  apart from the code under test: `_alpha_hash` no longer reads or
+  writes a per-node hash cache (terms now carry their hash from
+  construction), and a continuation's saved stack is compared and hashed
+  with `stack_eq` and `stack_hash`, not with `Stack.__eq__` and
+  `Stack.__hash__`.
 """
 
 from __future__ import annotations
 
 from kamio.machine import DEFAULT_FUEL, Action, ExecutionContext, RunResult, eval_step
 from kamio.realizability import COPY, READ_ALL_THEN_WRITE
-from kamio.syntax import END, READ, TOP, WRITE0, WRITE1, Pair, Process
+from kamio.syntax import (
+    END, READ, TOP, WRITE0, WRITE1, Abs, App, Const, Kont, Pair, Process, Stack, Term, Var,
+)
 from kamio.verdict import Verdict
 
 
@@ -120,3 +132,144 @@ def trace_conforms(spec: str, p: Process, input_bits: str, fuel: int) -> Verdict
     else:
         raise ValueError(f"unknown trace discipline {spec!r}")
     return Verdict.verified() if ok else Verdict.refuted((input_bits, visible))
+
+
+# ---------------------------------------------------------------------------
+# Printer
+
+
+def pretty(x: Term | Stack | Process) -> str:
+    if isinstance(x, Term):
+        return _pretty_term(x)
+    if isinstance(x, Stack):
+        return _pretty_stack(x)
+    if x is TOP:
+        return "TOP"
+    if isinstance(x, Pair):
+        return f"{_pretty_term(x.term)} * {_pretty_stack(x.stack)}"
+    raise TypeError(f"cannot print {x!r}")
+
+
+def _pretty_term(t: Term) -> str:
+    cls = t.__class__
+    if cls is Abs:
+        return f"\\{t.param}. {_pretty_term(t.body)}"
+    if cls is App:
+        spine = []
+        node = t
+        while node.__class__ is App:
+            spine.append(node.arg)
+            node = node.fun
+        spine.append(node)
+        spine.reverse()
+        return " ".join(_pretty_atom(part) for part in spine)
+    return _pretty_atom(t)
+
+
+def _pretty_atom(t: Term) -> str:
+    cls = t.__class__
+    if cls is Var:
+        return t.name
+    if cls is Const:
+        return t.kind
+    if cls is Kont:
+        return "kont{" + _pretty_stack(t.stack) + "}"
+    return "(" + _pretty_term(t) + ")"
+
+
+def _pretty_stack(s: Stack) -> str:
+    parts = [_pretty_term(entry) for entry in s]
+    parts.append("nil")
+    return " :: ".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# Alpha-equivalence and hashing
+
+
+def _alpha_eq(t: Term, u: Term, envt: dict, envu: dict, depth: int) -> bool:
+    # envs map a name to the depth of its binder; depth grows in lockstep
+    # on both sides, so shadowed names can never collide
+    ct = t.__class__
+    if ct is not u.__class__:
+        return False
+    if ct is Var:
+        it = envt.get(t.name)
+        iu = envu.get(u.name)
+        if it is None and iu is None:
+            return t.name == u.name
+        return it == iu
+    if ct is App:
+        return (_alpha_eq(t.fun, u.fun, envt, envu, depth)
+                and _alpha_eq(t.arg, u.arg, envt, envu, depth))
+    if ct is Abs:
+        envt2 = dict(envt)
+        envt2[t.param] = depth
+        envu2 = dict(envu)
+        envu2[u.param] = depth
+        return _alpha_eq(t.body, u.body, envt2, envu2, depth + 1)
+    if ct is Const:
+        return t.kind == u.kind
+    # Kont: saved stacks contain closed terms, so plain equality applies
+    return stack_eq(t.stack, u.stack)
+
+
+def _alpha_hash(t: Term, env: dict, depth: int) -> int:
+    # Bound variables hash by their distance to the binder, so the hash of
+    # a closed subterm is context-free.
+    ct = t.__class__
+    if ct is Var:
+        i = env.get(t.name)
+        h = hash(("fv", t.name)) if i is None else hash(("bv", depth - i))
+    elif ct is App:
+        h = hash(("app", _alpha_hash(t.fun, env, depth), _alpha_hash(t.arg, env, depth)))
+    elif ct is Abs:
+        env2 = dict(env)
+        env2[t.param] = depth
+        h = hash(("abs", _alpha_hash(t.body, env2, depth + 1)))
+    elif ct is Const:
+        h = hash(("const", t.kind))
+    else:
+        h = hash(("kont", stack_hash(t.stack)))
+    return h
+
+
+def term_eq(t: Term, u: Term) -> bool:
+    return t is u or _alpha_eq(t, u, {}, {}, 0)
+
+
+def term_hash(t: Term) -> int:
+    return _alpha_hash(t, {}, 0)
+
+
+def stack_eq(s: Stack, t: Stack) -> bool:
+    return len(s) == len(t) and all(term_eq(a, b) for a, b in zip(s, t))
+
+
+def stack_hash(s: Stack) -> int:
+    h = hash("empty-stack")
+    for entry in reversed(list(s)):
+        h = hash((term_hash(entry), h))
+    return h
+
+
+def equal(x, y) -> bool:
+    """Equality of two terms, two stacks or two processes."""
+    if isinstance(x, Term):
+        return term_eq(x, y)
+    if isinstance(x, Stack):
+        return stack_eq(x, y)
+    if x is TOP or y is TOP:
+        return x is y
+    return term_eq(x.term, y.term) and stack_eq(x.stack, y.stack)
+
+
+def alpha_hash(x) -> int:
+    """The hash of a term, a stack or a process."""
+    if isinstance(x, Term):
+        return term_hash(x)
+    if isinstance(x, Stack):
+        return stack_hash(x)
+    if x is TOP:
+        return hash("TOP-process")
+    return hash((term_hash(x.term), stack_hash(x.stack)))

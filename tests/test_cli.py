@@ -50,6 +50,13 @@ class TestParse:
         assert code == 1
         assert "error" in err
 
+    def test_deep_nesting_exit_1(self, files, capsys):
+        path = files("deep.kam", "(" * 600 + "end" + ")" * 600 + " * nil")
+        code, out, err = run_cli(capsys, "parse", path)
+        assert code == 1
+        assert out == ""
+        assert err == "kamio: error: input is nested too deeply\n"
+
 
 class TestRun:
     def test_copy_process(self, files, capsys):
@@ -318,6 +325,13 @@ class TestRealize:
         assert "Traceback" not in err
         [line] = err.strip().splitlines()
         assert line.startswith("kamio: error: malformed scenario: ")
+
+    def test_deep_json_exit_1(self, files, capsys):
+        scenario = files("deep.json", "[" * 100_000)
+        code, out, err = run_cli(capsys, "realize", scenario)
+        assert code == 1
+        assert out == ""
+        assert err == "kamio: error: input is nested too deeply\n"
 
 
 class TestDecode:

@@ -1,15 +1,37 @@
+import random
+
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 import gen
+import reference_machine as reference
 from kamio.syntax import (
-    Abs, App, CALLCC, ClosednessError, END, EMPTY, InvalidPosition, Kont, Pair,
+    Abs, App, CALLCC, ClosednessError, Const, END, EMPTY, InvalidPosition, Kont, Pair,
     ParseError, READ, TOP, Var, WRITE0, WRITE1, church_numeral, effect_constants,
     is_proof_like, parse_process, parse_stack, parse_term,
     pretty, replace_at, stack_of, substitute, subterm_at, subterms,
 )
 
 DEEP = 2000  # nesting well past the default recursion limit
+LONG = 100_000  # stack entries
+
+VALUES = st.one_of(gen.open_terms(), gen.stacks(), gen.processes())
+
+
+def lambda_chain(names, body: str):
+    """\\names[0]. ... \\names[-1]. body, built without recursion."""
+    t = Var(body)
+    for name in reversed(names):
+        t = Abs(name, t)
+    return t
+
+
+def nested_kont(depth: int, core):
+    t = core
+    for _ in range(depth):
+        t = Kont(stack_of(t))
+    return t
 
 
 class TestParseTerm:
@@ -133,6 +155,18 @@ class TestPretty:
     def test_round_trip_processes(self, p):
         assert parse_process(pretty(p)) == p
 
+    @given(VALUES)
+    def test_matches_reference(self, x):
+        assert pretty(x) == reference.pretty(x)
+
+    def test_deep_numeral(self):
+        assert pretty(church_numeral(500)) == r"\f. \x. " + "f (" * 499 + "f x" + ")" * 499
+
+    def test_lambda_chain(self):
+        names = [f"a{i}" for i in range(DEEP)]
+        text = pretty(lambda_chain(names, "a0"))
+        assert text == "".join(f"\\{n}. " for n in names) + "a0"
+
 
 class TestSubstitute:
     def test_replaces_free_occurrence(self):
@@ -231,6 +265,71 @@ class TestDeepTerms:
         assert subterm_at(replaced, path) is END
         assert subterm_at(replaced, path[:-1]).fun.name == "f"
         assert effect_constants(replaced) == {"end"}
+
+
+class TestIdentity:
+    @settings(max_examples=300)
+    @given(VALUES, st.integers(0, 2**32 - 1))
+    def test_matches_reference(self, x, seed):
+        rng = random.Random(seed)
+        mutant = gen.mutate(rng, x)
+        for y in (gen.alpha_rename(rng, x), mutant, gen.alpha_rename(rng, mutant)):
+            expected = reference.equal(x, y)
+            assert (x == y) is expected
+            assert (y == x) is expected
+            if expected:
+                assert hash(x) == hash(y)
+                assert reference.alpha_hash(x) == reference.alpha_hash(y)
+
+    def test_shadowed_binders(self):
+        inner = parse_term(r"\x. \x. x")
+        assert inner == parse_term(r"\y. \x. x") == parse_term(r"\x. \y. y")
+        assert inner != parse_term(r"\x. \y. x")
+        assert parse_term(r"\x. \y. x y") != parse_term(r"\x. \y. y x")
+        assert parse_term(r"\x. (\x. x) x") == parse_term(r"\y. (\x. x) y")
+
+    def test_constants_compare_by_kind(self):
+        assert Const("end") == END
+        assert hash(Const("end")) == hash(END)
+        assert Const("end") != Const("read")
+
+    def test_values_of_different_kinds(self):
+        assert Pair(END, EMPTY) != TOP and TOP != Pair(END, EMPTY)
+        assert END != EMPTY and Kont(EMPTY) != EMPTY
+        assert stack_of(END) != stack_of(END, END)
+
+
+class TestDeepIdentity:
+    def test_rebuilt_numeral(self):
+        a, b = church_numeral(DEEP), church_numeral(DEEP)
+        assert a == b and hash(a) == hash(b)
+        assert a != church_numeral(DEEP - 1)
+        assert a != replace_at(a, ("body", "body") + ("arg",) * DEEP, Var("f"))
+
+    def test_lambda_chains_with_different_names(self):
+        a = lambda_chain([f"a{i}" for i in range(DEEP)], "a0")
+        b = lambda_chain([f"b{i}" for i in range(DEEP)], "b0")
+        assert a == b and hash(a) == hash(b)
+        assert a != lambda_chain([f"b{i}" for i in range(DEEP)], "b1")
+        shadowed = lambda_chain(["x"] * DEEP, "x")
+        assert shadowed == lambda_chain([f"c{i}" for i in range(DEEP)], f"c{DEEP - 1}")
+        assert shadowed != lambda_chain(["y"] + ["x"] * (DEEP - 1), "y")
+
+    def test_nested_continuations(self):
+        a, b = nested_kont(DEEP, END), nested_kont(DEEP, END)
+        assert a == b and hash(a) == hash(b)
+        assert a != nested_kont(DEEP, CALLCC)
+        assert Pair(a, stack_of(a)) == Pair(b, stack_of(b))
+
+    def test_long_stacks(self):
+        numerals = [church_numeral(n) for n in range(3)]
+        copies = [church_numeral(n) for n in range(3)]  # equal, but other nodes
+        entries = [numerals[i % 3] for i in range(LONG)]
+        a, b = stack_of(*entries), stack_of(*(copies[i % 3] for i in range(LONG)))
+        assert a == b and hash(a) == hash(b)
+        assert a != stack_of(*entries[:-1], END)
+        assert Pair(CALLCC, a) == Pair(CALLCC, b)
+        assert hash(Pair(CALLCC, a)) == hash(Pair(CALLCC, b))
 
 
 class TestFreeVariables:
