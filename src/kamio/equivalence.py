@@ -4,7 +4,9 @@ Both are checked over the labeled transition system of the machine
 (`machine.lts_step`, re-exported here).  Silent steps are deterministic,
 and only a read head offers more than one labeled transition, so the
 bounded bisimulation check can compare unique successors per label
-instead of searching relations.
+instead of searching relations.  It walks the pairs from an explicit
+work list, so its depth bound is not limited by Python's recursion
+limit.
 """
 
 from __future__ import annotations
@@ -76,52 +78,36 @@ def weak_bisim(p: Process, q: Process,
 
     Verified means p and q match on all behaviors of at most `depth`
     visible actions (with silent settling bounded by `fuel`).  Refuted
-    carries the distinguishing action sequence.  Unknown reports whether
-    fuel or depth was exhausted first.
+    carries the first distinguishing action sequence met in preorder
+    (labels in `_LABEL_ORDER`).  Unknown says "fuel" if any observable ran
+    out of fuel, else "depth".  `explored` maps each pair to the most depth
+    it was explored with; a pair met again with no more depth is skipped,
+    which also closes cycles.  A negative depth or fuel raises ValueError.
     """
-    visited: set[tuple[Process, Process]] = set()
-    saw_fuel = False
-    saw_depth = False
-
-    def check(a: Process, b: Process, remaining: int, prefix: tuple[Action, ...]) -> Verdict | None:
-        # None signals "no difference found but exploration was cut short"
-        nonlocal saw_fuel, saw_depth
-        if a == b or (a, b) in visited:
-            return Verdict.verified()
-        visited.add((a, b))
-        oa = observable(a, fuel)
-        ob = observable(b, fuel)
+    if depth < 0 or fuel < 0:
+        raise ValueError(f"{'depth' if depth < 0 else 'fuel'} must be non-negative")
+    explored: dict[tuple[Process, Process], int] = {}
+    cut = None  # "fuel" if an observable ran out, else "depth" if a pair was cut off
+    work = [(p, q, depth, ())]
+    while work:
+        a, b, remaining, prefix = work.pop()
+        if a == b or explored.get((a, b), -1) >= remaining:
+            continue
+        explored[a, b] = remaining
+        oa, ob = observable(a, fuel), observable(b, fuel)
         if oa.kind == "unknown" or ob.kind == "unknown":
-            saw_fuel = True
-            return None
-        if oa.kind == "silent" and ob.kind == "silent":
-            return Verdict.verified()
-        if oa.kind != ob.kind:
-            menu = oa.entries if oa.is_menu else ob.entries
-            label = min(menu, key=_LABEL_ORDER.index)
+            cut = "fuel"
+            continue
+        menu_a, menu_b = oa.entries or {}, ob.entries or {}  # silent offers no label
+        if menu_a.keys() != menu_b.keys():
+            label = min(menu_a.keys() ^ menu_b.keys(), key=_LABEL_ORDER.index)
             return Verdict.refuted(prefix + (label,))
-        if set(oa.entries) != set(ob.entries):
-            difference = set(oa.entries) ^ set(ob.entries)
-            label = min(difference, key=_LABEL_ORDER.index)
-            return Verdict.refuted(prefix + (label,))
-        if remaining <= 0:
-            saw_depth = True
-            return None
-        incomplete = False
-        for label in _LABEL_ORDER:
-            if label not in oa.entries:
-                continue
-            sub = check(oa.entries[label], ob.entries[label], remaining - 1, prefix + (label,))
-            if sub is None:
-                incomplete = True
-            elif sub.is_refuted:
-                return sub
-        return None if incomplete else Verdict.verified()
-
-    result = check(p, q, depth, ())
-    if result is not None:
-        return result
-    return Verdict.unknown("fuel" if saw_fuel else "depth")
+        if remaining > 0:
+            work.extend((menu_a[label], menu_b[label], remaining - 1, prefix + (label,))
+                        for label in reversed(_LABEL_ORDER) if label in menu_a)
+        elif menu_a:
+            cut = cut or "depth"
+    return Verdict.unknown(cut) if cut else Verdict.verified()
 
 
 def beta_redexes(host: Process) -> list[Position]:

@@ -239,6 +239,12 @@ class TracePole(Pole):
     max_input_len: int = 4
     fuel: int = 100_000
 
+    def __post_init__(self):
+        if self.spec not in (COPY, READ_ALL_THEN_WRITE):
+            raise ValueError(f"unknown trace discipline {self.spec!r}")
+        if self.max_input_len < 0:
+            raise ValueError(f"max_input_len must be non-negative, got {self.max_input_len}")
+
     def member(self, p: Process, fuel: int | None = None) -> Verdict:
         budget = self.fuel if fuel is None else fuel
         return Verdict.all_of((trace_conforms(self.spec, p, input_bits, budget)
@@ -588,10 +594,7 @@ def pole_from_json(obj: dict, fuel: int | None = None) -> Pole:
     if kind == "function":
         return FunctionPole.of({int(k): int(v) for k, v in obj["table"].items()}, **kw)
     if kind == "trace":
-        spec = obj["spec"]
-        if spec not in (COPY, READ_ALL_THEN_WRITE):
-            raise ValueError(f"unknown trace discipline {spec!r}")
-        return TracePole(spec, int(obj.get("max_input_len", 4)), **kw)
+        return TracePole(obj["spec"], int(obj.get("max_input_len", 4)), **kw)
     if kind == "union":
         return UnionPole(tuple(pole_from_json(m, budget) for m in obj["members"]))
     raise ValueError(f"unknown pole kind {kind!r}")

@@ -12,7 +12,7 @@ import random
 import hypothesis.strategies as st
 
 from kamio.syntax import (
-    Abs, App, CALLCC, ClosednessError, END, Kont, Pair, READ, Stack, Term, TOP,
+    Abs, App, CALLCC, ClosednessError, EMPTY, END, Kont, Pair, READ, Stack, Term, TOP,
     Var, WRITE0, WRITE1, church_numeral, replace_at, stack_of, subterms,
 )
 from kamio.machine import ExecutionContext
@@ -109,6 +109,33 @@ def mutate(rng: random.Random, x):
         return replace_at(x, path, Abs(name, Var(name)))
 
 
+def random_script_pair(rng: random.Random, size: int = 8):
+    """Two read/write/end programs p and q with shared subterms that differ
+    at one leaf.  Node i of a program is a constant applied to nodes built
+    before it, so a node used twice sits at different depths; the program
+    is the last node.  q is p with one node's constant replaced, at every
+    place that node is used."""
+    nodes: list[tuple] = [(END,)]
+    for _ in range(size):
+        head = rng.choice((READ, WRITE0, WRITE1))
+        arity = 3 if head is READ else 1
+        nodes.append((head,) + tuple(rng.randrange(len(nodes)) for _ in range(arity)))
+    changed = rng.randrange(len(nodes))
+    old = nodes[changed][0]
+    new = rng.choice([c for c in (READ, WRITE0, WRITE1, END, CALLCC) if c is not old])
+
+    def program(swap: bool):
+        terms: list[Term] = []
+        for i, (head, *children) in enumerate(nodes):
+            t = new if swap and i == changed else head
+            for child in children:
+                t = App(t, terms[child])
+            terms.append(t)
+        return Pair(terms[-1], EMPTY)
+
+    return program(False), program(True)
+
+
 def random_bits(rng: random.Random, max_len: int = 4) -> str:
     return "".join(rng.choice("01") for _ in range(rng.randrange(0, max_len + 1)))
 
@@ -147,3 +174,9 @@ def processes(draw, max_size: int = 16):
 def contexts(draw, max_size: int = 14) -> ExecutionContext:
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     return random_context(rng, draw(st.integers(1, max_size)))
+
+
+@st.composite
+def script_pairs(draw, max_size: int = 10):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return random_script_pair(rng, draw(st.integers(1, max_size)))

@@ -18,10 +18,17 @@ oracles.
   construction), and a continuation's saved stack is compared and hashed
   with `stack_eq` and `stack_hash`, not with `Stack.__eq__` and
   `Stack.__hash__`.
+- The recursive `weak_bisim`.  Oracle for `kamio.equivalence.weak_bisim`.
+  One edit: `visited` maps each pair to the depth left when it was
+  explored, and a pair met again with more depth than that is explored
+  again.  `depth_aware=False` restores the old rule (a pair is explored
+  once, whatever the depth left), under which a pair first cut off at
+  low depth is later taken as matched.
 """
 
 from __future__ import annotations
 
+from kamio.equivalence import DEFAULT_DEPTH, DEFAULT_OBS_FUEL, observable
 from kamio.machine import DEFAULT_FUEL, Action, ExecutionContext, RunResult, eval_step
 from kamio.realizability import COPY, READ_ALL_THEN_WRITE
 from kamio.syntax import (
@@ -273,3 +280,61 @@ def alpha_hash(x) -> int:
     if x is TOP:
         return hash("TOP-process")
     return hash((term_hash(x.term), stack_hash(x.stack)))
+
+
+_LABEL_ORDER = (Action.R0, Action.R1, Action.REPS, Action.W0, Action.W1, Action.E)
+
+
+def weak_bisim(p: Process, q: Process, depth: int = DEFAULT_DEPTH,
+               fuel: int = DEFAULT_OBS_FUEL, depth_aware: bool = True) -> Verdict:
+    """Bounded weak-bisimilarity check.
+
+    Verified means p and q match on all behaviors of at most `depth`
+    visible actions (with silent settling bounded by `fuel`).  Refuted
+    carries the distinguishing action sequence.  Unknown reports whether
+    fuel or depth was exhausted first.
+    """
+    visited: dict[tuple[Process, Process], int] = {}
+    saw_fuel = False
+    saw_depth = False
+
+    def check(a: Process, b: Process, remaining: int, prefix: tuple[Action, ...]) -> Verdict | None:
+        # None signals "no difference found but exploration was cut short"
+        nonlocal saw_fuel, saw_depth
+        if a == b or ((a, b) in visited
+                      and (not depth_aware or visited[a, b] >= remaining)):
+            return Verdict.verified()
+        visited[a, b] = remaining
+        oa = observable(a, fuel)
+        ob = observable(b, fuel)
+        if oa.kind == "unknown" or ob.kind == "unknown":
+            saw_fuel = True
+            return None
+        if oa.kind == "silent" and ob.kind == "silent":
+            return Verdict.verified()
+        if oa.kind != ob.kind:
+            menu = oa.entries if oa.is_menu else ob.entries
+            label = min(menu, key=_LABEL_ORDER.index)
+            return Verdict.refuted(prefix + (label,))
+        if set(oa.entries) != set(ob.entries):
+            difference = set(oa.entries) ^ set(ob.entries)
+            label = min(difference, key=_LABEL_ORDER.index)
+            return Verdict.refuted(prefix + (label,))
+        if remaining <= 0:
+            saw_depth = True
+            return None
+        incomplete = False
+        for label in _LABEL_ORDER:
+            if label not in oa.entries:
+                continue
+            sub = check(oa.entries[label], ob.entries[label], remaining - 1, prefix + (label,))
+            if sub is None:
+                incomplete = True
+            elif sub.is_refuted:
+                return sub
+        return None if incomplete else Verdict.verified()
+
+    result = check(p, q, depth, ())
+    if result is not None:
+        return result
+    return Verdict.unknown("fuel" if saw_fuel else "depth")

@@ -122,6 +122,31 @@ class TestBisim:
         code, out, _ = run_cli(capsys, "bisim", a, b)
         assert code == 0
 
+    def test_pair_met_again_with_more_depth_refuted(self, files, capsys):
+        a = files("a.kam", "read (write0 (write0 (write0 (write0 (write0 end)))))"
+                           " (write0 (write0 (write0 end))) end * nil")
+        b = files("b.kam", "read (write0 (write0 (write0 (write0 (write1 end)))))"
+                           " (write0 (write0 (write1 end))) end * nil")
+        code, out, _ = run_cli(capsys, "bisim", a, b, "--depth", "3")
+        assert code == 2
+        assert out == "refuted witness: ['r1', 'w0', 'w0', 'w0']\n"
+
+    def test_deep_search_unknown(self, files, capsys):
+        chain = r"(\x. \y. write0 (x x (\z. {0}))) (\x. \y. write0 (x x (\z. {0}))) (\u. u) * nil"
+        a = files("a.kam", chain.format("y"))
+        b = files("b.kam", chain.format(r"\w. y"))
+        code, out, err = run_cli(capsys, "bisim", a, b, "--depth", "1200")
+        assert code == 3
+        assert out == "unknown [depth]\n"
+        assert err == ""
+
+    def test_negative_depth_exit_1(self, files, capsys):
+        a = files("a.kam", "write0 end * nil")
+        code, out, err = run_cli(capsys, "bisim", a, a, "--depth", "-2")
+        assert code == 1
+        assert out == ""
+        assert err == "kamio: error: depth must be non-negative\n"
+
 
 class TestTopEquiv:
     def test_execution_prefix(self, files, capsys):
@@ -263,6 +288,21 @@ class TestRealize:
         }))
         code, _, _ = run_cli(capsys, "realize", scenario, "--fuel", "2")
         assert code == 0
+
+    def test_negative_max_input_len_exit_1(self, files, capsys):
+        def scenario(max_input_len):
+            return files("trace.json", json.dumps({
+                "kind": "realizes",
+                "pole": {"kind": "trace", "spec": "copy", "max_input_len": max_input_len},
+                "term": "end",
+                "truth_value": {"stacks": ["nil"]},
+            }))
+        code, _, _ = run_cli(capsys, "realize", scenario(0))
+        assert code == 2
+        code, out, err = run_cli(capsys, "realize", scenario(-1))
+        assert code == 1
+        assert out == ""
+        assert err == "kamio: error: max_input_len must be non-negative, got -1\n"
 
     def _slow(self, files, pole, **top):
         # the term needs 8 evaluation steps to reach the seed `end * nil`

@@ -5,6 +5,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import gen
+import reference_machine as reference
 from kamio.equivalence import (
     beta_contract, beta_redexes, lts_step, observable, top_equiv, weak_bisim,
 )
@@ -12,8 +13,21 @@ from kamio.machine import Action, ExecutionContext, eval_step, run
 from kamio.syntax import (
     Abs, App, CALLCC, EMPTY, END, InvalidPosition, Pair, TOP, Var, parse_process, subterm_at,
 )
+from kamio.verdict import Verdict
 
 OMEGA = r"(\x. x x) (\x. x x) * nil"
+# Two writes down r0, both sides reach the pair their r1 branches start
+# with, but with two less depth left: at depth 3 or 4 the search meets
+# the pair there first and cuts it off before it reaches the difference.
+SHARED_TAIL = ("read (write0 (write0 (write0 (write0 (write0 end)))))"
+               " (write0 (write0 (write0 end))) end * nil")
+SHARED_TAIL_CHANGED = ("read (write0 (write0 (write0 (write0 (write1 end)))))"
+                       " (write0 (write0 (write1 end))) end * nil")
+# An endless chain of writes whose processes never repeat; the two sides
+# differ only in the silent steps between writes.
+WRITE_CHAIN = r"(\x. \y. write0 (x x (\z. y))) (\x. \y. write0 (x x (\z. y))) (\u. u) * nil"
+WRITE_CHAIN_SLOWER = (r"(\x. \y. write0 (x x (\z. \w. y)))"
+                      r" (\x. \y. write0 (x x (\z. \w. y))) (\u. u) * nil")
 
 
 class TestLtsStep:
@@ -123,6 +137,55 @@ class TestWeakBisim:
         growing = parse_process(r"(\x. x x x) (\x. x x x) * nil")
         other = parse_process("end * nil")
         assert weak_bisim(growing, other, 4, 100).is_unknown
+
+    def test_pair_met_again_with_more_depth_is_explored_again(self):
+        p, q = parse_process(SHARED_TAIL), parse_process(SHARED_TAIL_CHANGED)
+        for depth in (3, 4):
+            verdict = weak_bisim(p, q, depth, 100)
+            assert verdict.is_refuted
+            assert verdict.witness == (Action.R1, Action.W0, Action.W0, Action.W0)
+        assert weak_bisim(p, q, 2, 100) == Verdict.unknown("depth")
+
+    def test_fuel_cut_outranks_a_later_depth_cut(self):
+        # down r0 both sides grow forever; down r1 they write at depth 1
+        growing = r"(\x. x x x) (\x. x x x)"
+        p = parse_process(f"read ({growing}) (write0 (write0 end)) end * nil")
+        q = parse_process(rf"read ((\y. y) ({growing})) (write0 ((\y. y) (write0 end))) end * nil")
+        assert weak_bisim(p, q, 1, 100) == Verdict.unknown("fuel")
+        assert weak_bisim(p, q, 2, 100) == Verdict.unknown("fuel")
+
+    def test_deep_search_does_not_overflow(self):
+        p, q = parse_process(WRITE_CHAIN), parse_process(WRITE_CHAIN_SLOWER)
+        assert weak_bisim(p, q, 1200) == Verdict.unknown("depth")
+
+    def test_negative_bounds_rejected(self):
+        p = parse_process("end * nil")
+        with pytest.raises(ValueError, match="depth must be non-negative"):
+            weak_bisim(p, p, -1, 100)
+        with pytest.raises(ValueError, match="fuel must be non-negative"):
+            weak_bisim(p, p, 4, -1)
+
+
+def _agrees_with_reference(p, q, fuel=300):
+    """Same verdict and witness as the recursive search at every depth up to
+    6; where the search that ignores the depth left decides, the same
+    decision."""
+    for depth in range(7):
+        verdict = weak_bisim(p, q, depth, fuel)
+        assert verdict == reference.weak_bisim(p, q, depth, fuel)
+        depth_blind = reference.weak_bisim(p, q, depth, fuel, depth_aware=False)
+        if not depth_blind.is_unknown:
+            assert verdict.status == depth_blind.status
+
+
+class TestWeakBisimReference:
+    @given(gen.processes(), gen.processes())
+    def test_random_processes(self, p, q):
+        _agrees_with_reference(p, q)
+
+    @given(gen.script_pairs())
+    def test_scripts_differing_at_one_leaf(self, pair):
+        _agrees_with_reference(*pair)
 
 
 class TestBetaPositions:

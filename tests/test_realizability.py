@@ -155,6 +155,14 @@ class TestTracePole:
         assert (trace_conforms(spec, p, input_bits, fuel)
                 == reference.trace_conforms(spec, p, input_bits, fuel))
 
+    def test_bad_parameters_rejected(self):
+        with pytest.raises(ValueError, match="max_input_len must be non-negative"):
+            TracePole(COPY, max_input_len=-1)
+        with pytest.raises(ValueError, match="max_input_len must be non-negative"):
+            pole_from_json({"kind": "trace", "spec": "copy", "max_input_len": -1})
+        with pytest.raises(ValueError, match="unknown trace discipline"):
+            TracePole("echo")
+
     def test_all_inputs_enumeration(self):
         inputs = list(all_inputs(3))
         assert len(inputs) == 1 + 2 + 4 + 8
