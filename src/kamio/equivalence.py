@@ -1,19 +1,21 @@
 """Bounded weak bisimilarity and TOP-equivalence.
 
 Both are checked over the labeled transition system of the machine
-(`machine.lts_step`, re-exported here).  Silent steps are deterministic,
-and only a read head offers more than one labeled transition, so the
-bounded bisimulation check can compare unique successors per label
-instead of searching relations.  It walks the pairs from an explicit
-work list, so its depth bound is not limited by Python's recursion
-limit.
+(`machine.lts_step`, re-exported here).  A process's observable is what
+it offers once `machine.settle` has followed its silent chain: one
+`lts_step` on the process that chain stops at.  Silent steps are
+deterministic, and only a read head offers more than one labeled
+transition, so the bounded bisimulation check can compare unique
+successors per label instead of searching relations.  It walks the pairs
+from an explicit work list, so its depth bound is not limited by
+Python's recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .machine import Action, ExecutionContext, lts_step, run
+from .machine import Action, ExecutionContext, lts_step, run, settle
 from .syntax import (
     Abs, App, InvalidPosition, Position, Process,
     replace_at, subterm_at, substitute, subterms,
@@ -51,25 +53,14 @@ class Observable:
 
 
 def observable(p: Process, fuel: int = DEFAULT_OBS_FUEL) -> Observable:
-    """Follow the deterministic silent chain from p until it offers
-    labeled transitions (menu), stops or provably cycles (silent), or the
-    fuel runs out (unknown)."""
-    seen: set[Process] = set()
-    current = p
-    budget = fuel
-    while True:
-        transitions = lts_step(current)
-        if not transitions:
-            return Observable("silent")
-        if transitions[0][0] is not Action.TAU:
-            return Observable("menu", dict(transitions))
-        if current in seen:
-            return Observable("silent")  # silent cycle: provably diverges
-        if budget <= 0:
-            return Observable("unknown")
-        seen.add(current)
-        budget -= 1
-        current = transitions[0][1]
+    """Settle p silently (`machine.settle`); the process it stops at
+    offers labeled transitions (menu) or none (silent).  A silent cycle is
+    silent too, and spent fuel is unknown."""
+    reason, settled = settle(p, fuel)
+    if reason == "fuel":
+        return Observable("unknown")
+    transitions = lts_step(settled) if reason == "stuck" else ()
+    return Observable("menu", dict(transitions)) if transitions else Observable("silent")
 
 
 def weak_bisim(p: Process, q: Process,

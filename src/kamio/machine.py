@@ -5,18 +5,20 @@ Effect-free evaluation rewrites a process by weak head reduction
 transition system (`lts_step`) is the one place the machine rules live:
 its silent (tau) transitions are exactly the evaluation steps, and the
 instruction constants in head position give the visible ones (read,
-write, end).  Execution is that system on a context (process, input
-bits, output bits), with the read branch chosen by the next input bit:
-reads consume input bits, writes prepend output bits, and `end`
-discards the stack and terminates at TOP.  Written bits are prepended,
-so the final output string is read verbatim as a
-most-significant-bit-first binary numeral.
+write, end).  `settle` is the one loop over silent steps alone; it
+serves `equivalence.observable` and finite-pole membership.  Execution
+is that system on a context (process, input bits, output bits), with the
+read branch chosen by the next input bit: reads consume input bits,
+writes prepend output bits, and `end` discards the stack and terminates
+at TOP.  Written bits are prepended, so the final output string is read
+verbatim as a most-significant-bit-first binary numeral.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Container
 
 from .syntax import (
     Abs, App, CALLCC, Kont, Pair, Process, READ, TOP,
@@ -26,7 +28,7 @@ from .verdict import Verdict
 
 __all__ = [
     "DEFAULT_FUEL", "Action", "ExecutionContext", "RunResult",
-    "eval_step", "lts_step", "exec_step", "exec_step_labeled", "run",
+    "eval_step", "settle", "lts_step", "exec_step", "exec_step_labeled", "run",
     "bin_nat", "nat_of_bin", "implements_row", "implements_on",
 ]
 
@@ -123,6 +125,31 @@ def eval_step(p: Process) -> Process | None:
     if cls is Kont:
         return Pair(pi.head, t.stack)
     return None
+
+
+def settle(p: Process, fuel: int, targets: Container[Process] = ()) -> tuple[str, Process]:
+    """Follow `eval_step` from p for at most `fuel` steps; return why it
+    stopped and the process it stopped at.  The reason is "stop" (a
+    member of `targets`), "stuck" (no silent step applies), "cycle" (a
+    process repeats) or "fuel", checked in that order at each process.
+    A negative fuel raises ValueError."""
+    if fuel < 0:
+        raise ValueError("fuel must be non-negative")
+    seen: set[Process] = set()
+    current = p
+    while True:
+        if targets and current in targets:
+            return "stop", current
+        successor = eval_step(current)
+        if successor is None:
+            return "stuck", current
+        if current in seen:
+            return "cycle", current
+        if fuel <= 0:
+            return "fuel", current
+        seen.add(current)
+        fuel -= 1
+        current = successor
 
 
 def lts_step(p: Process) -> tuple[tuple[Action, Process], ...]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping
 
 from .machine import (
-    Action, DEFAULT_FUEL, ExecutionContext, eval_step, implements_row, run,
+    Action, DEFAULT_FUEL, ExecutionContext, implements_row, run, settle,
 )
 from .syntax import (
     Abs, App, CALLCC, Pair, Process, Stack, Term, TOP, Var,
@@ -156,22 +156,12 @@ class FinitePole(Pole):
         return FinitePole(frozenset(seeds), fuel)
 
     def member(self, p: Process, fuel: int | None = None) -> Verdict:
-        budget = self.fuel if fuel is None else fuel
-        seen: set[Process] = set()
-        current = p
-        while True:
-            if current in self.seeds:
-                return Verdict.verified()
-            if current in seen:
-                return Verdict.refuted(current)  # evaluation cycles short of any seed
-            seen.add(current)
-            successor = eval_step(current)
-            if successor is None:
-                return Verdict.refuted(current)
-            if budget <= 0:
-                return Verdict.unknown("fuel", witness=current)
-            budget -= 1
-            current = successor
+        reason, settled = settle(p, self.fuel if fuel is None else fuel, self.seeds)
+        if reason == "stop":
+            return Verdict.verified()
+        if reason == "fuel":
+            return Verdict.unknown("fuel", witness=settled)
+        return Verdict.refuted(settled)  # stuck, or cycling short of any seed
 
 
 @dataclass(frozen=True)
@@ -551,7 +541,7 @@ def consistency_probe(pole: Pole, candidates: Iterable[Term],
             audit.append(AuditEntry(p, bool(effect_constants(p))))
 
     for t in candidates:
-        require_proof_like(t, "rule premise")
+        require_proof_like(t, "candidate")
         witness: Stack | None = None
         unknown = False
         for pi in stacks:

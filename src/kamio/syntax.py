@@ -3,12 +3,14 @@
 Terms are lambda terms extended with call/cc, first-class continuations,
 and four instruction constants (read, write0, write1, end).  A stack is a
 list of closed terms; a process is a closed term paired with a stack, or
-the terminal constant TOP.  All values are immutable, hashable, and
-compared up to alpha-equivalence.  Each term and stack node gets its hash
-when it is built, from its children's hashes and never from names, so
-alpha-equivalent values hash alike.  Equality and printing walk explicit
-work lists, so nesting depth does not limit them; the parser and
-`substitute` still recurse.
+the terminal constant TOP.  All values are immutable and hashable.
+Terms, stacks and pairs share one identity protocol, the private base
+`_Node`: `==` is equality up to alpha-equivalence, the hash is a stored
+one, and `str` and `repr` print through `pretty`.  Each term and stack
+node gets its hash when it is built, from its children's hashes and
+never from names, so alpha-equivalent values hash alike; a pair hashes
+on demand.  Equality and printing walk explicit work lists, so nesting
+depth does not limit them; the parser and `substitute` still recurse.
 
 The concrete grammar (comments run from ``--`` to end of line)::
 
@@ -74,18 +76,15 @@ class InvalidPosition(Exception):
 # Terms
 
 
-class Term:
-    """Base class; concrete terms are Var, Abs, App, Const, and Kont.
+class _Node:
+    """The identity protocol of terms, stacks and pairs: `==` is equality
+    up to the names of bound variables (`_same`), the hash is the stored
+    `_hash`, and both print through `pretty`."""
 
-    Each constructor sets `_hash` from its children's stored hashes and
-    never from names, so alpha-equivalent terms hash alike."""
-
-    __slots__ = ("fvs", "_hash")
-
-    fvs: frozenset[str]
+    __slots__ = ()
 
     def __eq__(self, other):
-        if not isinstance(other, Term):
+        if not isinstance(other, _Node):
             return NotImplemented
         return _same(self, other)
 
@@ -97,6 +96,17 @@ class Term:
 
     def __repr__(self):
         return f"<{type(self).__name__} {pretty(self)}>"
+
+
+class Term(_Node):
+    """Base class; concrete terms are Var, Abs, App, Const, and Kont.
+
+    Each constructor sets `_hash` from its children's stored hashes and
+    never from names, so alpha-equivalent terms hash alike."""
+
+    __slots__ = ("fvs", "_hash")
+
+    fvs: frozenset[str]
 
 
 _VAR_HASH = hash("var")
@@ -177,7 +187,7 @@ class Kont(Term):
 # Stacks and processes
 
 
-class Stack:
+class Stack(_Node):
     """Immutable list of closed terms; head is the top of the stack."""
 
     __slots__ = ("head", "tail", "_len", "_hash")
@@ -213,20 +223,6 @@ class Stack:
     def __len__(self) -> int:
         return self._len
 
-    def __eq__(self, other):
-        if not isinstance(other, Stack):
-            return NotImplemented
-        return _same(self, other)
-
-    def __hash__(self):
-        return self._hash
-
-    def __str__(self):
-        return pretty(self)
-
-    def __repr__(self):
-        return f"<Stack {pretty(self)}>"
-
 
 EMPTY = Stack()
 
@@ -245,7 +241,7 @@ class Process:
     __slots__ = ()
 
 
-class Pair(Process):
+class Pair(_Node, Process):
     __slots__ = ("term", "stack")
     __match_args__ = ("term", "stack")
 
@@ -256,19 +252,8 @@ class Pair(Process):
         self.term = term
         self.stack = stack
 
-    def __eq__(self, other):
-        if not isinstance(other, Pair):
-            return False if isinstance(other, Process) else NotImplemented
-        return _same(self, other)
-
-    def __hash__(self):
+    def __hash__(self):  # on demand: most pairs the machine builds are never hashed
         return hash((self.term._hash, self.stack._hash))
-
-    def __str__(self):
-        return pretty(self)
-
-    def __repr__(self):
-        return f"<Pair {pretty(self)}>"
 
 
 class _Top(Process):
@@ -649,11 +634,7 @@ class _Parser:
             return TOP
         head = self.term()
         self.expect_punct("*")
-        stack = self.stack()
-        if head.fvs:
-            raise ClosednessError(
-                f"process head has free variables {sorted(head.fvs)}: {pretty(head)}")
-        return Pair(head, stack)
+        return Pair(head, self.stack())  # Pair rejects a head with free variables
 
     def finish(self):
         kind, value, line, col = self.peek()

@@ -136,6 +136,23 @@ def random_script_pair(rng: random.Random, size: int = 8):
     return program(False), program(True)
 
 
+def random_silent_loop(rng: random.Random):
+    """A process whose silent chain runs into a cycle: `W W` with
+    `W = \\x. I (... (I (x x)))` (up to four identities) on a random stack,
+    behind up to three lambdas that first pop junk entries."""
+    x = rng.choice(NAMES)
+    body: Term = App(Var(x), Var(x))
+    for _ in range(rng.randrange(5)):
+        y = rng.choice(NAMES)
+        body = App(Abs(y, Var(y)), body)
+    loop: Term = App(Abs(x, body), Abs(x, body))
+    stack = random_stack(rng)
+    for _ in range(rng.randrange(4)):
+        loop = Abs(rng.choice(NAMES), loop)
+        stack = stack.push(random_term(rng, rng.randrange(1, 4)))
+    return Pair(loop, stack)
+
+
 def random_bits(rng: random.Random, max_len: int = 4) -> str:
     return "".join(rng.choice("01") for _ in range(rng.randrange(0, max_len + 1)))
 
@@ -168,6 +185,11 @@ def stacks(draw, max_entries: int = 4) -> Stack:
 def processes(draw, max_size: int = 16):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     return random_process(rng, draw(st.integers(1, max_size)), allow_top=True)
+
+
+@st.composite
+def silent_loops(draw):
+    return random_silent_loop(random.Random(draw(st.integers(0, 2**32 - 1))))
 
 
 @st.composite

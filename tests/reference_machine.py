@@ -18,18 +18,24 @@ oracles.
   construction), and a continuation's saved stack is compared and hashed
   with `stack_eq` and `stack_hash`, not with `Stack.__eq__` and
   `Stack.__hash__`.
+- `observable` and the finite pole's membership loop (`finite_member`)
+  as each followed the silent chain by hand, with its own seen-set,
+  cycle rule and fuel count.  Oracles for `kamio.equivalence.observable`
+  and `kamio.realizability.FinitePole.member`, which now share
+  `kamio.machine.settle`.
 - The recursive `weak_bisim`.  Oracle for `kamio.equivalence.weak_bisim`.
   One edit: `visited` maps each pair to the depth left when it was
   explored, and a pair met again with more depth than that is explored
   again.  `depth_aware=False` restores the old rule (a pair is explored
   once, whatever the depth left), under which a pair first cut off at
-  low depth is later taken as matched.
+  low depth is later taken as matched.  It settles processes with the
+  `observable` kept here.
 """
 
 from __future__ import annotations
 
-from kamio.equivalence import DEFAULT_DEPTH, DEFAULT_OBS_FUEL, observable
-from kamio.machine import DEFAULT_FUEL, Action, ExecutionContext, RunResult, eval_step
+from kamio.equivalence import DEFAULT_DEPTH, DEFAULT_OBS_FUEL, Observable
+from kamio.machine import DEFAULT_FUEL, Action, ExecutionContext, RunResult, eval_step, lts_step
 from kamio.realizability import COPY, READ_ALL_THEN_WRITE
 from kamio.syntax import (
     END, READ, TOP, WRITE0, WRITE1, Abs, App, Const, Kont, Pair, Process, Stack, Term, Var,
@@ -280,6 +286,49 @@ def alpha_hash(x) -> int:
     if x is TOP:
         return hash("TOP-process")
     return hash((term_hash(x.term), stack_hash(x.stack)))
+
+
+def observable(p: Process, fuel: int = DEFAULT_OBS_FUEL) -> Observable:
+    """Follow the deterministic silent chain from p until it offers
+    labeled transitions (menu), stops or provably cycles (silent), or the
+    fuel runs out (unknown)."""
+    seen: set[Process] = set()
+    current = p
+    budget = fuel
+    while True:
+        transitions = lts_step(current)
+        if not transitions:
+            return Observable("silent")
+        if transitions[0][0] is not Action.TAU:
+            return Observable("menu", dict(transitions))
+        if current in seen:
+            return Observable("silent")  # silent cycle: provably diverges
+        if budget <= 0:
+            return Observable("unknown")
+        seen.add(current)
+        budget -= 1
+        current = transitions[0][1]
+
+
+def finite_member(seeds: frozenset[Process], p: Process, fuel: int) -> Verdict:
+    """Membership in the saturation closure of `seeds`: does the
+    effect-free evaluation chain of p reach a seed within fuel?"""
+    budget = fuel
+    seen: set[Process] = set()
+    current = p
+    while True:
+        if current in seeds:
+            return Verdict.verified()
+        if current in seen:
+            return Verdict.refuted(current)  # evaluation cycles short of any seed
+        seen.add(current)
+        successor = eval_step(current)
+        if successor is None:
+            return Verdict.refuted(current)
+        if budget <= 0:
+            return Verdict.unknown("fuel", witness=current)
+        budget -= 1
+        current = successor
 
 
 _LABEL_ORDER = (Action.R0, Action.R1, Action.REPS, Action.W0, Action.W1, Action.E)

@@ -344,6 +344,32 @@ class TestRealize:
         code, _, err = run_cli(capsys, "realize", scenario)
         assert code == 1
 
+    @pytest.mark.parametrize("candidate, message", [
+        ("x", "candidate is not closed: x"),
+        ("end", "candidate contains instruction constants ['end']"),
+    ], ids=["open", "effectful"])
+    def test_bad_consistency_candidate_named(self, files, capsys, candidate, message):
+        scenario = files("probe.json", json.dumps({
+            "kind": "consistency",
+            "pole": {"kind": "finite", "seeds": ["end * nil"]},
+            "candidates": [candidate],
+            "stack_samples": ["nil"],
+        }))
+        code, out, err = run_cli(capsys, "realize", scenario)
+        assert (code, out) == (1, "")
+        assert err == f"kamio: error: {message}\n"
+
+    @pytest.mark.parametrize("pole", [
+        {"kind": "finite", "seeds": ["end * nil"]},
+        {"kind": "function", "table": {"0": 0}},
+        {"kind": "trace", "spec": "copy"},
+    ], ids=["finite", "function", "trace"])
+    def test_negative_pole_fuel_exit_1(self, files, capsys, pole):
+        scenario = self._slow(files, dict(pole, fuel=-3))
+        code, out, err = run_cli(capsys, "realize", scenario)
+        assert (code, out) == (1, "")
+        assert err == "kamio: error: fuel must be non-negative\n"
+
     def test_schema_violation_exit_1(self, files, capsys):
         scenario = files("bad.json", json.dumps({"kind": "entailment"}))
         code, _, err = run_cli(capsys, "realize", scenario)

@@ -7,14 +7,18 @@ import hypothesis.strategies as st
 import gen
 import reference_machine as reference
 from kamio.combinators import Y
+from kamio.equivalence import observable
 from kamio.machine import (
     Action, ExecutionContext, bin_nat, eval_step, exec_step,
-    exec_step_labeled, implements_on, nat_of_bin, run,
+    exec_step_labeled, implements_on, nat_of_bin, run, settle,
 )
+from kamio.realizability import FinitePole
 from kamio.syntax import (
     App, END, EMPTY, Pair, READ, TOP, WRITE0, WRITE1,
     parse_process, parse_term, stack_of,
 )
+
+OMEGA = r"(\x. x x) (\x. x x) * nil"
 
 
 def ctx(text, inp="", out=""):
@@ -51,6 +55,61 @@ class TestEvalStep:
 
     def test_top_has_no_step(self):
         assert eval_step(TOP) is None
+
+
+def _silent_chain(p, limit=62):
+    """p and its silent successors, up to a stuck process, the step before
+    the first repeat, or `limit` processes."""
+    chain, seen = [p], {p}
+    while len(chain) < limit:
+        q = eval_step(chain[-1])
+        if q is None or q in seen:
+            break
+        chain.append(q)
+        seen.add(q)
+    return chain
+
+
+class TestSettle:
+    def test_each_reason(self):
+        assert settle(parse_process(r"write0 end * nil"), 10) == \
+            ("stuck", parse_process("write0 * end :: nil"))
+        assert settle(TOP, 0) == ("stuck", TOP)
+        assert settle(parse_process(OMEGA), 10)[0] == "cycle"
+        assert settle(parse_process(r"(\x. x) end * nil"), 1) == \
+            ("fuel", parse_process(r"\x. x * end :: nil"))
+        target = parse_process(r"\x. x * end :: nil")
+        assert settle(parse_process(r"(\x. x) end * nil"), 1, {target}) == ("stop", target)
+
+    def test_omega_cycle_needs_two_steps(self):
+        p = parse_process(OMEGA)
+        for fuel, kind in ((0, "unknown"), (1, "unknown"), (2, "silent"), (3, "silent")):
+            assert observable(p, fuel).kind == kind
+            assert reference.observable(p, fuel).kind == kind
+
+    def test_negative_fuel_rejected(self):
+        p = parse_process(r"(\x. x) end * nil")
+        for check in (lambda: settle(p, -1), lambda: observable(p, -1),
+                      lambda: FinitePole.of([p]).member(p, -1)):
+            with pytest.raises(ValueError, match="^fuel must be non-negative$"):
+                check()
+
+    @given(st.one_of(gen.processes(), gen.silent_loops()), st.integers(0, 60), st.data())
+    def test_matches_reference_loops(self, p, fuel, data):
+        # Besides the drawn fuel, try the fuels at which the seed, stuck,
+        # cycle and fuel rules meet, where a change of check order shows.
+        chain = _silent_chain(p)
+        picks = data.draw(st.lists(st.integers(0, len(chain) - 1), max_size=2))
+        seeds = frozenset([chain[i] for i in picks]
+                          + data.draw(st.lists(gen.processes(), max_size=2)))
+        n = len(chain)
+        fuels = {fuel, n - 2, n - 1, n, n + 1, *picks, *(i - 1 for i in picks)}
+        for f in sorted(f for f in fuels if 0 <= f <= 60):
+            got, expected = observable(p, f), reference.observable(p, f)
+            assert (got.kind, got.entries) == (expected.kind, expected.entries)
+            got, expected = FinitePole(seeds, f).member(p), reference.finite_member(seeds, p, f)
+            assert got == expected
+            assert str(got.witness) == str(expected.witness)
 
 
 class TestExecStep:

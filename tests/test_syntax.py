@@ -8,7 +8,7 @@ import gen
 import reference_machine as reference
 from kamio.syntax import (
     Abs, App, CALLCC, ClosednessError, Const, END, EMPTY, InvalidPosition, Kont, Pair,
-    ParseError, READ, TOP, Var, WRITE0, WRITE1, church_numeral, effect_constants,
+    ParseError, READ, Stack, TOP, Term, Var, WRITE0, WRITE1, church_numeral, effect_constants,
     is_proof_like, parse_process, parse_stack, parse_term,
     pretty, replace_at, stack_of, substitute, subterm_at, subterms,
 )
@@ -115,8 +115,9 @@ class TestParseProcess:
         assert p == Pair(Abs("x", Var("x")), stack_of(END))
 
     def test_head_must_be_closed(self):
-        with pytest.raises(ClosednessError):
+        with pytest.raises(ClosednessError) as exc:
             parse_process("x * nil")
+        assert str(exc.value) == "process head has free variables ['x']: x"
 
     def test_stack_entries_must_be_closed(self):
         with pytest.raises(ClosednessError):
@@ -297,6 +298,34 @@ class TestIdentity:
         assert Pair(END, EMPTY) != TOP and TOP != Pair(END, EMPTY)
         assert END != EMPTY and Kont(EMPTY) != EMPTY
         assert stack_of(END) != stack_of(END, END)
+
+
+class TestOneIdentityProtocol:
+    """Terms, stacks and pairs take `==`, hash, `str` and `repr` from one
+    base; only a pair computes its hash on demand."""
+
+    def test_defined_once(self):
+        for cls in (Term, Stack, Pair):
+            assert not {"__eq__", "__str__", "__repr__"} & vars(cls).keys()
+        assert "__hash__" in vars(Pair) and "__hash__" not in vars(Term)
+
+    def test_repr_and_str(self):
+        assert repr(Var("x")) == "<Var x>"
+        assert repr(EMPTY) == "<Stack nil>"
+        assert repr(Pair(END, EMPTY)) == "<Pair end * nil>"
+        assert str(Pair(END, stack_of(CALLCC))) == "end * cc :: nil"
+
+    def test_pair_and_term_unequal_both_ways(self):
+        pair = Pair(END, EMPTY)
+        assert (pair == END) is False and (END == pair) is False
+        assert pair != END and END != pair
+
+    def test_alpha_variant_pairs(self):
+        a = parse_process(r"(\x. \y. x) * (\z. z) :: nil")
+        b = parse_process(r"(\u. \v. u) * (\w. w) :: nil")
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
 
 
 class TestDeepIdentity:
