@@ -15,6 +15,7 @@ command-line fuel.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -232,12 +233,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)  # usage errors exit 1 through main's boundary
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
+    """The parser, built once per process, and its `--fuel` option, whose
+    default `main` sets from KAMIO_FUEL on every call."""
     # one parent parser per shared option; each subcommand takes the ones it reads
     fuel, prelude, fmt = (argparse.ArgumentParser(add_help=False) for _ in range(3))
-    fuel.add_argument("--fuel", type=int,
-                      default=os.environ.get("KAMIO_FUEL", machine.DEFAULT_FUEL),
-                      help="step budget (default KAMIO_FUEL, else 1000000)")
+    fuel_option = fuel.add_argument("--fuel", type=int,
+                                    help="step budget (default KAMIO_FUEL, else 1000000)")
     prelude.add_argument("--prelude", nargs="?", const="builtin", default=None,
                          metavar="PATH",
                          help="bind combinator names before parsing; "
@@ -302,12 +305,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expanded", action="store_true",
                    help="print fully expanded definitions")
 
-    return parser
+    return parser, fuel_option
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        parser, fuel_option = _build_parser()
+        # argparse converts a string default with `type`, so a bad value
+        # fails as `argument --fuel: invalid int value`
+        fuel_option.default = os.environ.get("KAMIO_FUEL", machine.DEFAULT_FUEL)
+        args = parser.parse_args(argv)
         return args.func(args)
     except _USAGE_ERRORS as exc:
         print(f"kamio: error: {exc}", file=sys.stderr)

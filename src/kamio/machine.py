@@ -1,17 +1,19 @@
 """The evaluation relation, the labeled transition system, and execution.
 
-Effect-free evaluation rewrites a process by weak head reduction
-(push/pop) plus continuation capture and restore.  The labeled
-transition system (`lts_step`) is the one place the machine rules live:
-its silent (tau) transitions are exactly the evaluation steps, and the
-instruction constants in head position give the visible ones (read,
-write, end).  `settle` is the one loop over silent steps alone; it
-serves `equivalence.observable` and finite-pole membership.  Execution
-is that system on a context (process, input bits, output bits), with the
-read branch chosen by the next input bit: reads consume input bits,
-writes prepend output bits, and `end` discards the stack and terminates
-at TOP.  Written bits are prepended, so the final output string is read
-verbatim as a most-significant-bit-first binary numeral.
+Effect-free evaluation (`eval_step`) rewrites a process by weak head
+reduction (push/pop) plus continuation capture and restore.  The labeled
+transition system (`lts_step`) adds the visible transitions of the
+instruction constants in head position (read, write, end); its silent
+(tau) transitions are exactly the evaluation steps.  These two functions
+are the only places the machine rules are written.  `settle` is the one
+loop over silent steps alone; it serves `equivalence.observable` and
+finite-pole membership.  Execution is that system on a context (process,
+input bits, output bits), with the read branch chosen by the next input
+bit: reads consume input bits, writes prepend output bits, and `end`
+discards the stack and terminates at TOP.  `run` takes silent steps
+straight from `eval_step` and consults `lts_step` only for the heads
+`eval_step` rejects.  Written bits are prepended, so the final output
+string is read verbatim as a most-significant-bit-first binary numeral.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from enum import Enum
 from typing import Container
 
 from .syntax import (
-    Abs, App, CALLCC, Kont, Pair, Process, READ, TOP,
+    Abs, App, CALLCC, Kont, Pair, Process, READ, Stack, TOP,
     WRITE0, WRITE1, END, pretty, substitute,
 )
 from .verdict import Verdict
@@ -109,21 +111,22 @@ def eval_step(p: Process) -> Process | None:
     Instruction constants in head position never step here; they only
     step in the execution relation.
     """
-    if p is TOP or not isinstance(p, Pair):
+    if p.__class__ is not Pair:
         return None
     t, pi = p.term, p.stack
     cls = t.__class__
     if cls is App:
-        return Pair(t.fun, pi.push(t.arg))
-    if pi.is_empty:
+        return Pair(t.fun, Stack(t.arg, pi))
+    head = pi.head
+    if head is None:
         return None
     if cls is Abs:
-        return Pair(substitute(t.body, t.param, pi.head), pi.tail)
+        return Pair(substitute(t.body, t.param, head), pi.tail)
     if t is CALLCC:
         rest = pi.tail
-        return Pair(pi.head, rest.push(Kont(rest)))
+        return Pair(head, Stack(Kont(rest), rest))
     if cls is Kont:
-        return Pair(pi.head, t.stack)
+        return Pair(head, t.stack)
     return None
 
 
@@ -143,11 +146,12 @@ def settle(p: Process, fuel: int, targets: Container[Process] = ()) -> tuple[str
         successor = eval_step(current)
         if successor is None:
             return "stuck", current
-        if current in seen:
+        size = len(seen)
+        seen.add(current)  # one hash per step: an unchanged size is a repeat
+        if len(seen) == size:
             return "cycle", current
         if fuel <= 0:
             return "fuel", current
-        seen.add(current)
         fuel -= 1
         current = successor
 
@@ -226,9 +230,13 @@ def exec_step(c: ExecutionContext) -> ExecutionContext | None:
 def run(c: ExecutionContext, fuel: int = DEFAULT_FUEL) -> RunResult:
     """Iterate the execution relation at most `fuel` steps.
 
-    Stops early at TOP ("terminated") or when no step applies ("stuck").
-    A run whose last allowed step lands on a stuck state is "stuck", not
-    "fuel".
+    Silent steps come straight from `eval_step`; `lts_step` (through
+    `_exec`) is consulted only at the heads `eval_step` rejects, that is
+    instruction heads, stuck processes and TOP.  Since `lts_step`'s
+    silent transitions are exactly `eval_step`'s, this is the execution
+    relation itself.  Stops early at TOP ("terminated") or when no step
+    applies ("stuck").  A run whose last allowed step lands on a stuck
+    state is "stuck", not "fuel".
     """
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
@@ -236,17 +244,26 @@ def run(c: ExecutionContext, fuel: int = DEFAULT_FUEL) -> RunResult:
     read = 0
     written: list[str] = []  # in writing order; the output gets them prepended
     trace: list[Action] = []
-    step = _exec(p, source[:1])
-    while step is not None and len(trace) < fuel:
+    tau = Action.TAU
+    while len(trace) < fuel:
+        q = eval_step(p)
+        if q is not None:
+            trace.append(tau)
+            p = q
+            continue
+        step = _exec(p, source[read:read + 1])
+        if step is None:
+            stuck = True
+            break
         action, p = step
         trace.append(action)
-        if action is not Action.TAU:
-            consumed, bit = _IO_EFFECT[action]
-            read += consumed
-            written.append(bit)
-        step = _exec(p, source[read:read + 1])
+        consumed, bit = _IO_EFFECT[action]
+        read += consumed
+        written.append(bit)
+    else:  # fuel spent: stuck exactly when neither relation offers a step
+        stuck = eval_step(p) is None and _exec(p, source[read:read + 1]) is None
     final = ExecutionContext(p, source[read:], "".join(reversed(written)) + c.output)
-    outcome = "terminated" if p is TOP else "stuck" if step is None else "fuel"
+    outcome = "terminated" if p is TOP else "stuck" if stuck else "fuel"
     return RunResult(outcome, final, tuple(trace))
 
 

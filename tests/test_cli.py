@@ -456,6 +456,20 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_env_fuel_read_on_every_call(self, files, capsys, monkeypatch):
+        # the parser is built once per process; KAMIO_FUEL is not
+        path = files("omega.kam", r"(\x. x x) (\x. x x) * nil")
+        monkeypatch.setenv("KAMIO_FUEL", "7")
+        code, out, _ = run_cli(capsys, "run", path, "--prelude", "--format", "json")
+        assert (code, json.loads(out)["steps"]) == (3, 7)
+        monkeypatch.delenv("KAMIO_FUEL")
+        code, out, _ = run_cli(capsys, "run", path, "--prelude", "--format", "json")
+        assert (code, json.loads(out)["steps"]) == (3, machine.DEFAULT_FUEL)
+        monkeypatch.setenv("KAMIO_FUEL", "abc")
+        code, _, err = run_cli(capsys, "run", path, "--prelude")
+        assert code == 1
+        assert err == "kamio: error: argument --fuel: invalid int value: 'abc'\n"
+
     def test_option_the_subcommand_does_not_take_exit_1(self, files, capsys):
         path = files("n.lam", "#3")
         code, _, _ = run_cli(capsys, "decode", path, "--depth", "3")

@@ -6,16 +6,16 @@ import hypothesis.strategies as st
 
 import gen
 import reference_machine as reference
-from kamio.combinators import Y
+from kamio.combinators import B, H, S, W, Y, compile_function
 from kamio.equivalence import observable
 from kamio.machine import (
     Action, ExecutionContext, bin_nat, eval_step, exec_step,
-    exec_step_labeled, implements_on, nat_of_bin, run, settle,
+    exec_step_labeled, implements_on, lts_step, nat_of_bin, run, settle,
 )
 from kamio.realizability import FinitePole
 from kamio.syntax import (
     App, END, EMPTY, Pair, READ, TOP, WRITE0, WRITE1,
-    parse_process, parse_term, stack_of,
+    church_numeral, parse_process, parse_term, stack_of,
 )
 
 OMEGA = r"(\x. x x) (\x. x x) * nil"
@@ -55,6 +55,16 @@ class TestEvalStep:
 
     def test_top_has_no_step(self):
         assert eval_step(TOP) is None
+
+    @given(st.one_of(gen.processes(), gen.silent_loops()))
+    def test_exactly_the_silent_transitions(self, p):
+        # `run` takes silent steps from eval_step and asks lts_step only
+        # when eval_step has none; that is exact because of this.
+        q, transitions = eval_step(p), lts_step(p)
+        if q is None:
+            assert all(action is not Action.TAU for action, _ in transitions)
+        else:
+            assert transitions == ((Action.TAU, q),)
 
 
 def _silent_chain(p, limit=62):
@@ -312,9 +322,9 @@ COPY_LOOP = Pair(Y, stack_of(parse_term(r"\x. read (write0 x) (write1 x) end")))
 
 
 class TestAgainstReference:
-    """The lts_step-based execution matches the hand-written rules it
-    replaced (tests/reference_machine.py) on outcome, final context and
-    trace."""
+    """The execution built on eval_step and lts_step matches the
+    hand-written rules it replaced (tests/reference_machine.py) on
+    outcome, final context and trace."""
 
     @given(gen.contexts())
     def test_exec_step_labeled(self, c):
@@ -332,6 +342,20 @@ class TestAgainstReference:
         result = run(c)
         assert result.terminated and result.final.output == bits[::-1]
         assert result == reference.run(c)
+
+    @pytest.mark.parametrize("program, bits", [
+        *(pytest.param(compile_function(t), bin_nat(n), id=f"{name}-bin{n}")
+          for name, t in (("id", parse_term(r"\x. x")), ("S", S), ("B", B), ("H", H))
+          for n in range(13)),
+        *(pytest.param(Pair(App(W, church_numeral(n)), stack_of()), "", id=f"W-#{n}")
+          for n in range(13)),
+    ])
+    def test_compiled_programs(self, program, bits):
+        c = ExecutionContext(program, bits, "")
+        full = run(c)
+        assert full.terminated and full == reference.run(c)
+        for fuel in (full.steps, full.steps - 1):
+            assert run(c, fuel) == reference.run(c, fuel)
 
     @given(gen.contexts())
     def test_fuel_set_to_the_last_step(self, c):
