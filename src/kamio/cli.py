@@ -166,6 +166,8 @@ def _parse_table(text: str) -> dict[int, int]:
         n, m = int(parts[0]), int(parts[1])
         if n < 0 or m < 0:
             raise ValueError(f"table line {lineno}: naturals required")
+        if n in table:
+            raise ValueError(f"table line {lineno}: input {n} already has a row")
         table[n] = m
     return table
 

@@ -23,7 +23,7 @@ from .syntax import (
 __all__ = [
     "decode_numeral", "storage_apply", "compile_function",
     "reader_process", "MalformedOutput",
-    "COMBINATORS", "PRELUDE_NAMES", "PRELUDE_SOURCE", "prelude_definitions",
+    "COMBINATORS", "PRELUDE_SOURCE", "prelude_definitions",
     "load_prelude", "resolve_names",
     "B", "C", "H", "S", "E", "Z", "Y", "F", "Q", "R", "V", "W",
 ]
@@ -84,7 +84,6 @@ def load_prelude(source: str) -> dict[str, Term]:
 
 PRELUDE_SOURCE = resources.files("kamio").joinpath("prelude.kam").read_text(encoding="utf-8")
 COMBINATORS: dict[str, Term] = load_prelude(PRELUDE_SOURCE)
-PRELUDE_NAMES = tuple(COMBINATORS)
 
 B = COMBINATORS["B"]
 C = COMBINATORS["C"]

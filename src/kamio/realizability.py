@@ -6,9 +6,11 @@ specifications (input/output tables, trace disciplines), so membership is
 a fuel-bounded three-valued check.  Truth values are finite stack sets, a
 term realizes a truth value when pairing it with each member stack lands
 in the pole, and entailment between finite predicates is checked by
-enumerating realizer tuples.  Every quantification over an infinite set
-(all stacks, all realizers, all inputs) is approximated by explicit
-samples, and verdicts that relied on a sample say so.
+enumerating realizer tuples.  Derived connectives are `implication`
+calls; rule realizers are functions of the premises' realizers.  Every
+quantification over an infinite set (all stacks, all realizers, all
+inputs) is approximated by explicit samples, and verdicts that relied on
+a sample say so.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .machine import (
     Action, DEFAULT_FUEL, ExecutionContext, implements_row, run, settle,
 )
 from .syntax import (
-    Abs, App, CALLCC, Pair, Process, Stack, Term, TOP, Var,
+    Abs, App, Pair, Process, Stack, Term, TOP, Var,
     effect_constants, parse_process, parse_stack, parse_term, pretty,
     require_proof_like,
 )
@@ -33,17 +35,11 @@ __all__ = [
     "COPY", "READ_ALL_THEN_WRITE",
     "trace_conforms", "all_inputs",
     "realizes", "implication", "forall_along", "reindex",
-    "Connective", "encode", "and_antecedent", "MissingRealizers",
     "check_entailment",
-    "Ax", "BotE", "ImpI", "ImpE", "Weaken", "Contract", "Exchange", "Peirce",
-    "rule_realizer",
+    "IDENTITY", "weaken", "contract", "exchange", "modus_ponens",
     "consistency_probe", "ConsistencyReport", "CandidateProbe", "AuditEntry",
     "scenario_from_json", "pole_from_json", "run_scenario", "verdict_to_json",
 ]
-
-
-class MissingRealizers(Exception):
-    """An encoding needs a realizer list for an implication antecedent."""
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +274,11 @@ def realizes(pole: Pole, t: Term, s: TruthValue, fuel: int | None = None) -> Ver
 
 def implication(realizers_of_s: RealizerList, t: TruthValue) -> TruthValue:
     """The truth value S => T as the explicit set {u . pi} built from the
-    supplied realizers of S and the stacks of T."""
+    supplied realizers of S and the stacks of T.  Derived connectives take
+    one call per arrow, into falsity bot (a falsity_sample) or into psi:
+    top = bot => bot;  not phi = phi => bot;
+    phi and psi = (phi => (psi => bot)) => bot;  phi or psi = (phi => bot) => psi.
+    """
     stacks = [pi.push(u) for u in realizers_of_s for pi in t]
     return TruthValue.of(stacks)  # explicit now, so the sample flag clears
 
@@ -300,56 +300,6 @@ def reindex(f: Mapping, phi: Predicate) -> Predicate:
     """Reindexing along f: J -> I: the predicate j |-> phi(f(j))."""
     indices = tuple(f)
     return Predicate(indices, {j: phi(f[j]) for j in indices})
-
-
-class Connective:
-    TOP = "top"
-    AND = "and"
-    OR = "or"
-    NOT = "not"
-
-
-def and_antecedent(phi_realizers: RealizerList, psi_realizers: RealizerList,
-                   bot_sample: TruthValue) -> TruthValue:
-    """The antecedent phi => (psi => bot) of the conjunction encoding."""
-    return implication(phi_realizers, implication(psi_realizers, bot_sample))
-
-
-def encode(connective: str, *,
-           bot_sample: TruthValue | None = None,
-           bot_realizers: RealizerList | None = None,
-           phi_realizers: RealizerList | None = None,
-           antecedent_realizers: RealizerList | None = None,
-           negation_realizers: RealizerList | None = None,
-           psi: TruthValue | None = None) -> TruthValue:
-    """Expand a derived connective into implications and falsity:
-
-    top        = bot => bot                   (needs bot_realizers)
-    not(phi)   = phi => bot                   (needs phi_realizers)
-    and(phi,psi) = (phi => (psi => bot)) => bot
-                 (needs antecedent_realizers for phi => (psi => bot),
-                  buildable via and_antecedent)
-    or(phi,psi)  = (phi => bot) => psi        (needs negation_realizers
-                  for phi => bot, and psi)
-    """
-    def need(value, name):
-        if value is None:
-            raise MissingRealizers(f"encoding {connective!r} needs {name}")
-        return value
-
-    if connective == Connective.TOP:
-        return implication(need(bot_realizers, "bot_realizers"),
-                           need(bot_sample, "bot_sample"))
-    if connective == Connective.NOT:
-        return implication(need(phi_realizers, "phi_realizers"),
-                           need(bot_sample, "bot_sample"))
-    if connective == Connective.AND:
-        return implication(need(antecedent_realizers, "antecedent_realizers"),
-                           need(bot_sample, "bot_sample"))
-    if connective == Connective.OR:
-        return implication(need(negation_realizers, "negation_realizers"),
-                           need(psi, "psi"))
-    raise ValueError(f"unknown connective {connective!r}")
 
 
 @dataclass(frozen=True)
@@ -399,51 +349,11 @@ def check_entailment(pole: Pole, seq: Sequent, fuel: int | None = None) -> Verdi
 
 
 # ---------------------------------------------------------------------------
-# Rule realizers (the terms used in the admissibility proofs)
+# Rule realizers: each function maps the premises' realizers to the
+# conclusion's.  The axiom's realizer is IDENTITY, Peirce's law's is cc
+# itself, and bot-elimination and =>-introduction keep the premise's.
 
-
-@dataclass(frozen=True)
-class Ax:
-    pass
-
-
-@dataclass(frozen=True)
-class BotE:
-    premise: Term
-
-
-@dataclass(frozen=True)
-class ImpI:
-    premise: Term
-
-
-@dataclass(frozen=True)
-class ImpE:
-    implication_realizer: Term  # realizes Delta |- psi => theta, |Delta| = m
-    argument_realizer: Term     # realizes Gamma |- psi, |Gamma| = n
-    n: int
-    m: int
-
-
-@dataclass(frozen=True)
-class Weaken:
-    premise: Term
-
-
-@dataclass(frozen=True)
-class Contract:
-    premise: Term
-
-
-@dataclass(frozen=True)
-class Exchange:
-    premise: Term
-    sigma: tuple[int, ...]  # permutation of 1..n
-
-
-@dataclass(frozen=True)
-class Peirce:
-    pass
+IDENTITY = Abs("x", Var("x"))
 
 
 def _apply_vars(t: Term, names: list[str]) -> Term:
@@ -452,42 +362,43 @@ def _apply_vars(t: Term, names: list[str]) -> Term:
     return t
 
 
-def rule_realizer(rule) -> Term:
-    """Build the realizer term for a structural or logical rule."""
-    match rule:
-        case Ax():
-            return Abs("x", Var("x"))
-        case BotE(premise=t) | ImpI(premise=t):
-            # premise and conclusion have the same realizers
-            return require_proof_like(t, "rule premise")
-        case Weaken(premise=t):
-            return Abs("x", require_proof_like(t, "rule premise"))
-        case Contract(premise=t):
-            require_proof_like(t, "rule premise")
-            return Abs("x", App(App(t, Var("x")), Var("x")))
-        case Exchange(premise=t, sigma=sigma):
-            require_proof_like(t, "rule premise")
-            n = len(sigma)
-            if sorted(sigma) != list(range(1, n + 1)):
-                raise ValueError(f"sigma must permute 1..{n}: {sigma!r}")
-            names = [f"x{i}" for i in range(1, n + 1)]
-            body = _apply_vars(t, names)
-            for i in reversed(sigma):
-                body = Abs(names[i - 1], body)
-            return body
-        case ImpE(implication_realizer=t, argument_realizer=u, n=n, m=m):
-            require_proof_like(t, "rule premise")
-            require_proof_like(u, "rule premise")
-            xs = [f"x{i}" for i in range(1, n + 1)]
-            ys = [f"y{i}" for i in range(1, m + 1)]
-            body = App(_apply_vars(t, ys), _apply_vars(u, xs))
-            for name in reversed(xs + ys):
-                body = Abs(name, body)
-            return body
-        case Peirce():
-            return CALLCC
-        case _:
-            raise ValueError(f"unknown rule {rule!r}")
+def weaken(t: Term) -> Term:
+    """From t for Gamma |- phi, the realizer \\x. t of psi, Gamma |- phi."""
+    return Abs("x", require_proof_like(t, "rule premise"))
+
+
+def contract(t: Term) -> Term:
+    """From t for phi, phi, Gamma |- psi, the realizer \\x. t x x of phi, Gamma |- psi."""
+    require_proof_like(t, "rule premise")
+    return Abs("x", App(App(t, Var("x")), Var("x")))
+
+
+def exchange(t: Term, sigma: tuple[int, ...]) -> Term:
+    """From t for phi_1 .. phi_n |- psi and sigma permuting 1..n, the realizer
+    \\x_sigma(1) .. x_sigma(n). t x_1 .. x_n of phi_sigma(1) .. phi_sigma(n) |- psi."""
+    require_proof_like(t, "rule premise")
+    n = len(sigma)
+    if sorted(sigma) != list(range(1, n + 1)):
+        raise ValueError(f"sigma must permute 1..{n}: {sigma!r}")
+    names = [f"x{i}" for i in range(1, n + 1)]
+    body = _apply_vars(t, names)
+    for i in reversed(sigma):
+        body = Abs(names[i - 1], body)
+    return body
+
+
+def modus_ponens(t: Term, u: Term, n: int, m: int) -> Term:
+    """From t for Delta |- psi => theta (|Delta| = m) and u for Gamma |- psi
+    (|Gamma| = n), the realizer \\x_1 .. x_n y_1 .. y_m. t y_1 .. y_m (u x_1 .. x_n)
+    of Gamma, Delta |- theta."""
+    require_proof_like(t, "rule premise")
+    require_proof_like(u, "rule premise")
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    ys = [f"y{i}" for i in range(1, m + 1)]
+    body = App(_apply_vars(t, ys), _apply_vars(u, xs))
+    for name in reversed(xs + ys):
+        body = Abs(name, body)
+    return body
 
 
 # ---------------------------------------------------------------------------

@@ -565,15 +565,19 @@ class _Parser:
         return False
 
     def term(self) -> Term:
+        # a lambda chain is read in a loop; parentheses and kont{} still recurse
+        binders = []
         kind, value, _, _ = self.peek()
-        if kind == "punct" and value == "\\":
+        while kind == "punct" and value == "\\":
             self.advance()
-            name = self.binder()
+            binders.append(self.binder())
             self.expect_punct(".")
-            return Abs(name, self.term())
+            kind, value, _, _ = self.peek()
         t = self.atom()
         while self.starts_atom():
             t = App(t, self.atom())
+        while binders:
+            t = Abs(binders.pop(), t)
         return t
 
     def binder(self) -> str:

@@ -23,10 +23,10 @@ from kamio.machine import (
     Action, ExecutionContext, bin_nat, eval_step, exec_step_labeled, run,
 )
 from kamio.realizability import (
-    Ax, Contract, ContextEntry, FinitePole, FunctionPole, ImpE, Peirce,
-    Predicate, RealizerList, Sequent, TracePole, TruthValue, Weaken,
-    check_entailment, consistency_probe, falsity_sample, implication,
-    realizes, rule_realizer, COPY,
+    ContextEntry, FinitePole, FunctionPole, IDENTITY, Predicate,
+    RealizerList, Sequent, TracePole, TruthValue, check_entailment,
+    consistency_probe, contract, falsity_sample, implication,
+    modus_ponens, realizes, weaken, COPY,
 )
 from kamio.syntax import (
     App, CALLCC, EMPTY, END, Kont, Pair, READ, TOP, WRITE0, WRITE1,
@@ -34,7 +34,6 @@ from kamio.syntax import (
 )
 
 FUEL = 10**6
-IDENTITY = parse_term(r"\x. x")
 FST = parse_term(r"\u. \v. u")
 
 
@@ -326,49 +325,49 @@ def _battery():
 
     # axiom, twice with different base terms and conclusion stacks
     pole = FinitePole.of([Pair(FST, EMPTY)], 2000)
-    scenarios.append(("Ax/fst", *sequent(pole, [[FST]], [EMPTY], rule_realizer(Ax()))))
+    scenarios.append(("Ax/fst", *sequent(pole, [[FST]], [EMPTY], IDENTITY)))
     pole = FinitePole.of([Pair(IDENTITY, stack_of(END))], 2000)
     scenarios.append(("Ax/id", *sequent(pole, [[IDENTITY]], [stack_of(END)],
-                                        rule_realizer(Ax()))))
+                                        IDENTITY)))
 
     # weakening: an extra hypothesis is discarded
     pole = FinitePole.of([Pair(FST, EMPTY)], 2000)
     scenarios.append(("Weaken/ax", *sequent(
         pole, [[IDENTITY], [FST]], [EMPTY],
-        rule_realizer(Weaken(rule_realizer(Ax()))))))
+        weaken(IDENTITY))))
     pole = FinitePole.of([Pair(snd, stack_of(CALLCC))], 2000)
     scenarios.append(("Weaken/other", *sequent(
         pole, [[CALLCC], [snd]], [stack_of(CALLCC)],
-        rule_realizer(Weaken(rule_realizer(Ax()))))))
+        weaken(IDENTITY))))
 
     # contraction: one hypothesis feeds both copies
     pole = FinitePole.of([Pair(FST, EMPTY)], 2000)
     scenarios.append(("Contract/fst", *sequent(
-        pole, [[FST]], [EMPTY], rule_realizer(Contract(FST)))))
+        pole, [[FST]], [EMPTY], contract(FST))))
     second_projector = parse_term(r"\a. \b. b")
     pole = FinitePole.of([Pair(FST, EMPTY)], 2000)
     scenarios.append(("Contract/snd", *sequent(
-        pole, [[FST]], [EMPTY], rule_realizer(Contract(second_projector)))))
+        pole, [[FST]], [EMPTY], contract(second_projector))))
 
     # modus-ponens composition
     drop_then_arg = parse_term(r"\d. \s. s")
     pole = FinitePole.of([Pair(FST, EMPTY)], 2000)
     scenarios.append(("ImpE/1+1", *sequent(
         pole, [[FST], [IDENTITY]], [EMPTY],
-        rule_realizer(ImpE(drop_then_arg, IDENTITY, n=1, m=1)))))
+        modus_ponens(drop_then_arg, IDENTITY, n=1, m=1))))
     two_arg_fst = parse_term(r"\a. \b. a")
     pole = FinitePole.of([Pair(FST, EMPTY)], 2000)
     scenarios.append(("ImpE/2+1", *sequent(
         pole, [[FST], [IDENTITY], [IDENTITY]], [EMPTY],
-        rule_realizer(ImpE(drop_then_arg, two_arg_fst, n=2, m=1)))))
+        modus_ponens(drop_then_arg, two_arg_fst, n=2, m=1))))
 
     # Peirce: one context realizer ignores the continuation, one invokes it
     pole = FinitePole.of([Pair(FST, EMPTY)], 2000)
     scenarios.append(("Peirce/discard", *sequent(
-        pole, [[parse_term(r"\k. \u. \v. u")]], [EMPTY], rule_realizer(Peirce()))))
+        pole, [[parse_term(r"\k. \u. \v. u")]], [EMPTY], CALLCC)))
     pole = FinitePole.of([Pair(FST, EMPTY)], 2000)
     scenarios.append(("Peirce/invoke", *sequent(
-        pole, [[parse_term(r"\k. k (\u. \v. u)")]], [EMPTY], rule_realizer(Peirce()))))
+        pole, [[parse_term(r"\k. k (\u. \v. u)")]], [EMPTY], CALLCC)))
 
     assert len(scenarios) == 10
     return scenarios

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,7 @@ from kamio.cli import main
 from kamio.syntax import parse_process
 
 
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 COPY_SOURCE = r"Y * (\x. read (write0 x) (write1 x) end) :: nil"
 
 
@@ -56,6 +58,13 @@ class TestParse:
         assert code == 1
         assert out == ""
         assert err == "kamio: error: input is nested too deeply\n"
+
+    def test_long_lambda_chain_exit_0(self, files, capsys):
+        text = "".join(f"\\a{i}. " for i in range(10_000)) + "a0"
+        path = files("chain.lam", text)
+        code, out, err = run_cli(capsys, "parse", path)
+        assert code == 0 and err == ""
+        assert out == text + "\n"
 
 
 class TestRun:
@@ -226,6 +235,17 @@ class TestCompileAndVerify:
         code, _, err = run_cli(capsys, "compile-fn", lam, "-o", "-")
         assert code == 1
         assert "instruction constants" in err
+
+    @pytest.mark.parametrize("rows", ["3\t6\n3\t7\n", "3\t7\n3\t6\n"],
+                             ids=["6_then_7", "7_then_6"])
+    def test_repeated_input_exit_1(self, files, capsys, tmp_path, rows):
+        out_path = str(tmp_path / "double.kam")
+        run_cli(capsys, "compile-fn", str(DEMOS / "double.lam"), "-o", out_path, "--prelude")
+        table = files("double.tsv", rows)
+        code, out, err = run_cli(capsys, "verify-impl", out_path, "--table", table)
+        assert code == 1
+        assert out == ""
+        assert err == "kamio: error: table line 2: input 3 already has a row\n"
 
     def test_malformed_table_exit_1(self, files, capsys, tmp_path):
         lam = files("id.lam", r"\x. x")

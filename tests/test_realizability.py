@@ -11,21 +11,18 @@ from kamio.combinators import F, S, W, Y, compile_function
 from kamio.equivalence import weak_bisim
 from kamio.machine import bin_nat, eval_step
 from kamio.realizability import (
-    Ax, BotE, COPY, Connective, Contract, ContextEntry,
-    Exchange, FinitePole, FunctionPole, ImpE, ImpI, MissingRealizers,
-    Peirce, Predicate, READ_ALL_THEN_WRITE, RealizerList, Sequent,
-    TracePole, UnionPole, Weaken, all_inputs, and_antecedent,
-    check_entailment, consistency_probe, encode, falsity_sample,
-    forall_along, implication, pole_from_json, realizes,
-    reindex, rule_realizer, run_scenario, scenario_from_json,
-    trace_conforms, TruthValue,
+    COPY, ContextEntry, FinitePole, FunctionPole, IDENTITY, Predicate,
+    READ_ALL_THEN_WRITE, RealizerList, Sequent, TracePole, UnionPole,
+    all_inputs, check_entailment, consistency_probe, contract, exchange,
+    falsity_sample, forall_along, implication, modus_ponens, pole_from_json,
+    realizes, reindex, run_scenario, scenario_from_json, trace_conforms,
+    TruthValue, weaken,
 )
 from kamio.syntax import (
     Abs, App, CALLCC, EMPTY, END, Kont, NotProofLike, Pair, READ, WRITE0, WRITE1,
     church_numeral, effect_constants, parse_process, parse_stack, parse_term, stack_of,
 )
 
-IDENTITY = parse_term(r"\x. x")
 FST = parse_term(r"\u. \v. u")
 COPY_PROCESS = Pair(Y, stack_of(parse_term(r"\x. read (write0 x) (write1 x) end")))
 
@@ -257,36 +254,22 @@ class TestConnectives:
         for i in phi.index_set:
             assert set(back(i).stacks) == set(phi(i).stacks)
 
-    def test_encode_top(self):
+    def test_derived_connectives(self):
         bot = falsity_sample([EMPTY])
-        out = encode(Connective.TOP, bot_sample=bot, bot_realizers=RealizerList.of([END]))
-        assert out.stacks == (stack_of(END),)
-
-    def test_encode_not_of_empty(self):
-        out = encode(Connective.NOT, bot_sample=falsity_sample([EMPTY]),
-                     phi_realizers=RealizerList(()))
-        assert len(out) == 0
-
-    def test_encode_and_expands_double_negation(self):
-        bot = falsity_sample([EMPTY])
-        phi_r = RealizerList.of([END])
-        psi_r = RealizerList.of([CALLCC])
-        antecedent = and_antecedent(phi_r, psi_r, bot)
+        # top = bot => bot
+        top = implication(RealizerList.of([END]), bot)
+        assert top.stacks == (stack_of(END),)
+        # not phi = phi => bot, here with no realizers of phi
+        assert len(implication(RealizerList(()), bot)) == 0
+        # phi and psi = (phi => (psi => bot)) => bot
+        antecedent = implication(RealizerList.of([END]),
+                                 implication(RealizerList.of([CALLCC]), bot))
         assert antecedent.stacks == (parse_stack("end :: cc :: nil"),)
-        out = encode(Connective.AND, bot_sample=bot,
-                     antecedent_realizers=RealizerList.of([FST]))
-        assert out.stacks == (parse_stack(r"(\u. \v. u) :: nil"),)
-
-    def test_encode_or(self):
-        psi = TruthValue.of([EMPTY])
-        out = encode(Connective.OR, negation_realizers=RealizerList.of([END]), psi=psi)
-        assert out.stacks == (stack_of(END),)
-
-    def test_missing_realizers(self):
-        with pytest.raises(MissingRealizers):
-            encode(Connective.TOP, bot_sample=falsity_sample([EMPTY]))
-        with pytest.raises(MissingRealizers):
-            encode(Connective.AND, bot_sample=falsity_sample([EMPTY]))
+        conjunction = implication(RealizerList.of([FST]), bot)
+        assert conjunction.stacks == (parse_stack(r"(\u. \v. u) :: nil"),)
+        # phi or psi = (phi => bot) => psi
+        disjunction = implication(RealizerList.of([END]), TruthValue.of([EMPTY]))
+        assert disjunction.stacks == (stack_of(END),)
 
 
 def simple_sequent(pole_seed, context_lists, conclusion_stacks, candidate):
@@ -300,20 +283,19 @@ def simple_sequent(pole_seed, context_lists, conclusion_stacks, candidate):
 class TestCheckEntailment:
     def test_axiom(self):
         pole = FinitePole.of([Pair(FST, EMPTY)], fuel=500)
-        seq = simple_sequent(pole, [[FST]], [EMPTY], rule_realizer(Ax()))
+        seq = simple_sequent(pole, [[FST]], [EMPTY], IDENTITY)
         assert check_entailment(pole, seq).is_verified
 
     def test_peirce(self):
         pole = FinitePole.of([Pair(FST, EMPTY)], fuel=500)
         u_discard = parse_term(r"\k. \u. \v. u")
         u_invoke = parse_term(r"\k. k (\u. \v. u)")
-        seq = simple_sequent(pole, [[u_discard, u_invoke]], [EMPTY],
-                             rule_realizer(Peirce()))
+        seq = simple_sequent(pole, [[u_discard, u_invoke]], [EMPTY], CALLCC)
         assert check_entailment(pole, seq).is_verified
 
     def test_refutation_carries_index_tuple_stack(self):
         pole = FinitePole.of([Pair(FST, EMPTY)], fuel=500)
-        seq = simple_sequent(pole, [[END]], [EMPTY], rule_realizer(Ax()))
+        seq = simple_sequent(pole, [[END]], [EMPTY], IDENTITY)
         verdict = check_entailment(pole, seq)
         assert verdict.is_refuted
         index, combo, pi = verdict.witness
@@ -332,34 +314,35 @@ class TestCheckEntailment:
 
 class TestRuleRealizers:
     def test_shapes(self):
-        assert rule_realizer(Ax()) == IDENTITY
-        assert rule_realizer(Peirce()) is CALLCC
-        assert rule_realizer(Weaken(FST)) == parse_term(r"\x. \u. \v. u")
-        assert rule_realizer(Contract(FST)) == parse_term(r"\x. (\u. \v. u) x x")
-        assert rule_realizer(BotE(FST)) == FST
-        assert rule_realizer(ImpI(FST)) == FST
+        assert IDENTITY == parse_term(r"\x. x")
+        assert weaken(FST) == parse_term(r"\x. \u. \v. u")
+        assert contract(FST) == parse_term(r"\x. (\u. \v. u) x x")
 
     def test_exchange_binders_follow_sigma(self):
         t = parse_term(r"\a. \b. a")
-        swapped = rule_realizer(Exchange(t, (2, 1)))
+        swapped = exchange(t, (2, 1))
         assert swapped == parse_term(r"\x2. \x1. (\a. \b. a) x1 x2")
 
     def test_exchange_identity_permutation(self):
         t = parse_term(r"\a. \b. a")
-        assert rule_realizer(Exchange(t, (1, 2))) == parse_term(r"\x1. \x2. (\a. \b. a) x1 x2")
+        assert exchange(t, (1, 2)) == parse_term(r"\x1. \x2. (\a. \b. a) x1 x2")
 
     def test_exchange_bad_permutation(self):
-        with pytest.raises(ValueError):
-            rule_realizer(Exchange(IDENTITY, (1, 3)))
+        with pytest.raises(ValueError, match=r"^sigma must permute 1\.\.2: \(1, 3\)$"):
+            exchange(IDENTITY, (1, 3))
 
     def test_imp_e_shape(self):
         t, u = parse_term(r"\d. \s. s"), IDENTITY
-        built = rule_realizer(ImpE(t, u, n=1, m=1))
+        built = modus_ponens(t, u, n=1, m=1)
         assert built == parse_term(r"\x1. \y1. (\d. \s. s) y1 ((\x. x) x1)")
 
     def test_effectful_premise_rejected(self):
-        with pytest.raises(NotProofLike):
-            rule_realizer(Weaken(END))
+        for build in (weaken, contract, lambda t: exchange(t, (1,)),
+                      lambda t: modus_ponens(t, IDENTITY, 1, 1),
+                      lambda u: modus_ponens(IDENTITY, u, 1, 1)):
+            with pytest.raises(NotProofLike,
+                               match=r"^rule premise contains instruction constants \['end'\]$"):
+                build(END)
 
     def test_exchange_validated_semantically(self):
         # a 3-cycle distinguishes the permutation direction; the realizer
@@ -376,12 +359,12 @@ class TestRuleRealizers:
         exchanged = tuple(
             ContextEntry(predicate, {"i": RealizerList.of(realizer_lists[sigma[k]])})
             for k in range(3))
-        good = Sequent(exchanged, predicate, rule_realizer(Exchange(t, sigma)))
+        good = Sequent(exchanged, predicate, exchange(t, sigma))
         assert check_entailment(pole, good).is_verified
         # the inverse permutation builds a different term, and the semantic
         # check refutes it on the same scenario
         inverse = (3, 1, 2)
-        bad = Sequent(exchanged, predicate, rule_realizer(Exchange(t, inverse)))
+        bad = Sequent(exchanged, predicate, exchange(t, inverse))
         assert check_entailment(pole, bad).is_refuted
 
     def test_compiled_functions_inhabit_their_poles(self):
@@ -399,20 +382,20 @@ class TestRuleRealizers:
         pole = FinitePole.of([Pair(FST, EMPTY)], fuel=500)
         duplicated = simple_sequent(pole, [[FST], [FST]], [EMPTY], FST)
         assert check_entailment(pole, duplicated).is_verified
-        contracted = simple_sequent(pole, [[FST]], [EMPTY], rule_realizer(Contract(FST)))
+        contracted = simple_sequent(pole, [[FST]], [EMPTY], contract(FST))
         assert check_entailment(pole, contracted).is_verified
 
     def test_weaken_semantically(self):
         pole = FinitePole.of([Pair(FST, EMPTY)], fuel=500)
         seq = simple_sequent(pole, [[IDENTITY], [FST]], [EMPTY],
-                             rule_realizer(Weaken(rule_realizer(Ax()))))
+                             weaken(IDENTITY))
         assert check_entailment(pole, seq).is_verified
 
     def test_imp_e_semantically(self):
         pole = FinitePole.of([Pair(FST, EMPTY)], fuel=500)
         t = parse_term(r"\d. \s. s")   # realizes [delta] |- psi => theta
         u = IDENTITY                   # realizes [phi] |- psi
-        composed = rule_realizer(ImpE(t, u, n=1, m=1))
+        composed = modus_ponens(t, u, n=1, m=1)
         seq = simple_sequent(pole, [[FST], [IDENTITY]], [EMPTY], composed)
         assert check_entailment(pole, seq).is_verified
 

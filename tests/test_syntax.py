@@ -102,6 +102,23 @@ class TestParseTerm:
         with pytest.raises(ClosednessError):
             parse_term(r"\x. kont{x :: nil}")
 
+    def test_long_lambda_chain(self):
+        names = [f"a{i}" for i in range(10_000)]
+        chain = lambda_chain(names, "a0")
+        text = "".join(f"\\{name}. " for name in names) + "a0"
+        assert parse_term(text) == chain
+        assert parse_term(pretty(chain)) == chain
+
+    def test_reserved_word_at_a_later_binder(self):
+        with pytest.raises(ParseError) as info:
+            parse_term(r"\x. \nil. x")
+        assert str(info.value) == \
+            "1:6: reserved word 'nil' cannot be a variable name (expected identifier)"
+        assert (info.value.line, info.value.col) == (1, 6)
+        with pytest.raises(ParseError) as info:
+            parse_term(r"\x. \y \z. x")
+        assert str(info.value) == "1:8: expected '.', found '\\\\' (expected .)"
+
 
 class TestParseProcess:
     def test_end_nil(self):
