@@ -254,22 +254,31 @@ class TestConnectives:
         for i in phi.index_set:
             assert set(back(i).stacks) == set(phi(i).stacks)
 
-    def test_derived_connectives(self):
-        bot = falsity_sample([EMPTY])
+    def test_encode_top(self):
         # top = bot => bot
-        top = implication(RealizerList.of([END]), bot)
-        assert top.stacks == (stack_of(END),)
+        bot = falsity_sample([EMPTY])
+        out = implication(RealizerList.of([END]), bot)
+        assert out.stacks == (stack_of(END),)
+
+    def test_encode_not_of_empty(self):
         # not phi = phi => bot, here with no realizers of phi
-        assert len(implication(RealizerList(()), bot)) == 0
+        out = implication(RealizerList(()), falsity_sample([EMPTY]))
+        assert len(out) == 0
+
+    def test_encode_and_expands_double_negation(self):
         # phi and psi = (phi => (psi => bot)) => bot
+        bot = falsity_sample([EMPTY])
         antecedent = implication(RealizerList.of([END]),
                                  implication(RealizerList.of([CALLCC]), bot))
         assert antecedent.stacks == (parse_stack("end :: cc :: nil"),)
-        conjunction = implication(RealizerList.of([FST]), bot)
-        assert conjunction.stacks == (parse_stack(r"(\u. \v. u) :: nil"),)
+        out = implication(RealizerList.of([FST]), bot)
+        assert out.stacks == (parse_stack(r"(\u. \v. u) :: nil"),)
+
+    def test_encode_or(self):
         # phi or psi = (phi => bot) => psi
-        disjunction = implication(RealizerList.of([END]), TruthValue.of([EMPTY]))
-        assert disjunction.stacks == (stack_of(END),)
+        psi = TruthValue.of([EMPTY])
+        out = implication(RealizerList.of([END]), psi)
+        assert out.stacks == (stack_of(END),)
 
 
 def simple_sequent(pole_seed, context_lists, conclusion_stacks, candidate):
