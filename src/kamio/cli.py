@@ -169,6 +169,8 @@ def _parse_table(text: str) -> dict[int, int]:
         if n in table:
             raise ValueError(f"table line {lineno}: input {n} already has a row")
         table[n] = m
+    if not table:
+        raise ValueError("table has no rows")
     return table
 
 

@@ -7,7 +7,10 @@ a fuel-bounded three-valued check.  Truth values are finite stack sets, a
 term realizes a truth value when pairing it with each member stack lands
 in the pole, and entailment between finite predicates is checked by
 enumerating realizer tuples.  Derived connectives are `implication`
-calls; rule realizers are functions of the premises' realizers.  Every
+calls; rule realizers are functions of the premises' realizers.  The
+consistency probe gives each candidate the `Verdict.all_of` of its stack
+samples; a scenario is refuted by a candidate no stack refuted or by an
+effect-free member, else unknown if a candidate ran out of fuel.  Every
 quantification over an infinite set (all stacks, all realizers, all
 inputs) is approximated by explicit samples, and verdicts that relied on
 a sample say so.
@@ -37,7 +40,7 @@ __all__ = [
     "realizes", "implication", "forall_along", "reindex",
     "check_entailment",
     "IDENTITY", "weaken", "contract", "exchange", "modus_ponens",
-    "consistency_probe", "ConsistencyReport", "CandidateProbe", "AuditEntry",
+    "consistency_probe", "ConsistencyReport",
     "scenario_from_json", "pole_from_json", "run_scenario", "verdict_to_json",
 ]
 
@@ -406,77 +409,43 @@ def modus_ponens(t: Term, u: Term, n: int, m: int) -> Term:
 
 
 @dataclass(frozen=True)
-class CandidateProbe:
-    term: Term
-    status: str  # "witness_found" | "no_witness_in_sample" | "unknown"
-    witness: Stack | None = None
-
-
-@dataclass(frozen=True)
-class AuditEntry:
-    process: Process
-    has_effect_constant: bool
-
-
-@dataclass(frozen=True)
 class ConsistencyReport:
-    """Per-candidate refutation witnesses plus an audit of every process
-    the probe saw verified: a consistent pole contains no effect-free
-    member other than TOP."""
+    """Each candidate's verdict over the stack samples (Refuted at the first
+    stack whose pairing leaves the pole) and every process other than TOP
+    the probe saw verified: a consistent pole has no effect-free member
+    other than TOP."""
 
-    probes: tuple[CandidateProbe, ...]
-    audit: tuple[AuditEntry, ...]
-
-    @property
-    def violations(self) -> tuple[AuditEntry, ...]:
-        return tuple(entry for entry in self.audit if not entry.has_effect_constant)
+    candidates: tuple[tuple[Term, Verdict], ...]
+    members: tuple[Process, ...]
 
     @property
-    def all_witnessed(self) -> bool:
-        return all(p.status == "witness_found" for p in self.probes)
+    def violations(self) -> tuple[Process, ...]:
+        return tuple(p for p in self.members if not effect_constants(p))
 
 
 def consistency_probe(pole: Pole, candidates: Iterable[Term],
                       stack_samples: Iterable[Stack], fuel: int | None = None,
                       member_samples: Iterable[Process] = ()) -> ConsistencyReport:
     """For each effect-free candidate, search the stack samples for one
-    whose pairing is refuted pole membership; also audit every process
-    found to be a member (including the optional member_samples) for the
-    presence of an instruction constant."""
-    stacks = list(stack_samples)
-    probes: list[CandidateProbe] = []
-    audit: list[AuditEntry] = []
+    whose pairing is refuted pole membership; also collect every process
+    found to be a member (including the optional member_samples), so the
+    report can audit them for an instruction constant."""
+    stacks = tuple(stack_samples)
+    members: list[Process] = []
 
-    def note_member(p: Process) -> None:
-        if p is not TOP:
-            audit.append(AuditEntry(p, bool(effect_constants(p))))
+    def member(p: Process) -> Verdict:
+        verdict = pole.member(p, fuel)
+        if verdict.is_verified and p is not TOP:
+            members.append(p)
+        return verdict
 
+    verdicts = []
     for t in candidates:
         require_proof_like(t, "candidate")
-        witness: Stack | None = None
-        unknown = False
-        for pi in stacks:
-            verdict = pole.member(Pair(t, pi), fuel)
-            if verdict.is_refuted:
-                witness = pi
-                break
-            if verdict.is_unknown:
-                unknown = True
-            else:
-                note_member(Pair(t, pi))
-        if witness is not None:
-            probes.append(CandidateProbe(t, "witness_found", witness))
-        elif unknown:
-            probes.append(CandidateProbe(t, "unknown"))
-        else:
-            probes.append(CandidateProbe(t, "no_witness_in_sample"))
-
+        verdicts.append((t, Verdict.all_of(member(Pair(t, pi)).at(pi) for pi in stacks)))
     for p in member_samples:
-        verdict = pole.member(p, fuel)
-        if verdict.is_verified:
-            note_member(p)
-
-    return ConsistencyReport(tuple(probes), tuple(audit))
+        member(p)
+    return ConsistencyReport(tuple(verdicts), tuple(members))
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +462,12 @@ def pole_from_json(obj: dict, fuel: int | None = None) -> Pole:
     if kind == "finite":
         return FinitePole.of([parse_process(s) for s in obj["seeds"]], **kw)
     if kind == "function":
-        return FunctionPole.of({int(k): int(v) for k, v in obj["table"].items()}, **kw)
+        table: dict[int, int] = {}
+        for key, value in obj["table"].items():
+            if int(key) in table:
+                raise ValueError(f"function pole table names input {int(key)} twice")
+            table[int(key)] = int(value)
+        return FunctionPole.of(table, **kw)
     if kind == "trace":
         return TracePole(obj["spec"], int(obj.get("max_input_len", 4)), **kw)
     if kind == "union":
@@ -550,8 +524,10 @@ def _scenario(obj: dict) -> Scenario:
         sequent = Sequent(tuple(context), conclusion, parse_term(obj["candidate"]))
         return Scenario(kind, pole, fuel, sequent=sequent)
     if kind == "realizes":
-        tv = TruthValue.of((parse_stack(s) for s in obj["truth_value"]["stacks"]),
-                           bool(obj["truth_value"].get("all_stacks", False)))
+        all_stacks = obj["truth_value"].get("all_stacks", False)
+        if not isinstance(all_stacks, bool):
+            raise ValueError(f"all_stacks must be true or false, got {all_stacks!r}")
+        tv = TruthValue.of((parse_stack(s) for s in obj["truth_value"]["stacks"]), all_stacks)
         return Scenario(kind, pole, fuel, term=parse_term(obj["term"]), truth_value=tv)
     if kind == "consistency":
         return Scenario(
@@ -585,6 +561,11 @@ def verdict_to_json(verdict: Verdict) -> dict:
     return out
 
 
+# A candidate's verdict as the report names it: a stack refuted it, or none did.
+_PROBE_STATUS = {"refuted": "witness_found", "unknown": "unknown",
+                 "verified": "no_witness_in_sample"}
+
+
 def run_scenario(scenario: Scenario) -> tuple[Verdict, dict]:
     """Execute a scenario and return (overall verdict, JSON-able report)."""
     if scenario.kind == "entailment":
@@ -595,22 +576,24 @@ def run_scenario(scenario: Scenario) -> tuple[Verdict, dict]:
         return verdict, {"kind": scenario.kind, "verdict": verdict_to_json(verdict)}
     report = consistency_probe(scenario.pole, scenario.candidates,
                                scenario.stack_samples, member_samples=scenario.member_samples)
-    if report.all_witnessed and not report.violations:
-        verdict = Verdict.verified()
-    elif any(p.status == "unknown" for p in report.probes):
+    # The scenario refutes consistency when a candidate no stack refuted,
+    # or an effect-free member, turned up; as in Verdict.all_of, a refutation
+    # beats an unknown candidate, which beats Verified.
+    refuting = [t for t, v in report.candidates if v.is_verified] + list(report.violations)
+    if refuting:
+        verdict = Verdict.refuted(refuting)
+    elif any(v.is_unknown for _, v in report.candidates):
         verdict = Verdict.unknown("fuel")
     else:
-        verdict = Verdict.refuted(
-            [pretty(p.term) for p in report.probes if p.status != "witness_found"]
-            + [pretty(e.process) for e in report.violations])
+        verdict = Verdict.verified()
     return verdict, {
         "kind": scenario.kind,
         "verdict": verdict_to_json(verdict),
         "candidates": [
-            {"term": pretty(p.term), "status": p.status,
-             "witness": None if p.witness is None else pretty(p.witness)}
-            for p in report.probes],
+            {"term": pretty(t), "status": _PROBE_STATUS[v.status],
+             "witness": pretty(v.witness) if v.is_refuted else None}
+            for t, v in report.candidates],
         "audit": [
-            {"process": pretty(e.process), "has_effect_constant": e.has_effect_constant}
-            for e in report.audit],
+            {"process": pretty(p), "has_effect_constant": bool(effect_constants(p))}
+            for p in report.members],
     }

@@ -401,10 +401,9 @@ def test_12_consistency():
         member = compile_function(IDENTITY)
         report = consistency_probe(pole, candidates, samples, FUEL,
                                    member_samples=[member])
-        for probe in report.probes:
-            assert probe.status == "witness_found", probe
+        for candidate, verdict in report.candidates:
+            assert verdict.is_refuted, (candidate, verdict)
         assert not report.violations
-        verified_members = [entry for entry in report.audit]
-        assert any(entry.process == member for entry in verified_members)
-        for entry in verified_members:
-            assert "end" in effect_constants(entry.process)
+        assert member in report.members
+        for process in report.members:
+            assert "end" in effect_constants(process)

@@ -247,6 +247,18 @@ class TestCompileAndVerify:
         assert out == ""
         assert err == "kamio: error: table line 2: input 3 already has a row\n"
 
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n"], ids=["empty", "comments"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_table_without_rows_exit_1(self, files, capsys, tmp_path, text, fmt):
+        lam = files("id.lam", r"\x. x")
+        out_path = str(tmp_path / "id.kam")
+        run_cli(capsys, "compile-fn", lam, "-o", out_path)
+        table = files("empty.tsv", text)
+        code, out, err = run_cli(capsys, "verify-impl", out_path, "--table", table,
+                                 "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == "kamio: error: table has no rows\n"
+
     def test_malformed_table_exit_1(self, files, capsys, tmp_path):
         lam = files("id.lam", r"\x. x")
         out_path = str(tmp_path / "id.kam")
@@ -352,6 +364,80 @@ class TestRealize:
         assert code == 3
         code, _, _ = run_cli(capsys, "realize", scenario)
         assert code == 0
+
+    LOOP = r"(\x. x x x) (\x. x x x)"  # grows on every cycle, so fuel runs out
+
+    def _probe(self, files, seed, candidates, stack, member_samples=()):
+        return files("probe.json", json.dumps({
+            "kind": "consistency", "fuel": 50,
+            "pole": {"kind": "finite", "seeds": [seed]},
+            "candidates": candidates, "stack_samples": [stack],
+            "member_samples": list(member_samples),
+        }))
+
+    def test_probe_out_of_fuel_unknown(self, files, capsys):
+        scenario = self._probe(files, "end * nil", [self.LOOP], "nil")
+        code, out, _ = run_cli(capsys, "realize", scenario)
+        report = json.loads(out)
+        assert code == 3
+        assert report["verdict"] == {"status": "unknown", "reason": "fuel"}
+        assert report["candidates"] == [
+            {"term": self.LOOP, "status": "unknown", "witness": None}]
+
+    def test_violation_beats_unknown_candidate(self, files, capsys):
+        pure = r"(\u. \v. u) * nil"
+        scenario = self._probe(files, pure, [self.LOOP], "nil", member_samples=[pure])
+        code, out, _ = run_cli(capsys, "realize", scenario)
+        report = json.loads(out)
+        assert code == 2
+        assert report["verdict"] == {"status": "refuted", "witness": [r"\u. \v. u * nil"]}
+        assert report["candidates"][0]["status"] == "unknown"
+        assert report["audit"] == [
+            {"process": r"\u. \v. u * nil", "has_effect_constant": False}]
+
+    def test_unrefuted_candidate_beats_unknown_candidate(self, files, capsys):
+        scenario = self._probe(files, "end * nil", [self.LOOP, r"\x. x"], "end :: nil")
+        code, out, _ = run_cli(capsys, "realize", scenario)
+        report = json.loads(out)
+        assert code == 2
+        assert report["verdict"] == {"status": "refuted", "witness": [r"\x. x"]}
+        assert [c["status"] for c in report["candidates"]] == [
+            "unknown", "no_witness_in_sample"]
+        assert report["audit"] == [
+            {"process": r"\x. x * end :: nil", "has_effect_constant": True}]
+
+    def _all_stacks(self, files, flag):
+        return files("tv.json", json.dumps({
+            "kind": "realizes",
+            "pole": {"kind": "finite", "seeds": ["end * nil"]},
+            "term": r"\x. x",
+            "truth_value": {"stacks": ["end :: nil"], "all_stacks": flag},
+        }))
+
+    @pytest.mark.parametrize("flag", ["false", 0, None])
+    def test_all_stacks_must_be_boolean(self, files, capsys, flag):
+        code, out, err = run_cli(capsys, "realize", self._all_stacks(files, flag))
+        assert (code, out) == (1, "")
+        assert err == f"kamio: error: all_stacks must be true or false, got {flag!r}\n"
+
+    @pytest.mark.parametrize("flag, sampled", [(True, True), (False, False)])
+    def test_all_stacks_boolean_accepted(self, files, capsys, flag, sampled):
+        code, out, _ = run_cli(capsys, "realize", self._all_stacks(files, flag))
+        assert code == 0
+        assert json.loads(out)["verdict"].get("sampled", False) is sampled
+
+    @pytest.mark.parametrize("table", [{"1": 1, "01": 2}, {"01": 2, "1": 1}],
+                             ids=["1_then_01", "01_then_1"])
+    def test_function_table_repeated_input_exit_1(self, files, capsys, table):
+        scenario = files("fn.json", json.dumps({
+            "kind": "realizes",
+            "pole": {"kind": "function", "table": table},
+            "term": r"\x. x",
+            "truth_value": {"stacks": ["nil"]},
+        }))
+        code, out, err = run_cli(capsys, "realize", scenario)
+        assert (code, out) == (1, "")
+        assert err == "kamio: error: function pole table names input 1 twice\n"
 
     def test_effectful_candidate_exit_1(self, files, capsys):
         scenario = files("bad.json", json.dumps({

@@ -414,15 +414,14 @@ class TestConsistencyProbe:
         pole = FunctionPole.of({n: n for n in range(5)})
         report = consistency_probe(
             pole, [IDENTITY, FST, CALLCC], [EMPTY, parse_stack("end :: nil")])
-        assert report.all_witnessed
-        for probe in report.probes:
-            assert probe.status == "witness_found"
+        assert [verdict.status for _, verdict in report.candidates] == ["refuted"] * 3
 
     def test_finite_pole_witness(self):
         pole = finite_pole("end * nil")
         report = consistency_probe(pole, [IDENTITY], [EMPTY])
-        assert report.probes[0].status == "witness_found"
-        assert report.probes[0].witness == EMPTY
+        [(_, verdict)] = report.candidates
+        assert verdict.is_refuted
+        assert verdict.witness == EMPTY
 
     def test_member_audit_flags_pure_members(self):
         # a pole seeded with a pure process is inconsistent; the audit says so
@@ -435,7 +434,7 @@ class TestConsistencyProbe:
         member = compile_function(IDENTITY)
         report = consistency_probe(pole, [IDENTITY], [EMPTY], member_samples=[member])
         assert not report.violations
-        assert any(e.process == member and e.has_effect_constant for e in report.audit)
+        assert member in report.members
         assert "end" in effect_constants(member)
 
     def test_effectful_candidate_rejected(self):
@@ -445,7 +444,8 @@ class TestConsistencyProbe:
     def test_no_witness_in_sample(self):
         pole = finite_pole(r"(\u. \v. u) * nil")
         report = consistency_probe(pole, [FST], [EMPTY])
-        assert report.probes[0].status == "no_witness_in_sample"
+        [(_, verdict)] = report.candidates
+        assert verdict.is_verified
 
 
 class TestPoleFromBisimulation:
