@@ -4,7 +4,8 @@ Subcommands: parse, run, trace, bisim, topequiv, compile-fn, verify-impl,
 realize, decode, prelude-list.  Each takes only the options it reads.
 Exit codes encode verdicts: 0 for Verified/Terminated, 2 for
 Refuted/Stuck, 3 for Unknown/FuelExhausted, and 1 for parse, schema, or
-usage errors and for input nested too deeply to process.
+usage errors and for input nested too deeply to process (the JSON reader
+and `substitute` recurse; the parser does not).
 
 Fuel: `--fuel`, else KAMIO_FUEL, else 1000000.  A realizability pole's
 budget is settled when its scenario is loaded: the pole's own "fuel" key
@@ -29,7 +30,7 @@ from .equivalence import top_equiv, weak_bisim
 from .machine import ExecutionContext, RunResult, implements_row, run
 from .syntax import (
     ClosednessError, NotProofLike, ParseError, Process, Term,
-    parse_process, parse_term, pretty,
+    _parse, parse_process, parse_term, pretty,
 )
 from .verdict import Verdict
 
@@ -100,17 +101,7 @@ def _print_run(result: RunResult, args) -> None:
 
 
 def _cmd_parse(args) -> int:
-    text = resolve_names(_read(args.file), _bindings(args))
-    try:
-        value = parse_process(text)
-    except ParseError as process_error:
-        try:
-            value = parse_term(text)
-        except ParseError as term_error:
-            # report whichever attempt got further into the input
-            raise (term_error
-                   if (term_error.line, term_error.col) >= (process_error.line, process_error.col)
-                   else process_error)
+    value = _parse(resolve_names(_read(args.file), _bindings(args)), "any")
     if args.output_format == "json":
         kind = "process" if isinstance(value, Process) else "term"
         print(json.dumps({"kind": kind, "text": pretty(value)}))
@@ -232,7 +223,7 @@ def _cmd_prelude_list(args) -> int:
 # Argument parsing
 
 
-class _Parser(argparse.ArgumentParser):
+class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise ValueError(message)  # usage errors exit 1 through main's boundary
 
@@ -252,7 +243,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     fmt.add_argument("--format", choices=("text", "json"), default="text",
                      dest="output_format", help="output format")
 
-    parser = _Parser(
+    parser = _ArgumentParser(
         prog="kamio",
         description="Krivine machine with bit I/O: run processes, check "
                     "equivalences, and verify realizability scenarios.")
@@ -272,7 +263,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
         p.add_argument("file")
         p.add_argument("--input", default="", help="input bit string")
         p.add_argument("--output", default="", help="initial output bit string")
-        p.add_argument("--trace", action="store_true", help="print the action trace")
+        if name == "run":  # trace always prints the trace
+            p.add_argument("--trace", action="store_true", help="print the action trace")
 
     p = add("bisim", _cmd_bisim, "bounded weak-bisimilarity check", fuel, prelude, fmt)
     p.add_argument("left")

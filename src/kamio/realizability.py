@@ -475,14 +475,27 @@ def pole_from_json(obj: dict, fuel: int | None = None) -> Pole:
     raise ValueError(f"unknown pole kind {kind!r}")
 
 
-def _predicate_from_json(rows: list[dict], index_set: Iterable | None = None) -> Predicate:
-    return Predicate.of({row["index"]: TruthValue.of(parse_stack(s) for s in row["stacks"])
-                         for row in rows}, index_set)
+def _by_index(rows: list[dict], field: str, build) -> dict:
+    """{row["index"]: build(row)} over `rows`, the rows of scenario key
+    `field`; an index named twice raises ValueError."""
+    out = {}
+    for row in rows:
+        index = row["index"]
+        if index in out:
+            raise ValueError(f"{field} names index {index!r} twice")
+        out[index] = build(row)
+    return out
+
+
+def _predicate_from_json(rows: list[dict], field: str,
+                         index_set: Iterable | None = None) -> Predicate:
+    return Predicate.of(_by_index(rows, field, lambda row: TruthValue.of(
+        parse_stack(s) for s in row["stacks"])), index_set)
 
 
 def _realizers_from_json(rows: list[dict]) -> dict[Any, RealizerList]:
-    return {row["index"]: RealizerList.of(parse_term(s) for s in row["terms"])
-            for row in rows}
+    return _by_index(rows, "realizers", lambda row: RealizerList.of(
+        parse_term(s) for s in row["terms"]))
 
 
 @dataclass(frozen=True)
@@ -516,10 +529,11 @@ def _scenario(obj: dict) -> Scenario:
     fuel = int(obj.get("fuel", DEFAULT_FUEL))
     pole = pole_from_json(obj["pole"], fuel)
     if kind == "entailment":
-        conclusion = _predicate_from_json(obj["conclusion"])
+        conclusion = _predicate_from_json(obj["conclusion"], "conclusion")
         context = []
         for entry in obj.get("context", ()):
-            predicate = _predicate_from_json(entry["predicate"], conclusion.index_set)
+            predicate = _predicate_from_json(entry["predicate"], "predicate",
+                                             conclusion.index_set)
             context.append(ContextEntry(predicate, _realizers_from_json(entry["realizers"])))
         sequent = Sequent(tuple(context), conclusion, parse_term(obj["candidate"]))
         return Scenario(kind, pole, fuel, sequent=sequent)

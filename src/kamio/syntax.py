@@ -9,8 +9,9 @@ Terms, stacks and pairs share one identity protocol, the private base
 one, and `str` and `repr` print through `pretty`.  Each term and stack
 node gets its hash when it is built, from its children's hashes and
 never from names, so alpha-equivalent values hash alike; a pair hashes
-on demand.  Equality and printing walk explicit work lists, so nesting
-depth does not limit them; the parser and `substitute` still recurse.
+on demand.  Parsing, equality and printing walk explicit work lists or
+frame stacks, so nesting depth does not limit them; `substitute` still
+recurses.
 
 The concrete grammar (comments run from ``--`` to end of line)::
 
@@ -526,145 +527,134 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Parser (recursive descent)
+# Parser: one loop over the tokens, with an explicit stack of open frames
 
 _ATOM_STARTERS = "an identifier, 'cc', 'read', 'write0', 'write1', 'end', 'kont{', '#', or '('"
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _fail(token, message: str, expected: tuple[str, ...]):
+    _, value, line, col = token
+    raise ParseError(f"{message}, found {value or 'end of input'!r}", line, col, expected)
 
-    def peek(self):
-        return self.tokens[self.pos]
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
+def _expect(tokens, pos: int, value: str) -> int:
+    """The position after tokens[pos], which must be the punctuation `value`."""
+    if tokens[pos][1] != value:
+        _fail(tokens[pos], f"expected {value!r}", (value,))
+    return pos + 1
 
-    def error(self, message: str, expected: tuple[str, ...] = ()):
-        _, value, line, col = self.peek()
-        shown = value if value else "end of input"
-        raise ParseError(f"{message}, found {shown!r}", line, col, expected)
 
-    def expect_punct(self, value: str):
-        kind, text, _, _ = self.peek()
-        if kind == "punct" and text == value:
-            return self.advance()
-        self.error(f"expected {value!r}", (value,))
+def _finish(tokens, pos: int, result):
+    kind, value, line, col = tokens[pos]
+    if kind != "eof":
+        raise ParseError(f"unexpected trailing input {value!r}", line, col, ("end of input",))
+    return result
 
-    def starts_atom(self) -> bool:
-        kind, value, _, _ = self.peek()
-        if kind == "ident":
-            return value not in ("nil", "TOP")
-        if kind == "punct":
-            return value in ("(", "#")
-        return False
 
-    def term(self) -> Term:
-        # a lambda chain is read in a loop; parentheses and kont{} still recurse
-        binders = []
-        kind, value, _, _ = self.peek()
-        while kind == "punct" and value == "\\":
-            self.advance()
-            binders.append(self.binder())
-            self.expect_punct(".")
-            kind, value, _, _ = self.peek()
-        t = self.atom()
-        while self.starts_atom():
-            t = App(t, self.atom())
-        while binders:
-            t = Abs(binders.pop(), t)
-        return t
+def _parse(text: str, goal: str):
+    """Parse `text` as a "term", a "stack" or a "process", or as "any":
+    a process if it starts with TOP or its term is followed by '*', else
+    a term.
 
-    def binder(self) -> str:
-        kind, value, line, col = self.peek()
-        if kind != "ident":
-            self.error("expected a variable name", ("identifier",))
-        if value in RESERVED:
-            raise ParseError(f"reserved word {value!r} cannot be a variable name",
-                             line, col, ("identifier",))
-        self.advance()
-        return value
-
-    def atom(self) -> Term:
-        kind, value, line, col = self.peek()
-        if kind == "ident":
-            if value in _KEYWORD_TERMS:
-                self.advance()
-                return _KEYWORD_TERMS[value]
-            if value == "kont":
-                self.advance()
-                self.expect_punct("{")
-                stack = self.stack()
-                self.expect_punct("}")
-                return Kont(stack)
-            if value in ("nil", "TOP"):
+    One loop reads an atom at a time, after the binders of a term that
+    starts there.  An open '(' or 'kont{' pushes a frame instead of
+    recursing: its closer, the stack entries read so far (None inside
+    parentheses), and the binders and application it interrupted.
+    Closing the frame pops them back, and the finished term, or the
+    continuation over the finished stack, is the next atom of that
+    application.  `entries` is the list of the stack being read, or None
+    while a term is read outside any stack."""
+    tokens = _tokenize(text)
+    if goal in ("process", "any") and tokens[0][1] == "TOP":
+        return _finish(tokens, 1, TOP)
+    pos = 0
+    frames = []
+    entries = [] if goal == "stack" else None
+    binders: list[str] = []
+    app = None  # the application read so far in the innermost term
+    head = None  # a process's term, once its '*' is read
+    while True:
+        kind, value, line, col = tokens[pos]
+        if app is None and not binders and entries is not None and value == "nil":
+            pos += 1
+            stack = stack_of(*entries)
+            if not frames:
+                return _finish(tokens, pos, stack if head is None else Pair(head, stack))
+            closer, entries, binders, app = frames.pop()
+            pos = _expect(tokens, pos, closer)
+            t = Kont(stack)
+        else:
+            if app is None:
+                while value == "\\":
+                    kind, value, line, col = tokens[pos + 1]
+                    if kind != "ident":
+                        _fail(tokens[pos + 1], "expected a variable name", ("identifier",))
+                    if value in RESERVED:
+                        raise ParseError(f"reserved word {value!r} cannot be a variable name",
+                                         line, col, ("identifier",))
+                    binders.append(value)
+                    pos = _expect(tokens, pos + 2, ".")
+                    kind, value, line, col = tokens[pos]
+            if kind == "ident" and value not in RESERVED:
+                t = Var(value)
+                pos += 1
+            elif value in _KEYWORD_TERMS:
+                t = _KEYWORD_TERMS[value]
+                pos += 1
+            elif value == "kont":
+                pos = _expect(tokens, pos + 1, "{")
+                frames.append(("}", entries, binders, app))
+                entries, binders, app = [], [], None
+                continue
+            elif value == "(":
+                pos += 1
+                frames.append((")", entries, binders, app))
+                entries, binders, app = None, [], None
+                continue
+            elif value == "#":
+                if tokens[pos + 1][0] != "nat":
+                    _fail(tokens[pos + 1], "expected a number after '#'", ("natural number",))
+                t = church_numeral(int(tokens[pos + 1][1]))
+                pos += 2
+            elif value == "nil" or value == "TOP":
                 raise ParseError(f"reserved word {value!r} is not a term",
                                  line, col, (_ATOM_STARTERS,))
-            self.advance()
-            return Var(value)
-        if kind == "punct" and value == "#":
-            self.advance()
-            nkind, nvalue, _, _ = self.peek()
-            if nkind != "nat":
-                self.error("expected a number after '#'", ("natural number",))
-            self.advance()
-            return church_numeral(int(nvalue))
-        if kind == "punct" and value == "(":
-            self.advance()
-            t = self.term()
-            self.expect_punct(")")
-            return t
-        self.error("expected a term", (_ATOM_STARTERS,))
-
-    def stack(self) -> Stack:
-        entries = []
-        while True:
-            kind, value, _, _ = self.peek()
-            if kind == "ident" and value == "nil":
-                self.advance()
-                return stack_of(*entries)
-            entries.append(self.term())
-            self.expect_punct("::")
-
-    def process(self) -> Process:
-        kind, value, _, _ = self.peek()
-        if kind == "ident" and value == "TOP":
-            self.advance()
-            return TOP
-        head = self.term()
-        self.expect_punct("*")
-        return Pair(head, self.stack())  # Pair rejects a head with free variables
-
-    def finish(self):
-        kind, value, line, col = self.peek()
-        if kind != "eof":
-            raise ParseError(f"unexpected trailing input {value!r}", line, col, ("end of input",))
+            else:
+                _fail(tokens[pos], "expected a term", (_ATOM_STARTERS,))
+        while True:  # t is an atom: apply to it, then close each term that ends here
+            app = t if app is None else App(app, t)
+            kind, value, line, col = tokens[pos]
+            if kind == "ident" and value != "nil" and value != "TOP" or value in ("(", "#"):
+                break
+            t = app
+            while binders:
+                t = Abs(binders.pop(), t)
+            app = None
+            if entries is not None:
+                pos = _expect(tokens, pos, "::")
+                entries.append(t)
+                break
+            if frames:
+                closer, entries, binders, app = frames.pop()
+                pos = _expect(tokens, pos, closer)
+                continue
+            if goal == "term" or goal == "any" and value != "*":
+                return _finish(tokens, pos, t)
+            pos = _expect(tokens, pos, "*")
+            head, entries = t, []
+            break
 
 
 def parse_term(text: str) -> Term:
-    p = _Parser(text)
-    t = p.term()
-    p.finish()
-    return t
+    return _parse(text, "term")
 
 
 def parse_stack(text: str) -> Stack:
-    p = _Parser(text)
-    s = p.stack()
-    p.finish()
-    return s
+    return _parse(text, "stack")
 
 
 def parse_process(text: str) -> Process:
-    p = _Parser(text)
-    proc = p.process()
-    p.finish()
-    return proc
+    return _parse(text, "process")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ tests, so shapes stay consistent across the suite.
 from __future__ import annotations
 
 import random
+import re
 
 import hypothesis.strategies as st
 
@@ -151,6 +152,40 @@ def random_silent_loop(rng: random.Random):
         loop = Abs(rng.choice(NAMES), loop)
         stack = stack.push(random_term(rng, rng.randrange(1, 4)))
     return Pair(loop, stack)
+
+
+# Parser input vocabulary: every punctuation mark and reserved word, names,
+# numerals, binders (reserved ones too), a comment and a line break.
+_TOKENS = ("(", ")", "(", ")", "kont{", "kont", "{", "}", "::", "::", "*", "TOP", "nil", "nil",
+           "#", "#2", "7", "\\", ".", "\\x.", "\\y.", "\\nil.", "\\end.", "\\TOP.",
+           "x", "y", "f", "end", "cc", "read", "write0", "write1", "-- note\n", "\n")
+_TOKEN_RE = re.compile(r"::|kont\{|\\\w+\.|\w+|\S")
+
+
+def printed_tokens(rng: random.Random) -> list[str]:
+    """The tokens of a printed random term, stack or process."""
+    value = rng.choice((random_term(rng, rng.randrange(1, 10), ("x", "y")), random_stack(rng),
+                        random_process(rng, rng.randrange(1, 10), allow_top=True)))
+    return _TOKEN_RE.findall(str(value))
+
+
+def random_text(rng: random.Random, printed: list[list[str]], max_tokens: int = 14) -> str:
+    """Parser input near the grammar: half the time a string of random
+    tokens, else one of the `printed` token lists with up to two of its
+    tokens deleted, replaced, or preceded by a random one."""
+    if rng.random() < 0.5:
+        return " ".join(rng.choice(_TOKENS) for _ in range(rng.randrange(max_tokens + 1)))
+    tokens = list(rng.choice(printed))
+    for _ in range(rng.randrange(3)):
+        i = rng.randrange(len(tokens) + 1)
+        edit = rng.randrange(3)
+        if edit == 0:
+            tokens[i:i + 1] = []
+        elif edit == 1:
+            tokens[i:i + 1] = [rng.choice(_TOKENS)]
+        else:
+            tokens.insert(i, rng.choice(_TOKENS))
+    return " ".join(tokens)
 
 
 def random_bits(rng: random.Random, max_len: int = 4) -> str:

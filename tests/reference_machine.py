@@ -9,6 +9,11 @@ oracles.
   discipline clause by clause.  Oracle for
   `kamio.realizability.trace_conforms`.
 - The recursive printer.  Oracle for `kamio.syntax.pretty`.
+- The recursive-descent parser `_Parser`, with `parse_term`,
+  `parse_stack` and `parse_process` over it, and `parse_term_or_process`,
+  the rule `kamio parse` used to pick between two parses: a process,
+  else a term, else whichever error got further into the input.
+  Oracles for `kamio.syntax._parse` and its entry points.
 - The recursive alpha-equivalence `_alpha_eq` and alpha-invariant hash
   `_alpha_hash`, and `equal` and `alpha_hash`, which extend them to
   stacks and processes as `Stack` and `Pair` did.  Oracle for `==` and
@@ -38,7 +43,8 @@ from kamio.equivalence import DEFAULT_DEPTH, DEFAULT_OBS_FUEL, Observable
 from kamio.machine import DEFAULT_FUEL, Action, ExecutionContext, RunResult, eval_step, lts_step
 from kamio.realizability import COPY, READ_ALL_THEN_WRITE
 from kamio.syntax import (
-    END, READ, TOP, WRITE0, WRITE1, Abs, App, Const, Kont, Pair, Process, Stack, Term, Var,
+    END, READ, RESERVED, TOP, WRITE0, WRITE1, Abs, App, Const, Kont, Pair, ParseError, Process,
+    Stack, Term, Var, _ATOM_STARTERS, _KEYWORD_TERMS, _tokenize, church_numeral, stack_of,
 )
 from kamio.verdict import Verdict
 
@@ -194,6 +200,160 @@ def _pretty_stack(s: Stack) -> str:
     parts = [_pretty_term(entry) for entry in s]
     parts.append("nil")
     return " :: ".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# Parser (recursive descent)
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        if tok[0] != "eof":
+            self.pos += 1
+        return tok
+
+    def error(self, message: str, expected: tuple[str, ...] = ()):
+        _, value, line, col = self.peek()
+        shown = value if value else "end of input"
+        raise ParseError(f"{message}, found {shown!r}", line, col, expected)
+
+    def expect_punct(self, value: str):
+        kind, text, _, _ = self.peek()
+        if kind == "punct" and text == value:
+            return self.advance()
+        self.error(f"expected {value!r}", (value,))
+
+    def starts_atom(self) -> bool:
+        kind, value, _, _ = self.peek()
+        if kind == "ident":
+            return value not in ("nil", "TOP")
+        if kind == "punct":
+            return value in ("(", "#")
+        return False
+
+    def term(self) -> Term:
+        # a lambda chain is read in a loop; parentheses and kont{} still recurse
+        binders = []
+        kind, value, _, _ = self.peek()
+        while kind == "punct" and value == "\\":
+            self.advance()
+            binders.append(self.binder())
+            self.expect_punct(".")
+            kind, value, _, _ = self.peek()
+        t = self.atom()
+        while self.starts_atom():
+            t = App(t, self.atom())
+        while binders:
+            t = Abs(binders.pop(), t)
+        return t
+
+    def binder(self) -> str:
+        kind, value, line, col = self.peek()
+        if kind != "ident":
+            self.error("expected a variable name", ("identifier",))
+        if value in RESERVED:
+            raise ParseError(f"reserved word {value!r} cannot be a variable name",
+                             line, col, ("identifier",))
+        self.advance()
+        return value
+
+    def atom(self) -> Term:
+        kind, value, line, col = self.peek()
+        if kind == "ident":
+            if value in _KEYWORD_TERMS:
+                self.advance()
+                return _KEYWORD_TERMS[value]
+            if value == "kont":
+                self.advance()
+                self.expect_punct("{")
+                stack = self.stack()
+                self.expect_punct("}")
+                return Kont(stack)
+            if value in ("nil", "TOP"):
+                raise ParseError(f"reserved word {value!r} is not a term",
+                                 line, col, (_ATOM_STARTERS,))
+            self.advance()
+            return Var(value)
+        if kind == "punct" and value == "#":
+            self.advance()
+            nkind, nvalue, _, _ = self.peek()
+            if nkind != "nat":
+                self.error("expected a number after '#'", ("natural number",))
+            self.advance()
+            return church_numeral(int(nvalue))
+        if kind == "punct" and value == "(":
+            self.advance()
+            t = self.term()
+            self.expect_punct(")")
+            return t
+        self.error("expected a term", (_ATOM_STARTERS,))
+
+    def stack(self) -> Stack:
+        entries = []
+        while True:
+            kind, value, _, _ = self.peek()
+            if kind == "ident" and value == "nil":
+                self.advance()
+                return stack_of(*entries)
+            entries.append(self.term())
+            self.expect_punct("::")
+
+    def process(self) -> Process:
+        kind, value, _, _ = self.peek()
+        if kind == "ident" and value == "TOP":
+            self.advance()
+            return TOP
+        head = self.term()
+        self.expect_punct("*")
+        return Pair(head, self.stack())  # Pair rejects a head with free variables
+
+    def finish(self):
+        kind, value, line, col = self.peek()
+        if kind != "eof":
+            raise ParseError(f"unexpected trailing input {value!r}", line, col, ("end of input",))
+
+
+def parse_term(text: str) -> Term:
+    p = _Parser(text)
+    t = p.term()
+    p.finish()
+    return t
+
+
+def parse_stack(text: str) -> Stack:
+    p = _Parser(text)
+    s = p.stack()
+    p.finish()
+    return s
+
+
+def parse_process(text: str) -> Process:
+    p = _Parser(text)
+    proc = p.process()
+    p.finish()
+    return proc
+
+
+def parse_term_or_process(text: str) -> Term | Process:
+    """`kamio parse`'s reading: a process, else a term; when both fail,
+    the error that got further into the input, the term's on a tie."""
+    try:
+        return parse_process(text)
+    except ParseError as process_error:
+        try:
+            return parse_term(text)
+        except ParseError as term_error:
+            raise (term_error
+                   if (term_error.line, term_error.col) >= (process_error.line, process_error.col)
+                   else process_error)
 
 
 # ---------------------------------------------------------------------------

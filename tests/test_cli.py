@@ -1,8 +1,10 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+import gen
 from kamio import machine
 from kamio.cli import main
 from kamio.syntax import parse_process
@@ -52,12 +54,16 @@ class TestParse:
         assert code == 1
         assert "error" in err
 
-    def test_deep_nesting_exit_1(self, files, capsys):
+    def test_deep_nesting_exit_0(self, files, capsys):
         path = files("deep.kam", "(" * 600 + "end" + ")" * 600 + " * nil")
         code, out, err = run_cli(capsys, "parse", path)
-        assert code == 1
-        assert out == ""
-        assert err == "kamio: error: input is nested too deeply\n"
+        assert (code, out, err) == (0, "end * nil\n", "")
+
+    def test_deep_continuations_exit_0(self, files, capsys):
+        text = "kont{" * 10_000 + "end :: nil" + "} :: nil" * 9_999 + "} * nil"
+        code, out, err = run_cli(capsys, "parse", files("kont.kam", text), "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"kind": "process", "text": text}
 
     def test_long_lambda_chain_exit_0(self, files, capsys):
         text = "".join(f"\\a{i}. " for i in range(10_000)) + "a0"
@@ -439,6 +445,37 @@ class TestRealize:
         assert (code, out) == (1, "")
         assert err == "kamio: error: function pole table names input 1 twice\n"
 
+    @staticmethod
+    def _ax(conclusion, predicate=({"index": "i", "stacks": ["nil"]},),
+            realizers=({"index": "i", "terms": [r"\u. \v. u"]},)):
+        return {
+            "kind": "entailment",
+            "pole": {"kind": "finite", "seeds": [r"(\u. \v. u) * nil"]},
+            "context": [{"predicate": list(predicate), "realizers": list(realizers)}],
+            "conclusion": list(conclusion),
+            "candidate": r"\x. x",
+        }
+
+    def test_repeated_conclusion_index_exit_1(self, files, capsys):
+        refuting = {"index": "i", "stacks": ["end :: nil"]}
+        code, _, _ = run_cli(capsys, "realize", files("one.json", json.dumps(self._ax([refuting]))))
+        assert code == 2
+        # a later row for the same index used to replace the refuting one
+        scenario = self._ax([refuting, {"index": "i", "stacks": ["nil"]}])
+        code, out, err = run_cli(capsys, "realize", files("twice.json", json.dumps(scenario)))
+        assert (code, out) == (1, "")
+        assert err == "kamio: error: conclusion names index 'i' twice\n"
+
+    @pytest.mark.parametrize("field, rows", [
+        ("predicate", [{"index": "i", "stacks": ["nil"]}, {"index": "i", "stacks": []}]),
+        ("realizers", [{"index": "i", "terms": [r"\u. \v. u"]}, {"index": "i", "terms": ["cc"]}]),
+    ])
+    def test_repeated_context_index_exit_1(self, files, capsys, field, rows):
+        scenario = self._ax([{"index": "i", "stacks": ["nil"]}], **{field: rows})
+        code, out, err = run_cli(capsys, "realize", files("twice.json", json.dumps(scenario)))
+        assert (code, out) == (1, "")
+        assert err == f"kamio: error: {field} names index 'i' twice\n"
+
     def test_effectful_candidate_exit_1(self, files, capsys):
         scenario = files("bad.json", json.dumps({
             "kind": "entailment",
@@ -529,6 +566,12 @@ class TestDecode:
         code, _, err = run_cli(capsys, "decode", path, "--fuel", "5000")
         assert code == 2
 
+    def test_deep_numeral_exit_1(self, files, capsys):
+        # parses, then substitution recurses past the interpreter's limit
+        code, out, err = run_cli(capsys, "decode", files("n.lam", "#2000"))
+        assert (code, out) == (1, "")
+        assert err == "kamio: error: input is nested too deeply\n"
+
 
 class TestPreludeList:
     def test_names(self, capsys):
@@ -594,3 +637,58 @@ class TestDeterminism:
         first = run_cli(capsys, "run", path, "--input", "1101", "--prelude", "--format", "json")
         second = run_cli(capsys, "run", path, "--input", "1101", "--prelude", "--format", "json")
         assert first == second
+
+
+class TestFuzz:
+    """Every subcommand on random processes, their mutants, text near the
+    grammar and deeply nested input: each exit code is one of 0-3, and no
+    error escapes as a traceback."""
+
+    DEEP = ("(" * 3000 + "end" + ")" * 3000 + " * nil",
+            "kont{" * 3000 + "nil" + "} :: nil" * 2999 + "} * nil",
+            "".join(f"\\a{i}. " for i in range(3000)) + "a0",
+            "cc (" * 3000 + "end" + ")" * 3000,
+            "#2000")
+
+    def test_every_subcommand(self, files, capsys):
+        rng = random.Random(7)
+        printed = [gen.printed_tokens(rng) for _ in range(40)]
+
+        def text(shape="process"):
+            roll = rng.random()
+            if roll < 0.65:
+                value = {"term": lambda: gen.random_term(rng, rng.randrange(1, 12), (), effects=False),
+                         "stack": lambda: gen.random_stack(rng),
+                         "process": lambda: gen.random_process(rng, rng.randrange(1, 12))}[shape]()
+                return str(gen.mutate(rng, value) if roll < 0.2 else value)
+            if roll < 0.9:
+                return gen.random_text(rng, printed)
+            return rng.choice(self.DEEP)
+
+        poles = ({"kind": "function", "table": {"0": 0, "1": 1}},
+                 {"kind": "trace", "spec": "copy", "max_input_len": 1})
+        table = files("t.tsv", "0\t0\n1\t2\n")
+        for i in range(60):
+            p, q, t = (files(f"{name}{i}", text(shape))
+                       for name, shape in (("p", "process"), ("q", "process"), ("t", "term")))
+            pole = rng.choice(poles + ({"kind": "finite", "seeds": [text()]},))
+            scenario = files(f"s{i}.json", json.dumps({
+                "kind": rng.choice(("realizes", "entailment", "consistency")),
+                "pole": pole, "fuel": 100, "term": text("term"), "candidate": text("term"),
+                "truth_value": {"stacks": [text("stack")]},
+                "context": [{"predicate": [{"index": 0, "stacks": [text("stack")]}],
+                             "realizers": [{"index": 0, "terms": [text("term")]}]}],
+                "conclusion": [{"index": 0, "stacks": [text("stack")]}],
+                "candidates": [text("term")], "stack_samples": [text("stack")],
+            }))
+            fuel = ("--fuel", "200")
+            for argv in (["parse", rng.choice((p, t))],
+                         ["run", p, "--input", gen.random_bits(rng), *fuel], ["trace", p, *fuel],
+                         ["bisim", p, q, "--depth", "2", *fuel], ["topequiv", p, q, *fuel],
+                         ["compile-fn", t], ["verify-impl", p, "--table", table, *fuel],
+                         ["realize", scenario], ["decode", t, *fuel], ["prelude-list"]):
+                if rng.random() < 0.2 and argv[0] not in ("realize", "prelude-list"):
+                    argv.append("--prelude")
+                code, _, err = run_cli(capsys, *argv)
+                assert code in (0, 1, 2, 3), argv
+                assert "Traceback" not in err, argv

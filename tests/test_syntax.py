@@ -1,4 +1,6 @@
+import functools
 import random
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
@@ -6,10 +8,11 @@ from hypothesis import given, settings
 
 import gen
 import reference_machine as reference
+from kamio import syntax
 from kamio.syntax import (
     Abs, App, CALLCC, ClosednessError, Const, END, EMPTY, InvalidPosition, Kont, Pair,
     ParseError, READ, Stack, TOP, Term, Var, WRITE0, WRITE1, church_numeral, effect_constants,
-    is_proof_like, parse_process, parse_stack, parse_term,
+    _parse, is_proof_like, parse_process, parse_stack, parse_term,
     pretty, replace_at, stack_of, substitute, subterm_at, subterms,
 )
 
@@ -118,6 +121,84 @@ class TestParseTerm:
         with pytest.raises(ParseError) as info:
             parse_term(r"\x. \y \z. x")
         assert str(info.value) == "1:8: expected '.', found '\\\\' (expected .)"
+
+
+def parse_outcome(parse, *args):
+    """What parse(*args) gives: the kind and printed text of its value, or
+    the error it raised, with a ParseError's position and expectations."""
+    try:
+        value = parse(*args)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.line, exc.col, exc.expected)
+    except ClosednessError as exc:
+        return ("ClosednessError", str(exc))
+    return (type(value).__name__, pretty(value))
+
+
+class TestParser:
+    """The one-loop `_parse` against the recursive-descent parser it
+    replaced, kept in `reference_machine`."""
+
+    ORACLES = (("term", reference.parse_term), ("stack", reference.parse_stack),
+               ("process", reference.parse_process), ("any", reference.parse_term_or_process))
+
+    def test_matches_reference(self, monkeypatch):
+        # both parsers read the token list of the one `_tokenize`, which
+        # therefore runs once per text
+        tokenize = functools.lru_cache(maxsize=None)(syntax._tokenize)
+        monkeypatch.setattr(syntax, "_tokenize", tokenize)
+        monkeypatch.setattr(reference, "_tokenize", tokenize)
+        rng = random.Random(11)
+        printed = [gen.printed_tokens(rng) for _ in range(500)]
+        texts = set()
+        while len(texts) < 100_000:
+            texts.add(gen.random_text(rng, printed))
+        kinds = Counter()
+        for text in sorted(texts):
+            for goal, oracle in self.ORACLES:
+                outcome = parse_outcome(_parse, text, goal)
+                assert outcome == parse_outcome(oracle, text), (goal, text)
+                kinds[goal, outcome[0] if outcome[0].endswith("Error") else "value"] += 1
+        for goal, _ in self.ORACLES:  # each entry point met values and both errors
+            for kind in ("value", "ParseError", "ClosednessError"):
+                assert kinds[goal, kind] >= 100, (goal, kind, kinds)
+
+    def test_term_or_process(self):
+        assert _parse("TOP", "any") is TOP
+        assert _parse("end * nil", "any") == Pair(END, EMPTY)
+        assert _parse("end", "any") is END
+        for text, expected in (("TOP end", "1:5: unexpected trailing input 'end'"),
+                               ("end *", "1:6: expected a term, found 'end of input'"),
+                               ("end )", "1:5: unexpected trailing input ')'")):
+            with pytest.raises(ParseError) as info:
+                _parse(text, "any")
+            assert str(info.value).startswith(expected)
+        with pytest.raises(ClosednessError):
+            _parse("x * nil", "any")
+
+    @pytest.mark.parametrize("shape", ["left_apps", "right_apps", "heads", "konts"])
+    def test_round_trip_at_depth(self, shape):
+        t = Var("x") if shape != "konts" else END
+        for _ in range(10_000):
+            if shape == "left_apps":
+                t = App(t, END)  # prints as x end end ... end
+            elif shape == "right_apps":
+                t = App(CALLCC, t)  # prints as cc (cc (... x))
+            elif shape == "heads":
+                t = App(Abs("x", t), END)  # prints as (\x. (\x. ... end) end) end
+            else:
+                t = Kont(stack_of(t, CALLCC))  # prints as kont{kont{... :: cc :: nil} :: cc :: nil}
+        assert parse_term(pretty(t)) == t
+        pair = Pair(Abs("x", t), stack_of(Abs("x", t)))
+        assert parse_process(pretty(pair)) == pair
+
+    def test_deep_parentheses(self):
+        assert parse_term("(" * 10_000 + "end" + ")" * 10_000) is END
+        assert parse_process("(" * 10_000 + r"\x. x" + ")" * 10_000 + " * nil") == \
+            Pair(Abs("x", Var("x")), EMPTY)
+        with pytest.raises(ParseError) as info:
+            parse_term("(" * 10_000 + "end" + ")" * 9_999)
+        assert str(info.value) == "1:20003: expected ')', found 'end of input' (expected ))"
 
 
 class TestParseProcess:
