@@ -4,8 +4,11 @@ Subcommands: parse, run, trace, bisim, topequiv, compile-fn, verify-impl,
 realize, decode, prelude-list.  Each takes only the options it reads.
 Exit codes encode verdicts: 0 for Verified/Terminated, 2 for
 Refuted/Stuck, 3 for Unknown/FuelExhausted, and 1 for parse, schema, or
-usage errors and for input nested too deeply to process (the JSON reader
-and `substitute` recurse; the parser does not).
+usage errors and for input nested too deeply to process.  Parsing,
+running and printing take any depth.  The JSON reader recurses, and so
+does `substitute`, which silent settling (`bisim`, finite poles) still
+uses: `kamio run` cuts `#2000 * end :: end :: nil` after any number of
+steps, while `kamio bisim` on it exits 1.
 
 Fuel: `--fuel`, else KAMIO_FUEL, else 1000000.  A realizability pole's
 budget is settled when its scenario is loaded: the pole's own "fuel" key

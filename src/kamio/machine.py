@@ -1,19 +1,33 @@
-"""The evaluation relation, the labeled transition system, and execution.
+"""The Krivine machine with bit I/O: evaluation, labeled transitions and
+execution.
 
-Effect-free evaluation (`eval_step`) rewrites a process by weak head
-reduction (push/pop) plus continuation capture and restore.  The labeled
-transition system (`lts_step`) adds the visible transitions of the
-instruction constants in head position (read, write, end); its silent
-(tau) transitions are exactly the evaluation steps.  These two functions
-are the only places the machine rules are written.  `settle` is the one
-loop over silent steps alone; it serves `equivalence.observable` and
-finite-pole membership.  Execution is that system on a context (process,
-input bits, output bits), with the read branch chosen by the next input
-bit: reads consume input bits, writes prepend output bits, and `end`
-discards the stack and terminates at TOP.  `run` takes silent steps
-straight from `eval_step` and consults `lts_step` only for the heads
-`eval_step` rejects.  Written bits are prepended, so the final output
-string is read verbatim as a most-significant-bit-first binary numeral.
+A process `t * π` steps silently by push (an application pushes its
+argument), pop (an abstraction binds the top of the stack to its
+parameter), save (`cc` captures the stack as a continuation) and restore
+(a continuation reinstates its stack).  The instruction constants in
+head position step visibly: `read` continues with its first, second or
+third argument as the next input bit is 0, 1 or used up; `write0` and
+`write1` write a bit and continue with their argument; `end` discards
+the stack and terminates at TOP.  `_effect` is the one home of these
+read, write and end rules.
+
+`run` executes a context (process, input bits, output bits) as a
+closure machine (Krivine, "A call-by-name lambda-calculus machine", HOSC
+2007).  Its state is a term, an environment and a stack of closures, so
+a pop binds a name instead of copying the body, and a loaded `Pair`'s
+stack is used as it is.  Looking a variable head up is not a step (a
+commutative transition in the sense of Accattoli, Barenbaum and Mazza,
+"Distilling abstract machines", ICFP 2014), so traces and step counts
+are those of the substitution machine.  A run that stops short of TOP
+reads its final state back to a process once.  Written bits are
+prepended, so the final output string is read verbatim as a
+most-significant-bit-first binary numeral.
+
+`lts_step` is the labeled transition system on processes: `_effect`'s
+visible transitions, and the silent step of `eval_step`, the
+substitution machine, which also drives `settle`, the one loop over
+silent steps alone (it serves `equivalence.observable` and finite-pole
+membership).
 """
 
 from __future__ import annotations
@@ -23,7 +37,7 @@ from enum import Enum
 from typing import Container
 
 from .syntax import (
-    Abs, App, CALLCC, Kont, Pair, Process, READ, Stack, TOP,
+    Abs, App, CALLCC, Kont, Pair, Process, READ, Stack, TOP, Term, Var,
     WRITE0, WRITE1, END, pretty, substitute,
 )
 from .verdict import Verdict
@@ -109,7 +123,10 @@ def eval_step(p: Process) -> Process | None:
     """The unique effect-free successor of p, or None if no rule applies.
 
     Instruction constants in head position never step here; they only
-    step in the execution relation.
+    step in the execution relation.  This is the substitution machine: a
+    pop copies the body through `substitute`.  `settle` follows it, and
+    `lts_step` takes its silent transition from it, because both need
+    every intermediate process; `run` does not use it.
     """
     if p.__class__ is not Pair:
         return None
@@ -156,115 +173,256 @@ def settle(p: Process, fuel: int, targets: Container[Process] = ()) -> tuple[str
         current = successor
 
 
+# The members as module constants: an attribute lookup on the Enum class
+# takes about 170 ns on Python 3.11, and the rules below run once a step.
+_TAU, _R0, _R1, _REPS, _W0, _W1, _E = Action
+
+
+# ---------------------------------------------------------------------------
+# Closure states.  An environment is None or a linked (name, closure,
+# parent); a closure is (term, environment); a closure stack is a chain of
+# (closure, rest) cells ending in a plain `Stack` of closed terms, whose
+# entries are closures with the empty environment.
+
+
+class _Captured:
+    """A continuation saved by `cc` during a run.  It holds the closure
+    stack, and reads back to a `Kont` of that stack's read-back."""
+
+    __slots__ = ("stack",)
+
+    def __init__(self, stack):
+        self.stack = stack
+
+
+def _pop(s):
+    """(closure, rest) for the top of closure stack s, or None if s is empty."""
+    if s.__class__ is tuple:
+        return s
+    if s.head is None:
+        return None
+    return (s.head, None), s.tail
+
+
+def _lookup(env, name: str):
+    """The closure that `name` is bound to in env."""
+    while env[0] != name:
+        env = env[2]
+    return env[1]
+
+
+def _effect(t: Term, s) -> tuple:
+    """The visible transitions of head t on closure stack s, as
+    (action, closure, rest) triples: a read's three branches in the
+    order R0, R1, REPS, a write's one, or end's one, which leaves no
+    closure and no rest (None).  Empty if t is no instruction or lacks
+    its arguments."""
+    if t is END:
+        return (_E, None, None),
+    if t is WRITE0 or t is WRITE1:
+        top = _pop(s)
+        if top is None:
+            return ()
+        return ((_W0 if t is WRITE0 else _W1), top[0], top[1]),
+    if t is READ:
+        first = _pop(s)
+        second = first and _pop(first[1])
+        third = second and _pop(second[1])
+        if third is None:
+            return ()
+        rest = third[1]
+        return (_R0, first[0], rest), (_R1, second[0], rest), (_REPS, third[0], rest)
+    return ()
+
+
 def lts_step(p: Process) -> tuple[tuple[Action, Process], ...]:
     """All transitions of p, as (action, successor) pairs.
 
     A read head with at least three stack entries offers exactly the
     three read branches, in the order R0, R1, REPS; every other head
-    offers at most one transition.
+    offers at most one transition.  The visible ones are `_effect`'s on
+    p's own stack, whose entries are closed, so each successor is a
+    `Pair` of an entry and a tail of that stack; the silent one is
+    `eval_step`'s.
     """
-    if p is TOP or not isinstance(p, Pair):
+    if p.__class__ is not Pair:
         return ()
-    t, pi = p.term, p.stack
-    if t is END:
-        return ((Action.E, TOP),)
-    if t is READ:
-        if len(pi) < 3:
-            return ()
-        first = pi.head
-        rest1 = pi.tail
-        second = rest1.head
-        rest2 = rest1.tail
-        third = rest2.head
-        tail = rest2.tail
-        return (
-            (Action.R0, Pair(first, tail)),
-            (Action.R1, Pair(second, tail)),
-            (Action.REPS, Pair(third, tail)),
-        )
-    if t is WRITE0:
-        return () if pi.is_empty else ((Action.W0, Pair(pi.head, pi.tail)),)
-    if t is WRITE1:
-        return () if pi.is_empty else ((Action.W1, Pair(pi.head, pi.tail)),)
-    q = eval_step(p)
-    return () if q is None else ((Action.TAU, q),)
+    moves = _effect(p.term, p.stack)
+    if not moves:
+        q = eval_step(p)
+        return () if q is None else ((_TAU, q),)
+    return tuple([(action, TOP if top is None else Pair(top[0], rest))
+                  for action, top, rest in moves])
 
 
-# Index of the read branch (in lts_step's order) that the next input bit
-# selects; "" stands for the used-up input.
-_READ_BRANCH = {"0": 0, "1": 1, "": 2}
-
-# Per action: input bits consumed, and the bit prepended to the output.
-_IO_EFFECT = {
-    Action.TAU: (0, ""), Action.R0: (1, ""), Action.R1: (1, ""),
-    Action.REPS: (0, ""), Action.W0: (0, "0"), Action.W1: (0, "1"),
-    Action.E: (0, ""),
-}
+# Read-back work items; see `_read_back`.
+_TERM, _CLOSURE, _STACK, _APP, _ABS, _CONS, _KONT, _MEMO = range(8)
 
 
-def _exec(p: Process, bit: str) -> tuple[Action, Process] | None:
-    """The execution step of p when `bit` is the next input bit, or None
-    if stuck: the only transition of p, or the read branch `bit` selects."""
-    transitions = lts_step(p)
-    if len(transitions) > 1:
-        return transitions[_READ_BRANCH[bit]]
-    return transitions[0] if transitions else None
+def _read_back(t: Term, env, s) -> Pair:
+    """The process that the closure state (t, env, s) stands for.
+
+    Each free variable is replaced by the read-back of the closure it is
+    bound to.  Those are closed, so nothing is captured and no bound name
+    changes: the result is the process the substitution machine reaches,
+    name for name.  One walk from an explicit work list, building terms
+    and stacks on `out`.  Closures and stack cells are read back once
+    each (memoized by identity within this call), so a stack that `cc`
+    saved and also kept as the tail reads back to one shared `Stack`."""
+    memo: dict[int, object] = {}
+    out: list = []
+    work: list = [(_STACK, s), (_CLOSURE, (t, env))]
+    pop, push = work.pop, work.append
+    while work:
+        item = pop()
+        tag = item[0]
+        if tag is _TERM:
+            _, u, e = item
+            cls = u.__class__
+            if e is None or not u.fvs:
+                out.append(u)
+            elif cls is Var:
+                while e[0] != u.name:
+                    e = e[2]
+                if e[1] is None:  # bound inside the term being read back
+                    out.append(u)
+                else:
+                    push((_CLOSURE, e[1]))
+            elif cls is App:
+                push((_APP,))
+                push((_TERM, u.arg, e))
+                push((_TERM, u.fun, e))
+            else:  # an Abs: its parameter is bound in its body
+                push((_ABS, u.param))
+                push((_TERM, u.body, (u.param, None, e)))
+        elif tag is _CLOSURE or tag is _STACK:
+            x = item[1]
+            if x.__class__ is Stack:
+                out.append(x)
+            elif id(x) in memo:
+                out.append(memo[id(x)])
+            else:
+                push((_MEMO, x))
+                if tag is _STACK:  # a (closure, rest) cell
+                    push((_CONS,))
+                    push((_STACK, x[1]))
+                    push((_CLOSURE, x[0]))
+                elif x[0].__class__ is _Captured:
+                    push((_KONT,))
+                    push((_STACK, x[0].stack))
+                else:
+                    push((_TERM, x[0], x[1]))
+        elif tag is _APP:
+            arg = out.pop()
+            out.append(App(out.pop(), arg))
+        elif tag is _ABS:
+            out.append(Abs(item[1], out.pop()))
+        elif tag is _CONS:
+            tail = out.pop()
+            out.append(Stack(out.pop(), tail))
+        elif tag is _KONT:
+            out.append(Kont(out.pop()))
+        else:
+            memo[id(item[1])] = out[-1]
+    term, stack = out
+    return Pair(term, stack)
+
+
+def run(c: ExecutionContext, fuel: int = DEFAULT_FUEL) -> RunResult:
+    """Iterate the execution relation at most `fuel` steps.
+
+    The closure machine: push, pop, save, restore and the `_effect`
+    rules (read, write, end) each take one step, and a variable head is
+    replaced by the closure it is bound to without one.  A pushed
+    variable pushes the closure it names, so no chain of indirections
+    builds up.  Stops early at TOP ("terminated") or when no step
+    applies ("stuck"); a run whose last allowed step lands on a stuck
+    state is "stuck", not "fuel".  The final state is read back to a
+    process unless the run terminated.
+    """
+    if fuel < 0:
+        raise ValueError("fuel must be non-negative")
+    if c.process is TOP:
+        return RunResult("terminated", c, ())
+    t, env, s = c.process.term, None, c.process.stack
+    source = c.input
+    read = 0
+    written: list[str] = []  # in writing order; the output gets them prepended
+    trace: list[Action] = []
+    step = trace.append
+    left = fuel
+    outcome = "fuel"
+    while True:
+        cls = t.__class__
+        if cls is Var:
+            t, env = _lookup(env, t.name)
+            cls = t.__class__
+        if cls is App:
+            if not left:
+                break
+            arg = t.arg
+            s = (_lookup(env, arg.name) if arg.__class__ is Var else (arg, env)), s
+            t = t.fun
+            left -= 1
+            step(_TAU)
+        elif cls is Abs or cls is Kont or cls is _Captured or t is CALLCC:
+            top = _pop(s)
+            if top is None:
+                outcome = "stuck"
+                break
+            if not left:
+                break
+            left -= 1
+            step(_TAU)
+            if cls is Abs:
+                env = (t.param, top[0], env)
+                t = t.body
+                s = top[1]
+            elif cls is Kont or cls is _Captured:  # restore
+                s = t.stack
+                t, env = top[0]
+            else:  # save
+                s = top[1]
+                s = (_Captured(s), None), s
+                t, env = top[0]
+        else:
+            moves = _effect(t, s)
+            if not moves:
+                outcome = "stuck"
+                break
+            if not left:
+                break
+            left -= 1
+            if len(moves) == 1:
+                action, top, s = moves[0]
+            else:  # the read branch that the next input bit selects
+                bit = source[read:read + 1]
+                action, top, s = moves[int(bit) if bit else 2]
+            step(action)
+            if top is None:
+                outcome = "terminated"
+                break
+            t, env = top
+            if action is _R0 or action is _R1:
+                read += 1
+            elif action is not _REPS:
+                written.append("0" if action is _W0 else "1")
+    process = TOP if outcome == "terminated" else _read_back(t, env, s)
+    final = ExecutionContext(process, source[read:], "".join(reversed(written)) + c.output)
+    return RunResult(outcome, final, tuple(trace))
 
 
 def exec_step_labeled(c: ExecutionContext) -> tuple[Action, ExecutionContext] | None:
-    """One execution step together with its action, or None if stuck."""
-    step = _exec(c.process, c.input[:1])
-    if step is None:
-        return None
-    action, q = step
-    consumed, bit = _IO_EFFECT[action]
-    return action, ExecutionContext(q, c.input[consumed:], bit + c.output)
+    """One execution step together with its action, or None if stuck:
+    `run(c, 1)`."""
+    result = run(c, 1)
+    return (result.trace[0], result.final) if result.trace else None
 
 
 def exec_step(c: ExecutionContext) -> ExecutionContext | None:
     """One execution step, or None if the context is stuck."""
     step = exec_step_labeled(c)
     return None if step is None else step[1]
-
-
-def run(c: ExecutionContext, fuel: int = DEFAULT_FUEL) -> RunResult:
-    """Iterate the execution relation at most `fuel` steps.
-
-    Silent steps come straight from `eval_step`; `lts_step` (through
-    `_exec`) is consulted only at the heads `eval_step` rejects, that is
-    instruction heads, stuck processes and TOP.  Since `lts_step`'s
-    silent transitions are exactly `eval_step`'s, this is the execution
-    relation itself.  Stops early at TOP ("terminated") or when no step
-    applies ("stuck").  A run whose last allowed step lands on a stuck
-    state is "stuck", not "fuel".
-    """
-    if fuel < 0:
-        raise ValueError("fuel must be non-negative")
-    p, source = c.process, c.input
-    read = 0
-    written: list[str] = []  # in writing order; the output gets them prepended
-    trace: list[Action] = []
-    tau = Action.TAU
-    while len(trace) < fuel:
-        q = eval_step(p)
-        if q is not None:
-            trace.append(tau)
-            p = q
-            continue
-        step = _exec(p, source[read:read + 1])
-        if step is None:
-            stuck = True
-            break
-        action, p = step
-        trace.append(action)
-        consumed, bit = _IO_EFFECT[action]
-        read += consumed
-        written.append(bit)
-    else:  # fuel spent: stuck exactly when neither relation offers a step
-        stuck = eval_step(p) is None and _exec(p, source[read:read + 1]) is None
-    final = ExecutionContext(p, source[read:], "".join(reversed(written)) + c.output)
-    outcome = "terminated" if p is TOP else "stuck" if stuck else "fuel"
-    return RunResult(outcome, final, tuple(trace))
 
 
 def bin_nat(n: int) -> str:

@@ -292,9 +292,13 @@ def _same(x, y) -> bool:
     lockstep, so shadowed names never collide.  Stack entries are closed
     and are compared with empty maps, as is any pair of closed terms, where
     one shared node is equal to itself.  Hashes leave names out, so the
-    first pair of nodes whose hashes differ settles the answer."""
+    first pair of nodes whose hashes differ settles the answer.  A pair
+    of nodes compared with empty maps is compared once: values share
+    nodes (`cc` saves a stack that it also keeps as the tail), and
+    walking every path would take time exponential in the sharing."""
     work = [(x, y, _NO_ENV, _NO_ENV, 0)]
     pop, push = work.pop, work.append
+    done: set[tuple[int, int]] = set()
     while work:
         a, b, ea, eb, depth = pop()
         cls = a.__class__
@@ -310,6 +314,11 @@ def _same(x, y) -> bool:
             continue
         if a._hash != b._hash:
             return False
+        if ea is _NO_ENV and eb is _NO_ENV:
+            size = len(done)
+            done.add((id(a), id(b)))  # one hash: an unchanged size is a repeat
+            if len(done) == size:
+                continue
         if cls is App:
             push((a.arg, b.arg, ea, eb, depth))
             push((a.fun, b.fun, ea, eb, depth))

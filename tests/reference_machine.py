@@ -2,9 +2,11 @@
 oracles.
 
 - The execution relation as it stood before it was rewritten on top of
-  `lts_step`: hand-written read/write/end rules, and a `run` that builds
-  an `ExecutionContext` on every step.  Oracle for
-  `kamio.machine.exec_step_labeled` and `kamio.machine.run`.
+  `lts_step`: hand-written read/write/end rules on the substitution
+  machine, and a `run` that builds an `ExecutionContext` on every step.
+  Oracle for `kamio.machine.run`, the closure machine, at every step
+  count, for `kamio.machine.exec_step_labeled`, and for the visible
+  transitions of `kamio.machine.lts_step`.
 - `trace_conforms` as it stood when it tested the read_all_then_write
   discipline clause by clause.  Oracle for
   `kamio.realizability.trace_conforms`.

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,13 @@ class TestRun:
         code, _, _ = run_cli(capsys, "run", path)
         assert code == 2
 
+    def test_deep_numeral_fuel_exit_3(self, files, capsys):
+        path = files("n.kam", "#2000 * end :: end :: nil")
+        code, out, err = run_cli(capsys, "run", path, "--fuel", "1")
+        assert (code, err) == (3, "")
+        body = "end (" * 1999 + "end x" + ")" * 1999
+        assert f"process: \\x. {body} * end :: nil\n" in out
+
     def test_fuel_exhaustion_exit_3(self, files, capsys):
         path = files("omega.kam", r"(\x. x x) (\x. x x) * nil")
         code, _, _ = run_cli(capsys, "run", path, "--fuel", "100")
@@ -145,6 +153,25 @@ class TestBisim:
         code, out, _ = run_cli(capsys, "bisim", a, b, "--depth", "3")
         assert code == 2
         assert out == "refuted witness: ['r1', 'w0', 'w0', 'w0']\n"
+
+    def test_shared_continuation_stacks_compare_fast(self, files, capsys):
+        # each cc saves a stack it also keeps as the tail; comparing the
+        # two sides node pair by node pair, not path by path, is linear
+        core = "cc (" * 200 + r"\k. write0 end" + ")" * 200
+        a = files("a.kam", core + " * nil")
+        b = files("b.kam", rf"(\z. z) ({core}) * nil")
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "bisim", a, b, "--depth", "3")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (0, "verified\n")
+
+    def test_deep_settle_exit_1(self, files, capsys):
+        # weak_bisim settles through eval_step, whose pop still substitutes
+        a = files("a.kam", "#2000 * end :: end :: nil")
+        b = files("b.kam", r"(\z. z) (#2000) * end :: end :: nil")
+        code, out, err = run_cli(capsys, "bisim", a, b)
+        assert (code, out) == (1, "")
+        assert err == "kamio: error: input is nested too deeply\n"
 
     def test_deep_search_unknown(self, files, capsys):
         chain = r"(\x. \y. write0 (x x (\z. {0}))) (\x. \y. write0 (x x (\z. {0}))) (\u. u) * nil"
@@ -566,11 +593,9 @@ class TestDecode:
         code, _, err = run_cli(capsys, "decode", path, "--fuel", "5000")
         assert code == 2
 
-    def test_deep_numeral_exit_1(self, files, capsys):
-        # parses, then substitution recurses past the interpreter's limit
+    def test_deep_numeral_exit_0(self, files, capsys):
         code, out, err = run_cli(capsys, "decode", files("n.lam", "#2000"))
-        assert (code, out) == (1, "")
-        assert err == "kamio: error: input is nested too deeply\n"
+        assert (code, out, err) == (0, "2000\n", "")
 
 
 class TestPreludeList:

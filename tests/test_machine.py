@@ -6,16 +6,16 @@ import hypothesis.strategies as st
 
 import gen
 import reference_machine as reference
-from kamio.combinators import B, H, S, W, Y, compile_function
+from kamio.combinators import B, H, S, W, Y, compile_function, decode_numeral
 from kamio.equivalence import observable
 from kamio.machine import (
-    Action, ExecutionContext, bin_nat, eval_step, exec_step,
+    DEFAULT_FUEL, Action, ExecutionContext, bin_nat, eval_step, exec_step,
     exec_step_labeled, implements_on, lts_step, nat_of_bin, run, settle,
 )
 from kamio.realizability import FinitePole
 from kamio.syntax import (
-    App, END, EMPTY, Pair, READ, TOP, WRITE0, WRITE1,
-    church_numeral, parse_process, parse_term, stack_of,
+    Abs, App, END, EMPTY, Pair, READ, TOP, Var, WRITE0, WRITE1,
+    church_numeral, parse_process, parse_term, pretty, stack_of,
 )
 
 OMEGA = r"(\x. x x) (\x. x x) * nil"
@@ -322,9 +322,9 @@ COPY_LOOP = Pair(Y, stack_of(parse_term(r"\x. read (write0 x) (write1 x) end")))
 
 
 class TestAgainstReference:
-    """The execution built on eval_step and lts_step matches the
-    hand-written rules it replaced (tests/reference_machine.py) on
-    outcome, final context and trace."""
+    """The closure machine matches the substitution machine's
+    hand-written rules (tests/reference_machine.py) on outcome, final
+    context and trace."""
 
     @given(gen.contexts())
     def test_exec_step_labeled(self, c):
@@ -365,3 +365,73 @@ class TestAgainstReference:
         for fuel in {full.steps, max(full.steps - 1, 0)}:
             assert run(c, fuel) == reference.run(c, fuel)
         assert run(c, full.steps) == full
+
+
+def assert_every_prefix(c, fuel):
+    """For each k up to the steps of a run with `fuel`, the closure
+    machine's run(c, k), read back, is the substitution machine's."""
+    for k in range(run(c, fuel).steps + 1):
+        got, expected = run(c, k), reference.run(c, k)
+        assert got == expected
+        assert pretty(got.final.process) == pretty(expected.final.process)
+
+
+class TestClosureMachine:
+    """`run` is a closure machine; what it reads back after any number of
+    steps is the process the substitution machine reaches."""
+
+    @given(gen.contexts(), st.integers(0, 60))
+    def test_every_prefix_on_random_contexts(self, c, fuel):
+        assert_every_prefix(c, fuel)
+
+    @pytest.mark.parametrize("program, bits", [
+        pytest.param(compile_function(parse_term(r"\x. x")), "1", id="id-bin1"),
+        pytest.param(compile_function(S), "", id="S-bin0"),
+        pytest.param(compile_function(B), "1", id="B-bin1"),
+        pytest.param(compile_function(H), "10", id="H-bin2"),
+        pytest.param(Pair(App(W, church_numeral(2)), stack_of()), "", id="W-#2"),
+        pytest.param(COPY_LOOP, "0110", id="copy-0110"),
+    ])
+    def test_every_prefix_on_compiled_programs(self, program, bits):
+        assert_every_prefix(ExecutionContext(program, bits, ""), DEFAULT_FUEL)
+
+    @given(st.one_of(gen.processes(), gen.silent_loops()))
+    def test_eval_step_is_one_silent_run_step(self, p):
+        result = run(ExecutionContext(p), 1)
+        q = eval_step(p)
+        if result.trace == (Action.TAU,):
+            assert q == result.final.process
+            assert pretty(q) == pretty(result.final.process)
+        else:
+            assert q is None
+
+    @given(st.sampled_from((READ, WRITE0, WRITE1, END)), gen.stacks())
+    def test_lts_step_on_instruction_heads(self, head, stack):
+        p = Pair(head, stack)
+        expected = [reference.exec_step_labeled(ExecutionContext(p, bit))
+                    for bit in (("0", "1", "") if head is READ else ("",))]
+        expected = () if None in expected else tuple((a, c.process) for a, c in expected)
+        got = lts_step(p)
+        assert got == expected
+        assert [pretty(q) for _, q in got] == [pretty(q) for _, q in expected]
+
+    def test_saved_stack_is_shared_after_read_back(self):
+        # push end, pop x, push x, push \k. k, then cc saves the cell for x
+        c = ctx(r"(\x. cc (\k. k) x) end * nil")
+        result = run(c, 5)
+        assert result.trace == (Action.TAU,) * 5
+        stack = result.final.process.stack
+        assert pretty(result.final.process) == r"\k. k * kont{end :: nil} :: end :: nil"
+        assert stack.head.stack is stack.tail
+
+    def test_deep_numeral_runs_and_reads_back(self):
+        # the run ends at TOP without reading back; a cut run reads back
+        # a 2,000-deep body
+        assert decode_numeral(church_numeral(2000)) == 2000
+        c = ExecutionContext(Pair(church_numeral(2000), stack_of(END, END)))
+        result = run(c, 1)
+        body = Var("x")
+        for _ in range(2000):
+            body = App(END, body)
+        assert result.outcome == "fuel"
+        assert result.final.process == Pair(Abs("x", body), stack_of(END))
