@@ -30,6 +30,9 @@ oracles.
   cycle rule and fuel count.  Oracles for `kamio.equivalence.observable`
   and `kamio.realizability.FinitePole.member`, which now share
   `kamio.machine.settle`.
+- `settle` as it stood when it followed `eval_step` on every chain, with
+  a seen-set of the processes met.  Oracle for `kamio.machine.settle`,
+  which now settles a chain with no targets on closures.
 - The recursive `weak_bisim`.  Oracle for `kamio.equivalence.weak_bisim`.
   One edit: `visited` maps each pair to the depth left when it was
   explored, and a pair met again with more depth than that is explored
@@ -40,6 +43,8 @@ oracles.
 """
 
 from __future__ import annotations
+
+from typing import Container
 
 from kamio.equivalence import DEFAULT_DEPTH, DEFAULT_OBS_FUEL, Observable
 from kamio.machine import DEFAULT_FUEL, Action, ExecutionContext, RunResult, eval_step, lts_step
@@ -490,6 +495,32 @@ def finite_member(seeds: frozenset[Process], p: Process, fuel: int) -> Verdict:
         if budget <= 0:
             return Verdict.unknown("fuel", witness=current)
         budget -= 1
+        current = successor
+
+
+def settle(p: Process, fuel: int, targets: Container[Process] = ()) -> tuple[str, Process]:
+    """Follow `eval_step` from p for at most `fuel` steps; return why it
+    stopped and the process it stopped at.  The reason is "stop" (a
+    member of `targets`), "stuck" (no silent step applies), "cycle" (a
+    process repeats) or "fuel", checked in that order at each process.
+    A negative fuel raises ValueError."""
+    if fuel < 0:
+        raise ValueError("fuel must be non-negative")
+    seen: set[Process] = set()
+    current = p
+    while True:
+        if targets and current in targets:
+            return "stop", current
+        successor = eval_step(current)
+        if successor is None:
+            return "stuck", current
+        size = len(seen)
+        seen.add(current)  # one hash per step: an unchanged size is a repeat
+        if len(seen) == size:
+            return "cycle", current
+        if fuel <= 0:
+            return "fuel", current
+        fuel -= 1
         current = successor
 
 

@@ -165,10 +165,18 @@ class TestBisim:
         assert time.perf_counter() - start < 1
         assert (code, out) == (0, "verified\n")
 
-    def test_deep_settle_exit_1(self, files, capsys):
-        # weak_bisim settles through eval_step, whose pop still substitutes
+    def test_deep_settle_exit_0(self, files, capsys):
+        # a chain that gets stuck settles on closures, with no substitute
         a = files("a.kam", "#2000 * end :: end :: nil")
         b = files("b.kam", r"(\z. z) (#2000) * end :: end :: nil")
+        code, out, err = run_cli(capsys, "bisim", a, b)
+        assert (code, out, err) == (0, "verified\n", "")
+
+    def test_deep_settle_fallback_exit_1(self, files, capsys):
+        # a chain that spends its fuel is followed again through eval_step,
+        # whose pop still substitutes
+        a = files("a.kam", r"#2000 * (\x. x x) :: (\x. x x) :: nil")
+        b = files("b.kam", r"(\z. z) (#2000) * (\x. x x) :: (\x. x x) :: nil")
         code, out, err = run_cli(capsys, "bisim", a, b)
         assert (code, out) == (1, "")
         assert err == "kamio: error: input is nested too deeply\n"

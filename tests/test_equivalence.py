@@ -92,6 +92,12 @@ class TestObservable:
     def test_fuel_zero_on_pending_tau(self):
         assert observable(parse_process("write0 end * nil"), 0).kind == "unknown"
 
+    def test_deep_numeral_settles_without_substitute(self):
+        # #2000 pops end twice, then applies end to 2,000 nested applications
+        ob = observable(parse_process("#2000 * end :: end :: nil"))
+        assert ob.kind == "menu"
+        assert ob.entries == {Action.E: TOP}
+
 
 class TestWeakBisim:
     def test_reflexivity_at_any_bounds(self):
@@ -157,6 +163,11 @@ class TestWeakBisim:
     def test_deep_search_does_not_overflow(self):
         p, q = parse_process(WRITE_CHAIN), parse_process(WRITE_CHAIN_SLOWER)
         assert weak_bisim(p, q, 1200) == Verdict.unknown("depth")
+
+    def test_deep_numeral_pair_verified(self):
+        p = parse_process("#2000 * end :: end :: nil")
+        q = parse_process(r"(\z. z) (#2000) * end :: end :: nil")
+        assert weak_bisim(p, q) == Verdict.verified()
 
     def test_negative_bounds_rejected(self):
         p = parse_process("end * nil")

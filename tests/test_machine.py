@@ -121,6 +121,25 @@ class TestSettle:
             assert got == expected
             assert str(got.witness) == str(expected.witness)
 
+    @given(st.one_of(gen.processes(), gen.silent_loops()))
+    def test_matches_reference_settle_at_every_fuel(self, p):
+        self._check_every_fuel(p, len(_silent_chain(p)) + 1)
+
+    @pytest.mark.parametrize("text", [
+        OMEGA,  # a cycle
+        r"(\x. x x x) (\x. x x x) * nil",  # grows without end: fuel
+        r"cc (\k. k (write0 k)) * end :: nil",  # a save, a restore, stuck with a saved stack
+    ])
+    def test_matches_reference_settle_on_fixed_chains(self, text):
+        self._check_every_fuel(parse_process(text), 40)
+
+    @staticmethod
+    def _check_every_fuel(p, last):
+        for fuel in range(last + 1):
+            got, expected = settle(p, fuel), reference.settle(p, fuel)
+            assert got == expected
+            assert pretty(got[1]) == pretty(expected[1])
+
 
 class TestExecStep:
     def test_tau_defers_to_eval(self):
