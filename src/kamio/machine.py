@@ -11,25 +11,28 @@ third argument as the next input bit is 0, 1 or used up; `write0` and
 the stack and terminates at TOP.  `_effect` is the one home of these
 read, write and end rules.
 
-`run` executes a context (process, input bits, output bits) as a
-closure machine (Krivine, "A call-by-name lambda-calculus machine", HOSC
-2007).  Its state is a term, an environment and a stack of closures, so
-a pop binds a name instead of copying the body, and a loaded `Pair`'s
-stack is used as it is.  Looking a variable head up is not a step (a
-commutative transition in the sense of Accattoli, Barenbaum and Mazza,
-"Distilling abstract machines", ICFP 2014), so traces and step counts
-are those of the substitution machine.  A run that stops short of TOP
-reads its final state back to a process once.  Written bits are
-prepended, so the final output string is read verbatim as a
-most-significant-bit-first binary numeral.
+One closure machine loop (Krivine, "A call-by-name lambda-calculus
+machine", HOSC 2007), `_iterate`, serves `run` and `settle`.  Its state
+is a term, an environment and a stack of closures, so a pop binds a name
+instead of copying the body, and a loaded `Pair`'s stack is used as it
+is.  The push, pop, save and restore rules are written there once.  At
+an instruction head `run`, which passes its input, takes `_effect`'s
+step, and `settle`, which passes none, stops.  Looking a variable head
+up is not a step (a commutative transition in the sense of Accattoli,
+Barenbaum and Mazza, "Distilling abstract machines", ICFP 2014), so
+traces and step counts are those of the substitution machine.  The loop
+counts steps and notes each visible one; `run` builds its trace once, at
+the end.  A state where a chain stops short of TOP is read back to a
+process once.  Written bits are prepended, so the final output string
+is read verbatim as a most-significant-bit-first binary numeral.
 
 `lts_step` is the labeled transition system on processes: `_effect`'s
 visible transitions, and the silent step of `eval_step`, the
 substitution machine.  `settle` follows silent steps alone (for
 `equivalence.observable` and finite-pole membership).  With no targets
-it runs the closure machine's silent rules and reads back only the state
-where the chain gets stuck; it follows `eval_step`, with a seen-set,
-only for a chain that spends its fuel and for a chain with targets.
+it runs the closure loop and reads back only the state where the chain
+gets stuck; it follows `eval_step`, with a seen-set, only for a chain
+that spends its fuel and for a chain with targets.
 """
 
 from __future__ import annotations
@@ -305,34 +308,43 @@ def _read_back(t: Term, env, s) -> Pair:
     return Pair(term, stack)
 
 
-def _settle_closures(p: Pair, fuel: int) -> Pair | None:
-    """The process at which p's silent chain gets stuck, if it does
-    within `fuel` steps; None if the fuel runs out first.
+def _iterate(p: Pair, fuel: int, source: str | None) -> tuple:
+    """Load p as a closure state and step it at most `fuel` times; return
+    (outcome, t, env, s, steps, visible, read), where (t, env, s) is the
+    state it stopped at.
 
-    The push, pop, save and restore rules of `run`, on the same closure
-    states, with no seen-set and no effect rules: the chain stops at the
-    first head with no silent step (an instruction constant, or a head
-    that lacks its argument), and only that state is read back.  They
-    are written out again, not shared with `run`: one helper called from
-    both cut `run`'s `io_stream` ops/s by about 11%."""
+    Push, pop, save and restore each take one silent step, and a
+    variable head is replaced by the closure it is bound to without one;
+    a pushed variable pushes the closure it names, so no chain of
+    indirections builds up.  Given `source`, the input bits, this is the
+    execution relation: an instruction head takes `_effect`'s step, and
+    a read takes the branch that the next unread bit selects (`read`
+    counts the bits read).  Given None it is the evaluation relation,
+    which stops at an instruction head.  outcome is "terminated" (end was
+    taken), "stuck" (no step applies) or "fuel"; a last allowed step that
+    lands on a stuck state gives "stuck".  `visible` lists (index,
+    action) for each visible step, so a silent step appends nothing."""
     t, env, s = p.term, None, p.stack
+    read = 0
+    visible: list[tuple[int, Action]] = []
+    left = fuel
     while True:
         cls = t.__class__
         if cls is Var:
             t, env = _lookup(env, t.name)
             cls = t.__class__
         if cls is App:
-            if not fuel:
-                return None
+            if not left:
+                break
             arg = t.arg
             s = (_lookup(env, arg.name) if arg.__class__ is Var else (arg, env)), s
             t = t.fun
         elif cls is Abs or cls is Kont or cls is _Captured or t is CALLCC:
             top = _pop(s)
             if top is None:
+                return "stuck", t, env, s, fuel - left, visible, read
+            if not left:
                 break
-            if not fuel:
-                return None
             if cls is Abs:
                 env = (t.param, top[0], env)
                 t = t.body
@@ -345,9 +357,23 @@ def _settle_closures(p: Pair, fuel: int) -> Pair | None:
                 s = (_Captured(s), None), s
                 t, env = top[0]
         else:
-            break
-        fuel -= 1
-    return _read_back(t, env, s)
+            moves = _effect(t, s) if source is not None else ()
+            if not moves:
+                return "stuck", t, env, s, fuel - left, visible, read
+            if not left:
+                break
+            if len(moves) == 1:
+                action, top, s = moves[0]
+            else:  # the read branch that the next input bit selects
+                bit = source[read:read + 1]
+                action, top, s = moves[int(bit) if bit else 2]
+                read += len(bit)
+            visible.append((fuel - left, action))
+            if top is None:
+                return "terminated", t, env, s, fuel - left + 1, visible, read
+            t, env = top
+        left -= 1
+    return "fuel", t, env, s, fuel, visible, read
 
 
 def settle(p: Process, fuel: int, targets: Container[Process] = ()) -> tuple[str, Process]:
@@ -357,18 +383,19 @@ def settle(p: Process, fuel: int, targets: Container[Process] = ()) -> tuple[str
     process repeats) or "fuel", checked in that order at each process.
     A negative fuel raises ValueError.
 
-    With no targets the chain runs on closures (`_settle_closures`).
-    Silent steps are deterministic, so a chain that gets stuck within
-    its fuel never repeated a process, and its read-back is, name for
-    name, the process `eval_step` reaches.  Only a chain that spends its
-    fuel, and every chain with targets, is followed again from p through
+    With no targets the chain runs on closures: `_iterate` without input,
+    which stops at an instruction head, and builds no trace.  Silent
+    steps are deterministic, so a chain that gets stuck within its fuel
+    never repeated a process, and its read-back is, name for name, the
+    process `eval_step` reaches.  Only a chain that spends its fuel, and
+    every chain with targets, is followed again from p through
     `eval_step` with a seen-set, which tells "cycle" from "fuel"."""
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
     if not targets and p.__class__ is Pair:
-        stuck = _settle_closures(p, fuel)
-        if stuck is not None:
-            return "stuck", stuck
+        outcome, t, env, s = _iterate(p, fuel, None)[:4]
+        if outcome == "stuck":
+            return "stuck", _read_back(t, env, s)
     seen: set[Process] = set()
     current = p
     while True:
@@ -388,87 +415,26 @@ def settle(p: Process, fuel: int, targets: Container[Process] = ()) -> tuple[str
 
 
 def run(c: ExecutionContext, fuel: int = DEFAULT_FUEL) -> RunResult:
-    """Iterate the execution relation at most `fuel` steps.
-
-    The closure machine: push, pop, save, restore and the `_effect`
-    rules (read, write, end) each take one step, and a variable head is
-    replaced by the closure it is bound to without one.  A pushed
-    variable pushes the closure it names, so no chain of indirections
-    builds up.  Stops early at TOP ("terminated") or when no step
+    """Iterate the execution relation at most `fuel` steps: `_iterate`
+    with c's input.  Stops early at TOP ("terminated") or when no step
     applies ("stuck"); a run whose last allowed step lands on a stuck
-    state is "stuck", not "fuel".  The final state is read back to a
-    process unless the run terminated.
+    state is "stuck", not "fuel".  The trace is built once, at the end,
+    from the step count and the visible steps, and the final state is
+    read back to a process unless the run terminated.
     """
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
     if c.process is TOP:
         return RunResult("terminated", c, ())
-    t, env, s = c.process.term, None, c.process.stack
-    source = c.input
-    read = 0
-    written: list[str] = []  # in writing order; the output gets them prepended
-    trace: list[Action] = []
-    step = trace.append
-    left = fuel
-    outcome = "fuel"
-    while True:  # the silent rules are `_settle_closures`' too; see why there
-        cls = t.__class__
-        if cls is Var:
-            t, env = _lookup(env, t.name)
-            cls = t.__class__
-        if cls is App:
-            if not left:
-                break
-            arg = t.arg
-            s = (_lookup(env, arg.name) if arg.__class__ is Var else (arg, env)), s
-            t = t.fun
-            left -= 1
-            step(_TAU)
-        elif cls is Abs or cls is Kont or cls is _Captured or t is CALLCC:
-            top = _pop(s)
-            if top is None:
-                outcome = "stuck"
-                break
-            if not left:
-                break
-            left -= 1
-            step(_TAU)
-            if cls is Abs:
-                env = (t.param, top[0], env)
-                t = t.body
-                s = top[1]
-            elif cls is Kont or cls is _Captured:  # restore
-                s = t.stack
-                t, env = top[0]
-            else:  # save
-                s = top[1]
-                s = (_Captured(s), None), s
-                t, env = top[0]
-        else:
-            moves = _effect(t, s)
-            if not moves:
-                outcome = "stuck"
-                break
-            if not left:
-                break
-            left -= 1
-            if len(moves) == 1:
-                action, top, s = moves[0]
-            else:  # the read branch that the next input bit selects
-                bit = source[read:read + 1]
-                action, top, s = moves[int(bit) if bit else 2]
-            step(action)
-            if top is None:
-                outcome = "terminated"
-                break
-            t, env = top
-            if action is _R0 or action is _R1:
-                read += 1
-            elif action is not _REPS:
-                written.append("0" if action is _W0 else "1")
+    outcome, t, env, s, steps, visible, read = _iterate(c.process, fuel, c.input)
+    trace = [_TAU] * steps
+    for i, action in visible:
+        trace[i] = action
+    written = "".join(["0" if action is _W0 else "1" for _, action in reversed(visible)
+                       if action is _W0 or action is _W1])
     process = TOP if outcome == "terminated" else _read_back(t, env, s)
-    final = ExecutionContext(process, source[read:], "".join(reversed(written)) + c.output)
-    return RunResult(outcome, final, tuple(trace))
+    return RunResult(outcome, ExecutionContext(process, c.input[read:], written + c.output),
+                     tuple(trace))
 
 
 def exec_step_labeled(c: ExecutionContext) -> tuple[Action, ExecutionContext] | None:

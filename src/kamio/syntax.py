@@ -508,31 +508,29 @@ _TOKEN_RE = re.compile(
     r"(?P<skip>\s+|--[^\n]*)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<nat>[0-9]+)"
-    r"|(?P<dcolon>::)"
-    r"|(?P<punct>[\\.(){}*#])"
+    r"|(?P<punct>::|[\\.(){}*#])"
     r"|(?P<bad>.)"
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, value, offset) for each token of text, then an "eof" token."""
     tokens = []
-    line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        col = m.start() - line_start + 1
         if kind == "skip":
-            line += value.count("\n")
-            if "\n" in value:
-                line_start = m.start() + value.rindex("\n") + 1
             continue
         if kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", line, col)
-        if kind == "dcolon":
-            kind, value = "punct", "::"
-        tokens.append((kind, value, line, col))
-    tokens.append(("eof", "", line, len(text) - line_start + 1))
+            raise _error(text, m.start(), f"unexpected character {m.group()!r}")
+        tokens.append((kind, m.group(), m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
+
+
+def _error(text: str, offset: int, message: str, expected: tuple[str, ...] = ()) -> ParseError:
+    """A ParseError at `offset` in text, with its 1-based line and column."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -541,22 +539,22 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
 _ATOM_STARTERS = "an identifier, 'cc', 'read', 'write0', 'write1', 'end', 'kont{', '#', or '('"
 
 
-def _fail(token, message: str, expected: tuple[str, ...]):
-    _, value, line, col = token
-    raise ParseError(f"{message}, found {value or 'end of input'!r}", line, col, expected)
+def _fail(text: str, token, message: str, expected: tuple[str, ...]):
+    _, value, offset = token
+    raise _error(text, offset, f"{message}, found {value or 'end of input'!r}", expected)
 
 
-def _expect(tokens, pos: int, value: str) -> int:
+def _expect(text: str, tokens, pos: int, value: str) -> int:
     """The position after tokens[pos], which must be the punctuation `value`."""
     if tokens[pos][1] != value:
-        _fail(tokens[pos], f"expected {value!r}", (value,))
+        _fail(text, tokens[pos], f"expected {value!r}", (value,))
     return pos + 1
 
 
-def _finish(tokens, pos: int, result):
-    kind, value, line, col = tokens[pos]
+def _finish(text: str, tokens, pos: int, result):
+    kind, value, offset = tokens[pos]
     if kind != "eof":
-        raise ParseError(f"unexpected trailing input {value!r}", line, col, ("end of input",))
+        raise _error(text, offset, f"unexpected trailing input {value!r}", ("end of input",))
     return result
 
 
@@ -575,7 +573,7 @@ def _parse(text: str, goal: str):
     while a term is read outside any stack."""
     tokens = _tokenize(text)
     if goal in ("process", "any") and tokens[0][1] == "TOP":
-        return _finish(tokens, 1, TOP)
+        return _finish(text, tokens, 1, TOP)
     pos = 0
     frames = []
     entries = [] if goal == "stack" else None
@@ -583,27 +581,28 @@ def _parse(text: str, goal: str):
     app = None  # the application read so far in the innermost term
     head = None  # a process's term, once its '*' is read
     while True:
-        kind, value, line, col = tokens[pos]
+        kind, value, offset = tokens[pos]
         if app is None and not binders and entries is not None and value == "nil":
             pos += 1
             stack = stack_of(*entries)
             if not frames:
-                return _finish(tokens, pos, stack if head is None else Pair(head, stack))
+                return _finish(text, tokens, pos, stack if head is None else Pair(head, stack))
             closer, entries, binders, app = frames.pop()
-            pos = _expect(tokens, pos, closer)
+            pos = _expect(text, tokens, pos, closer)
             t = Kont(stack)
         else:
             if app is None:
                 while value == "\\":
-                    kind, value, line, col = tokens[pos + 1]
+                    kind, value, offset = tokens[pos + 1]
                     if kind != "ident":
-                        _fail(tokens[pos + 1], "expected a variable name", ("identifier",))
+                        _fail(text, tokens[pos + 1], "expected a variable name", ("identifier",))
                     if value in RESERVED:
-                        raise ParseError(f"reserved word {value!r} cannot be a variable name",
-                                         line, col, ("identifier",))
+                        raise _error(text, offset,
+                                     f"reserved word {value!r} cannot be a variable name",
+                                     ("identifier",))
                     binders.append(value)
-                    pos = _expect(tokens, pos + 2, ".")
-                    kind, value, line, col = tokens[pos]
+                    pos = _expect(text, tokens, pos + 2, ".")
+                    kind, value, offset = tokens[pos]
             if kind == "ident" and value not in RESERVED:
                 t = Var(value)
                 pos += 1
@@ -611,7 +610,7 @@ def _parse(text: str, goal: str):
                 t = _KEYWORD_TERMS[value]
                 pos += 1
             elif value == "kont":
-                pos = _expect(tokens, pos + 1, "{")
+                pos = _expect(text, tokens, pos + 1, "{")
                 frames.append(("}", entries, binders, app))
                 entries, binders, app = [], [], None
                 continue
@@ -622,17 +621,17 @@ def _parse(text: str, goal: str):
                 continue
             elif value == "#":
                 if tokens[pos + 1][0] != "nat":
-                    _fail(tokens[pos + 1], "expected a number after '#'", ("natural number",))
+                    _fail(text, tokens[pos + 1], "expected a number after '#'", ("natural number",))
                 t = church_numeral(int(tokens[pos + 1][1]))
                 pos += 2
             elif value == "nil" or value == "TOP":
-                raise ParseError(f"reserved word {value!r} is not a term",
-                                 line, col, (_ATOM_STARTERS,))
+                raise _error(text, offset, f"reserved word {value!r} is not a term",
+                             (_ATOM_STARTERS,))
             else:
-                _fail(tokens[pos], "expected a term", (_ATOM_STARTERS,))
+                _fail(text, tokens[pos], "expected a term", (_ATOM_STARTERS,))
         while True:  # t is an atom: apply to it, then close each term that ends here
             app = t if app is None else App(app, t)
-            kind, value, line, col = tokens[pos]
+            kind, value, offset = tokens[pos]
             if kind == "ident" and value != "nil" and value != "TOP" or value in ("(", "#"):
                 break
             t = app
@@ -640,16 +639,16 @@ def _parse(text: str, goal: str):
                 t = Abs(binders.pop(), t)
             app = None
             if entries is not None:
-                pos = _expect(tokens, pos, "::")
+                pos = _expect(text, tokens, pos, "::")
                 entries.append(t)
                 break
             if frames:
                 closer, entries, binders, app = frames.pop()
-                pos = _expect(tokens, pos, closer)
+                pos = _expect(text, tokens, pos, closer)
                 continue
             if goal == "term" or goal == "any" and value != "*":
-                return _finish(tokens, pos, t)
-            pos = _expect(tokens, pos, "*")
+                return _finish(text, tokens, pos, t)
+            pos = _expect(text, tokens, pos, "*")
             head, entries = t, []
             break
 

@@ -15,7 +15,10 @@ oracles.
   `parse_stack` and `parse_process` over it, and `parse_term_or_process`,
   the rule `kamio parse` used to pick between two parses: a process,
   else a term, else whichever error got further into the input.
-  Oracles for `kamio.syntax._parse` and its entry points.
+  Oracles for `kamio.syntax._parse` and its entry points.  `_Parser`
+  reads the tokens of its own `_tokenize`, the tokenizer as it stood
+  when each token carried its line and column, so the error positions
+  of `kamio.syntax`, worked out from an offset, are compared too.
 - The recursive alpha-equivalence `_alpha_eq` and alpha-invariant hash
   `_alpha_hash`, and `equal` and `alpha_hash`, which extend them to
   stacks and processes as `Stack` and `Pair` did.  Oracle for `==` and
@@ -44,6 +47,7 @@ oracles.
 
 from __future__ import annotations
 
+import re
 from typing import Container
 
 from kamio.equivalence import DEFAULT_DEPTH, DEFAULT_OBS_FUEL, Observable
@@ -51,7 +55,7 @@ from kamio.machine import DEFAULT_FUEL, Action, ExecutionContext, RunResult, eva
 from kamio.realizability import COPY, READ_ALL_THEN_WRITE
 from kamio.syntax import (
     END, READ, RESERVED, TOP, WRITE0, WRITE1, Abs, App, Const, Kont, Pair, ParseError, Process,
-    Stack, Term, Var, _ATOM_STARTERS, _KEYWORD_TERMS, _tokenize, church_numeral, stack_of,
+    Stack, Term, Var, _ATOM_STARTERS, _KEYWORD_TERMS, church_numeral, stack_of,
 )
 from kamio.verdict import Verdict
 
@@ -211,6 +215,36 @@ def _pretty_stack(s: Stack) -> str:
 
 # ---------------------------------------------------------------------------
 # Parser (recursive descent)
+
+_TOKEN_RE = re.compile(
+    r"(?P<skip>\s+|--[^\n]*)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<nat>[0-9]+)"
+    r"|(?P<dcolon>::)"
+    r"|(?P<punct>[\\.(){}*#])"
+    r"|(?P<bad>.)"
+)
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    tokens = []
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        value = m.group()
+        col = m.start() - line_start + 1
+        if kind == "skip":
+            line += value.count("\n")
+            if "\n" in value:
+                line_start = m.start() + value.rindex("\n") + 1
+            continue
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", line, col)
+        if kind == "dcolon":
+            kind, value = "punct", "::"
+        tokens.append((kind, value, line, col))
+    tokens.append(("eof", "", line, len(text) - line_start + 1))
+    return tokens
 
 
 class _Parser:

@@ -58,8 +58,10 @@ class TestEvalStep:
 
     @given(st.one_of(gen.processes(), gen.silent_loops()))
     def test_exactly_the_silent_transitions(self, p):
-        # `run` takes silent steps from eval_step and asks lts_step only
-        # when eval_step has none; that is exact because of this.
+        # lts_step's silent move is eval_step's successor, and where
+        # eval_step has none lts_step offers visible moves only: so
+        # settle's seen-set loop, which follows eval_step, stops exactly
+        # where lts_step has no silent move left.
         q, transitions = eval_step(p), lts_step(p)
         if q is None:
             assert all(action is not Action.TAU for action, _ in transitions)
