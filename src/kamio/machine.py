@@ -15,16 +15,18 @@ One closure machine loop (Krivine, "A call-by-name lambda-calculus
 machine", HOSC 2007), `_iterate`, serves `run` and `settle`.  Its state
 is a term, an environment and a stack of closures, so a pop binds a name
 instead of copying the body, and a loaded `Pair`'s stack is used as it
-is.  The push, pop, save and restore rules are written there once.  At
-an instruction head `run`, which passes its input, takes `_effect`'s
-step, and `settle`, which passes none, stops.  Looking a variable head
-up is not a step (a commutative transition in the sense of Accattoli,
-Barenbaum and Mazza, "Distilling abstract machines", ICFP 2014), so
-traces and step counts are those of the substitution machine.  The loop
-counts steps and notes each visible one; `run` builds its trace once, at
-the end.  A state where a chain stops short of TOP is read back to a
-process once.  Written bits are prepended, so the final output string
-is read verbatim as a most-significant-bit-first binary numeral.
+is.  The push, pop, save and restore rules are written there once, in
+place, with no helper call per step.  At an instruction head `run`,
+which passes its input, takes `_effect`'s step, and `settle`, which
+passes none, stops.  Looking a variable head up is not a step (a
+commutative transition in the sense of Accattoli, Barenbaum and Mazza,
+"Distilling abstract machines", ICFP 2014), so traces and step counts
+are those of the substitution machine.  The loop counts steps and notes
+each visible one; `run` builds its trace once, at the end.  A state
+where a chain stops short of TOP is read back to a process once, by
+`_read_back`, which emits closed terms as they are, without walking
+them.  Written bits are prepended, so the final output string is read
+verbatim as a most-significant-bit-first binary numeral.
 
 `lts_step` is the labeled transition system on processes: `_effect`'s
 visible transitions, and the silent step of `eval_step`, the
@@ -184,13 +186,6 @@ def _pop(s):
     return (s.head, None), s.tail
 
 
-def _lookup(env, name: str):
-    """The closure that `name` is bound to in env."""
-    while env[0] != name:
-        env = env[2]
-    return env[1]
-
-
 def _effect(t: Term, s) -> tuple:
     """The visible transitions of head t on closure stack s, as
     (action, closure, rest) triples: a read's three branches in the
@@ -246,9 +241,16 @@ def _read_back(t: Term, env, s) -> Pair:
     bound to.  Those are closed, so nothing is captured and no bound name
     changes: the result is the process the substitution machine reaches,
     name for name.  One walk from an explicit work list, building terms
-    and stacks on `out`.  Closures and stack cells are read back once
-    each (memoized by identity within this call), so a stack that `cc`
-    saved and also kept as the tail reads back to one shared `Stack`."""
+    and stacks on `out`.  What is already its own read-back goes to `out`
+    at once and pushes no work: a closure whose environment is empty or
+    whose term is closed (never a continuation that `cc` saved), a
+    variable bound inside the term being read back, a `Stack`, and a
+    closed child of an application, which, as the argument, rides on the
+    build item.  Work is pushed for open subterms, other closures and
+    stack cells, and for the nodes built from them.  Those closures and
+    cells are read back once each (memoized by identity within this
+    call), so a stack that `cc` saved and also kept as the tail reads
+    back to one shared `Stack`."""
     memo: dict[int, object] = {}
     out: list = []
     work: list = [(_STACK, s), (_CLOSURE, (t, env))]
@@ -258,52 +260,68 @@ def _read_back(t: Term, env, s) -> Pair:
         tag = item[0]
         if tag is _TERM:
             _, u, e = item
-            cls = u.__class__
-            if e is None or not u.fvs:
-                out.append(u)
-            elif cls is Var:
-                while e[0] != u.name:
-                    e = e[2]
-                if e[1] is None:  # bound inside the term being read back
-                    out.append(u)
-                else:
-                    push((_CLOSURE, e[1]))
-            elif cls is App:
-                push((_APP,))
-                push((_TERM, u.arg, e))
-                push((_TERM, u.fun, e))
-            else:  # an Abs: its parameter is bound in its body
-                push((_ABS, u.param))
-                push((_TERM, u.body, (u.param, None, e)))
         elif tag is _CLOSURE or tag is _STACK:
             x = item[1]
             if x.__class__ is Stack:
                 out.append(x)
-            elif id(x) in memo:
+                continue
+            u, e = x  # a closure (term, environment) or a cell (closure, rest)
+            if tag is _CLOSURE and u.__class__ is not _Captured and (e is None or not u.fvs):
+                out.append(u)  # a closed term is its own read-back
+                continue
+            if id(x) in memo:
                 out.append(memo[id(x)])
-            else:
-                push((_MEMO, x))
-                if tag is _STACK:  # a (closure, rest) cell
-                    push((_CONS,))
-                    push((_STACK, x[1]))
-                    push((_CLOSURE, x[0]))
-                elif x[0].__class__ is _Captured:
-                    push((_KONT,))
-                    push((_STACK, x[0].stack))
-                else:
-                    push((_TERM, x[0], x[1]))
-        elif tag is _APP:
-            arg = out.pop()
-            out.append(App(out.pop(), arg))
-        elif tag is _ABS:
-            out.append(Abs(item[1], out.pop()))
-        elif tag is _CONS:
-            tail = out.pop()
-            out.append(Stack(out.pop(), tail))
-        elif tag is _KONT:
-            out.append(Kont(out.pop()))
+                continue
+            push((_MEMO, x))
+            if tag is _STACK:  # a (closure, rest) cell
+                push((_CONS,))
+                push((_STACK, e))
+                push((_CLOSURE, u))
+                continue
+            if u.__class__ is _Captured:
+                push((_KONT,))
+                push((_STACK, u.stack))
+                continue
         else:
-            memo[id(item[1])] = out[-1]
+            if tag is _APP:
+                arg = item[1]
+                if arg is None:
+                    arg = out.pop()
+                out.append(App(out.pop(), arg))
+            elif tag is _ABS:
+                out.append(Abs(item[1], out.pop()))
+            elif tag is _CONS:
+                tail = out.pop()
+                out.append(Stack(out.pop(), tail))
+            elif tag is _KONT:
+                out.append(Kont(out.pop()))
+            else:
+                memo[id(item[1])] = out[-1]
+            continue
+        # u, whose free variables are bound in e, is read back now
+        cls = u.__class__
+        if cls is Var:
+            name = u.name
+            while e[0] != name:
+                e = e[2]
+            if e[1] is None:  # bound inside the term being read back
+                out.append(u)
+            else:
+                push((_CLOSURE, e[1]))
+        elif cls is App:
+            fun, arg = u.fun, u.arg
+            if arg.fvs:
+                push((_APP, None))
+                push((_TERM, arg, e))
+            else:
+                push((_APP, arg))
+            if fun.fvs:
+                push((_TERM, fun, e))
+            else:
+                out.append(fun)
+        else:  # an Abs: its parameter is bound in its body
+            push((_ABS, u.param))
+            push((_TERM, u.body, (u.param, None, e)))
     term, stack = out
     return Pair(term, stack)
 
@@ -316,14 +334,16 @@ def _iterate(p: Pair, fuel: int, source: str | None) -> tuple:
     Push, pop, save and restore each take one silent step, and a
     variable head is replaced by the closure it is bound to without one;
     a pushed variable pushes the closure it names, so no chain of
-    indirections builds up.  Given `source`, the input bits, this is the
-    execution relation: an instruction head takes `_effect`'s step, and
-    a read takes the branch that the next unread bit selects (`read`
-    counts the bits read).  Given None it is the evaluation relation,
-    which stops at an instruction head.  outcome is "terminated" (end was
-    taken), "stuck" (no step applies) or "fuel"; a last allowed step that
-    lands on a stuck state gives "stuck".  `visible` lists (index,
-    action) for each visible step, so a silent step appends nothing."""
+    indirections builds up.  A silent step calls no helper: both
+    lookups and the pop of the closure stack are written in place.
+    Given `source`, the input bits, this is the execution relation: an
+    instruction head takes `_effect`'s step, and a read takes the branch
+    that the next unread bit selects (`read` counts the bits read).
+    Given None it is the evaluation relation, which stops at an
+    instruction head.  outcome is "terminated" (end was taken), "stuck"
+    (no step applies) or "fuel"; a last allowed step that lands on a
+    stuck state gives "stuck".  `visible` lists (index, action) for each
+    visible step, so a silent step appends nothing."""
     t, env, s = p.term, None, p.stack
     read = 0
     visible: list[tuple[int, Action]] = []
@@ -331,31 +351,42 @@ def _iterate(p: Pair, fuel: int, source: str | None) -> tuple:
     while True:
         cls = t.__class__
         if cls is Var:
-            t, env = _lookup(env, t.name)
+            name = t.name
+            while env[0] != name:
+                env = env[2]
+            t, env = env[1]
             cls = t.__class__
         if cls is App:
             if not left:
                 break
             arg = t.arg
-            s = (_lookup(env, arg.name) if arg.__class__ is Var else (arg, env)), s
+            if arg.__class__ is Var:
+                name, e = arg.name, env
+                while e[0] != name:
+                    e = e[2]
+                s = e[1], s
+            else:
+                s = (arg, env), s
             t = t.fun
         elif cls is Abs or cls is Kont or cls is _Captured or t is CALLCC:
-            top = _pop(s)
-            if top is None:
+            if s.__class__ is tuple:
+                top, rest = s
+            elif s.head is None:
                 return "stuck", t, env, s, fuel - left, visible, read
+            else:
+                top, rest = (s.head, None), s.tail
             if not left:
                 break
             if cls is Abs:
-                env = (t.param, top[0], env)
+                env = (t.param, top, env)
                 t = t.body
-                s = top[1]
+                s = rest
             elif cls is Kont or cls is _Captured:  # restore
                 s = t.stack
-                t, env = top[0]
+                t, env = top
             else:  # save
-                s = top[1]
-                s = (_Captured(s), None), s
-                t, env = top[0]
+                s = (_Captured(rest), None), rest
+                t, env = top
         else:
             moves = _effect(t, s) if source is not None else ()
             if not moves:

@@ -292,7 +292,10 @@ def _same(x, y) -> bool:
     lockstep, so shadowed names never collide.  Stack entries are closed
     and are compared with empty maps, as is any pair of closed terms, where
     one shared node is equal to itself.  Hashes leave names out, so the
-    first pair of nodes whose hashes differ settles the answer.  A pair
+    first pair of nodes whose hashes differ settles the answer.  Two
+    pairs are checked on the hashes of both heads and both stacks before
+    either part is walked: a `Pair` stores no hash, and two pairs often
+    hold equal heads, built apart, over stacks that differ.  A pair
     of nodes compared with empty maps is compared once: values share
     nodes (`cc` saves a stack that it also keeps as the tail), and
     walking every path would take time exponential in the sharing."""
@@ -305,6 +308,8 @@ def _same(x, y) -> bool:
         if cls is not b.__class__:
             return False
         if cls is Pair:
+            if a.term._hash != b.term._hash or a.stack._hash != b.stack._hash:
+                return False
             push((a.stack, b.stack, _NO_ENV, _NO_ENV, 0))
             push((a.term, b.term, _NO_ENV, _NO_ENV, 0))
             continue

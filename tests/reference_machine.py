@@ -36,6 +36,10 @@ oracles.
 - `settle` as it stood when it followed `eval_step` on every chain, with
   a seen-set of the processes met.  Oracle for `kamio.machine.settle`,
   which now settles a chain with no targets on closures.
+- `_read_back` as it stood when it pushed a work item for every
+  subterm and every closure, closed ones included.  Oracle for
+  `kamio.machine._read_back`, which emits closed terms and closures
+  without pushing work for them.
 - The recursive `weak_bisim`.  Oracle for `kamio.equivalence.weak_bisim`.
   One edit: `visited` maps each pair to the depth left when it was
   explored, and a pair met again with more depth than that is explored
@@ -51,7 +55,9 @@ import re
 from typing import Container
 
 from kamio.equivalence import DEFAULT_DEPTH, DEFAULT_OBS_FUEL, Observable
-from kamio.machine import DEFAULT_FUEL, Action, ExecutionContext, RunResult, eval_step, lts_step
+from kamio.machine import (
+    DEFAULT_FUEL, Action, ExecutionContext, RunResult, _Captured, eval_step, lts_step,
+)
 from kamio.realizability import COPY, READ_ALL_THEN_WRITE
 from kamio.syntax import (
     END, READ, RESERVED, TOP, WRITE0, WRITE1, Abs, App, Const, Kont, Pair, ParseError, Process,
@@ -556,6 +562,79 @@ def settle(p: Process, fuel: int, targets: Container[Process] = ()) -> tuple[str
             return "fuel", current
         fuel -= 1
         current = successor
+
+
+# Read-back work items; see `_read_back`.
+_TERM, _CLOSURE, _STACK, _APP, _ABS, _CONS, _KONT, _MEMO = range(8)
+
+
+def _read_back(t: Term, env, s) -> Pair:
+    """The process that the closure state (t, env, s) stands for.
+
+    Each free variable is replaced by the read-back of the closure it is
+    bound to.  Those are closed, so nothing is captured and no bound name
+    changes: the result is the process the substitution machine reaches,
+    name for name.  One walk from an explicit work list, building terms
+    and stacks on `out`.  Closures and stack cells are read back once
+    each (memoized by identity within this call), so a stack that `cc`
+    saved and also kept as the tail reads back to one shared `Stack`."""
+    memo: dict[int, object] = {}
+    out: list = []
+    work: list = [(_STACK, s), (_CLOSURE, (t, env))]
+    pop, push = work.pop, work.append
+    while work:
+        item = pop()
+        tag = item[0]
+        if tag is _TERM:
+            _, u, e = item
+            cls = u.__class__
+            if e is None or not u.fvs:
+                out.append(u)
+            elif cls is Var:
+                while e[0] != u.name:
+                    e = e[2]
+                if e[1] is None:  # bound inside the term being read back
+                    out.append(u)
+                else:
+                    push((_CLOSURE, e[1]))
+            elif cls is App:
+                push((_APP,))
+                push((_TERM, u.arg, e))
+                push((_TERM, u.fun, e))
+            else:  # an Abs: its parameter is bound in its body
+                push((_ABS, u.param))
+                push((_TERM, u.body, (u.param, None, e)))
+        elif tag is _CLOSURE or tag is _STACK:
+            x = item[1]
+            if x.__class__ is Stack:
+                out.append(x)
+            elif id(x) in memo:
+                out.append(memo[id(x)])
+            else:
+                push((_MEMO, x))
+                if tag is _STACK:  # a (closure, rest) cell
+                    push((_CONS,))
+                    push((_STACK, x[1]))
+                    push((_CLOSURE, x[0]))
+                elif x[0].__class__ is _Captured:
+                    push((_KONT,))
+                    push((_STACK, x[0].stack))
+                else:
+                    push((_TERM, x[0], x[1]))
+        elif tag is _APP:
+            arg = out.pop()
+            out.append(App(out.pop(), arg))
+        elif tag is _ABS:
+            out.append(Abs(item[1], out.pop()))
+        elif tag is _CONS:
+            tail = out.pop()
+            out.append(Stack(out.pop(), tail))
+        elif tag is _KONT:
+            out.append(Kont(out.pop()))
+        else:
+            memo[id(item[1])] = out[-1]
+    term, stack = out
+    return Pair(term, stack)
 
 
 _LABEL_ORDER = (Action.R0, Action.R1, Action.REPS, Action.W0, Action.W1, Action.E)

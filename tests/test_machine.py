@@ -9,8 +9,8 @@ import reference_machine as reference
 from kamio.combinators import B, H, S, W, Y, compile_function, decode_numeral
 from kamio.equivalence import observable
 from kamio.machine import (
-    DEFAULT_FUEL, Action, ExecutionContext, bin_nat, eval_step, exec_step,
-    exec_step_labeled, implements_on, lts_step, nat_of_bin, run, settle,
+    DEFAULT_FUEL, Action, ExecutionContext, _Captured, _iterate, _read_back, bin_nat,
+    eval_step, exec_step, exec_step_labeled, implements_on, lts_step, nat_of_bin, run, settle,
 )
 from kamio.realizability import FinitePole
 from kamio.syntax import (
@@ -397,6 +397,41 @@ def assert_every_prefix(c, fuel):
         assert pretty(got.final.process) == pretty(expected.final.process)
 
 
+COMPILED_PROGRAMS = [
+    pytest.param(compile_function(parse_term(r"\x. x")), "1", id="id-bin1"),
+    pytest.param(compile_function(S), "", id="S-bin0"),
+    pytest.param(compile_function(B), "1", id="B-bin1"),
+    pytest.param(compile_function(H), "10", id="H-bin2"),
+    pytest.param(Pair(App(W, church_numeral(2)), stack_of()), "", id="W-#2"),
+    pytest.param(COPY_LOOP, "0110", id="copy-0110"),
+]
+
+
+def assert_read_back_matches_reference(p, bits, limit=62):
+    """Wherever `_iterate` stops p, with `bits` as input and without input,
+    at every fuel up to the steps of p's silent chain or run (at most
+    `limit`) plus one, `_read_back` builds the process the reference
+    `_read_back` builds.  A stack cell whose saved continuation is the
+    cell's own rest reads back, on both sides, to a `Kont` that holds the
+    read-back tail itself."""
+    for source in (None, bits):
+        last = _iterate(p, limit, source)[4]
+        for fuel in range(last + 2):
+            outcome, t, env, s = _iterate(p, fuel, source)[:4]
+            if outcome == "terminated":
+                continue
+            got, expected = _read_back(t, env, s), reference._read_back(t, env, s)
+            assert got == expected
+            assert pretty(got) == pretty(expected)
+            for q in (got, expected):
+                cell, entries = s, q.stack
+                while cell.__class__ is tuple:
+                    saved = cell[0][0]
+                    if saved.__class__ is _Captured and saved.stack is cell[1]:
+                        assert entries.head.stack is entries.tail
+                    cell, entries = cell[1], entries.tail
+
+
 class TestClosureMachine:
     """`run` is a closure machine; what it reads back after any number of
     steps is the process the substitution machine reaches."""
@@ -405,16 +440,18 @@ class TestClosureMachine:
     def test_every_prefix_on_random_contexts(self, c, fuel):
         assert_every_prefix(c, fuel)
 
-    @pytest.mark.parametrize("program, bits", [
-        pytest.param(compile_function(parse_term(r"\x. x")), "1", id="id-bin1"),
-        pytest.param(compile_function(S), "", id="S-bin0"),
-        pytest.param(compile_function(B), "1", id="B-bin1"),
-        pytest.param(compile_function(H), "10", id="H-bin2"),
-        pytest.param(Pair(App(W, church_numeral(2)), stack_of()), "", id="W-#2"),
-        pytest.param(COPY_LOOP, "0110", id="copy-0110"),
-    ])
+    @pytest.mark.parametrize("program, bits", COMPILED_PROGRAMS)
     def test_every_prefix_on_compiled_programs(self, program, bits):
         assert_every_prefix(ExecutionContext(program, bits, ""), DEFAULT_FUEL)
+
+    @given(st.one_of(gen.processes(), gen.silent_loops()), st.text("01", max_size=4))
+    def test_read_back_matches_reference(self, p, bits):
+        if p is not TOP:
+            assert_read_back_matches_reference(p, bits)
+
+    @pytest.mark.parametrize("program, bits", COMPILED_PROGRAMS)
+    def test_read_back_matches_reference_on_compiled_programs(self, program, bits):
+        assert_read_back_matches_reference(program, bits, DEFAULT_FUEL)
 
     @given(st.one_of(gen.processes(), gen.silent_loops()))
     def test_eval_step_is_one_silent_run_step(self, p):

@@ -392,6 +392,55 @@ class TestIdentity:
         assert END != EMPTY and Kont(EMPTY) != EMPTY
         assert stack_of(END) != stack_of(END, END)
 
+    @pytest.mark.parametrize("left, right", [
+        # an equal head, built apart, over stacks that differ in one entry
+        (r"(\x. \y. x) * end :: (\z. z) :: nil", r"(\x. \y. x) * end :: (\z. z z) :: nil"),
+        (r"(\x. \y. x) * end :: cc :: nil", r"(\x. \y. x) * end :: read :: nil"),
+        # an alpha-renamed head over stacks that differ in one entry
+        (r"(\u. \v. u) * end :: (\z. z) :: nil", r"(\x. \y. x) * end :: (\z. \w. z) :: nil"),
+        (r"(\u. \v. u) * end :: (\z. z) :: nil", r"(\x. \y. x) * write0 :: (\w. w) :: nil"),
+        # equal stacks under heads that differ, once with equal hashes
+        (r"(\x. x) * end :: (\z. z) :: nil", r"(\x. x x) * end :: (\z. z) :: nil"),
+        (r"(\x. \y. x y) * end :: nil", r"(\x. \y. y x) * end :: nil"),
+        # equal pairs, alpha-renamed
+        (r"(\x. \y. x y) * (\z. z) :: nil", r"(\a. \b. a b) * (\c. c) :: nil"),
+    ])
+    def test_pairs(self, left, right):
+        self._check_both_orders(parse_process(left), parse_process(right))
+
+    def test_pair_whose_saved_stack_is_its_tail(self):
+        # what `cc` leaves: the continuation holds the stack that is also the tail
+        rest = stack_of(END, Abs("z", Var("z")))
+        shared = Pair(Abs("k", Var("k")), Stack(Kont(rest), rest))
+        self._check_both_orders(shared, parse_process(r"(\j. j) * kont{end :: (\y. y) :: nil}"
+                                                      r" :: end :: (\x. x) :: nil"))
+        self._check_both_orders(shared, parse_process(r"(\k. k) * kont{end :: (\y. y) :: nil}"
+                                                      r" :: end :: (\x. x x) :: nil"))
+        self._check_both_orders(shared, parse_process(r"(\k. k) * kont{read :: (\y. y) :: nil}"
+                                                      r" :: end :: (\x. x) :: nil"))
+
+    def test_pair_stack_hashes_are_checked_before_the_heads_are_walked(self):
+        # heads that no walk gets through: closed variables without a name
+        a, b = object.__new__(Pair), object.__new__(Pair)
+        for pair in (a, b):
+            pair.term = object.__new__(Var)
+            pair.term.fvs, pair.term._hash = frozenset(), hash("var")
+        a.stack, b.stack = stack_of(END), stack_of(READ)
+        assert (a == b) is False
+        b.stack = stack_of(END)
+        with pytest.raises(AttributeError):
+            a == b
+
+    @staticmethod
+    def _check_both_orders(x, y):
+        expected = reference.equal(x, y)
+        assert reference.equal(y, x) is expected
+        assert (x == y) is expected
+        assert (y == x) is expected
+        assert (x != y) is not expected
+        if expected:
+            assert hash(x) == hash(y)
+
 
 class TestOneIdentityProtocol:
     """Terms, stacks and pairs take `==`, hash, `str` and `repr` from one
