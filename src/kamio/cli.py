@@ -4,14 +4,11 @@ Subcommands: parse, run, trace, bisim, topequiv, compile-fn, verify-impl,
 realize, decode, prelude-list.  Each takes only the options it reads.
 Exit codes encode verdicts: 0 for Verified/Terminated, 2 for
 Refuted/Stuck, 3 for Unknown/FuelExhausted, and 1 for parse, schema, or
-usage errors and for input nested too deeply to process.  Parsing,
-running, printing and settling a silent chain that gets stuck take any
-depth: `kamio bisim` verifies `#2000 * end :: end :: nil` against
-`(\z. z) (#2000) * end :: end :: nil`.  The JSON reader recurses, and so
-does `substitute`, which the silent step of `lts_step`, `beta_contract`,
-finite-pole membership and the settling of a chain that spends its fuel
-use: `kamio bisim` on `#2000 * (\x. x x) :: (\x. x x) :: nil` against
-`(\z. z) (#2000) * (\x. x x) :: (\x. x x) :: nil` exits 1.
+usage errors and for a scenario file nested too deeply for the JSON
+reader, which recurses.  Parsing, running, printing and every silent
+step (`machine.eval_step`, one closure step read back) take any depth:
+`kamio bisim` verifies `#2000 * (\x. x x) :: (\x. x x) :: nil` against
+`(\z. z) (#2000) * (\x. x x) :: (\x. x x) :: nil`.
 
 Fuel: `--fuel`, else KAMIO_FUEL, else 1000000.  A realizability pole's
 budget is settled when its scenario is loaded: the pole's own "fuel" key

@@ -3,11 +3,10 @@
 Both are checked over the labeled transition system of the machine
 (`machine.lts_step`, re-exported here).  A process's observable is what
 it offers once `machine.settle` has followed its silent chain: one
-`lts_step` on the process that chain stops at.  `settle` runs the chain
-on closures and reads back only the state it gets stuck in, so a deep
-term that the chain takes apart settles without `substitute`; only a
-chain that spends its fuel is followed again to tell a silent cycle
-from spent fuel.  Silent steps are
+`lts_step` on the process that chain stops at.  Every silent step is a
+step of the closure machine, read back (`machine.eval_step`), so a deep
+term settles without recursion; `substitute` runs only in
+`beta_contract`, which no CLI path calls.  Silent steps are
 deterministic, and only a read head offers more than one labeled
 transition, so the bounded bisimulation check can compare unique
 successors per label instead of searching relations.  It walks the pairs

@@ -12,29 +12,30 @@ the stack and terminates at TOP.  `_effect` is the one home of these
 read, write and end rules.
 
 One closure machine loop (Krivine, "A call-by-name lambda-calculus
-machine", HOSC 2007), `_iterate`, serves `run` and `settle`.  Its state
-is a term, an environment and a stack of closures, so a pop binds a name
-instead of copying the body, and a loaded `Pair`'s stack is used as it
-is.  The push, pop, save and restore rules are written there once, in
-place, with no helper call per step.  At an instruction head `run`,
-which passes its input, takes `_effect`'s step, and `settle`, which
-passes none, stops.  Looking a variable head up is not a step (a
-commutative transition in the sense of Accattoli, Barenbaum and Mazza,
-"Distilling abstract machines", ICFP 2014), so traces and step counts
-are those of the substitution machine.  The loop counts steps and notes
-each visible one; `run` builds its trace once, at the end.  A state
-where a chain stops short of TOP is read back to a process once, by
-`_read_back`, which emits closed terms as they are, without walking
-them.  Written bits are prepended, so the final output string is read
-verbatim as a most-significant-bit-first binary numeral.
+machine", HOSC 2007), `_iterate`, serves `run`, `settle` and
+`eval_step`.  Its state is a term, an environment and a stack of
+closures, so a pop binds a name instead of copying the body, and a
+loaded `Pair`'s stack is used as it is.  The push, pop, save and restore
+rules are written there once, in place, with no helper call per step.
+At an instruction head `run`, which passes its input, takes `_effect`'s
+step, and `settle`, which passes none, stops.  Looking a variable head
+up is not a step (a commutative transition in the sense of Accattoli,
+Barenbaum and Mazza, "Distilling abstract machines", ICFP 2014), so
+traces and step counts are those of the substitution machine.  The loop
+counts steps and notes each visible one; `run` builds its trace once, at
+the end.  A state where a chain stops short of TOP is read back to a
+process once, by `_read_back`, which emits closed terms as they are,
+without walking them.  Written bits are prepended, so the final output
+string is read verbatim as a most-significant-bit-first binary numeral.
 
 `lts_step` is the labeled transition system on processes: `_effect`'s
-visible transitions, and the silent step of `eval_step`, the
-substitution machine.  `settle` follows silent steps alone (for
+visible transitions, and the silent step of `eval_step`, one step of
+the closure loop read back.  `settle` follows silent steps alone (for
 `equivalence.observable` and finite-pole membership).  With no targets
 it runs the closure loop and reads back only the state where the chain
 gets stuck; it follows `eval_step`, with a seen-set, only for a chain
-that spends its fuel and for a chain with targets.
+that spends its fuel and for a chain with targets.  No path here copies
+a body through `substitute`.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import Container
 
 from .syntax import (
     Abs, App, CALLCC, Kont, Pair, Process, READ, Stack, TOP, Term, Var,
-    WRITE0, WRITE1, END, pretty, substitute,
+    WRITE0, WRITE1, END, pretty,
 )
 from .verdict import Verdict
 
@@ -124,35 +125,6 @@ class RunResult:
             "steps": self.steps,
             "trace": [a.value for a in self.trace],
         }
-
-
-def eval_step(p: Process) -> Process | None:
-    """The unique effect-free successor of p, or None if no rule applies.
-
-    Instruction constants in head position never step here; they only
-    step in the execution relation.  This is the substitution machine: a
-    pop copies the body through `substitute`.  `lts_step` takes its
-    silent transition from it, and `settle` follows it only where every
-    intermediate process is needed: to meet a target, or to tell a cycle
-    from spent fuel.  `run` does not use it.
-    """
-    if p.__class__ is not Pair:
-        return None
-    t, pi = p.term, p.stack
-    cls = t.__class__
-    if cls is App:
-        return Pair(t.fun, Stack(t.arg, pi))
-    head = pi.head
-    if head is None:
-        return None
-    if cls is Abs:
-        return Pair(substitute(t.body, t.param, head), pi.tail)
-    if t is CALLCC:
-        rest = pi.tail
-        return Pair(head, Stack(Kont(rest), rest))
-    if cls is Kont:
-        return Pair(head, t.stack)
-    return None
 
 
 # The members as module constants: an attribute lookup on the Enum class
@@ -238,13 +210,14 @@ def _read_back(t: Term, env, s) -> Pair:
     """The process that the closure state (t, env, s) stands for.
 
     Each free variable is replaced by the read-back of the closure it is
-    bound to.  Those are closed, so nothing is captured and no bound name
-    changes: the result is the process the substitution machine reaches,
-    name for name.  One walk from an explicit work list, building terms
-    and stacks on `out`.  What is already its own read-back goes to `out`
-    at once and pushes no work: a closure whose environment is empty or
-    whose term is closed (never a continuation that `cc` saved), a
-    variable bound inside the term being read back, a `Stack`, and a
+    bound to.  Those are closed, so nothing is captured and no bound
+    name changes: the result is the process the substitution machine
+    reaches, name for name.  One walk from an explicit work list,
+    building terms and stacks on `out`.  What is already its own
+    read-back goes to `out` at once and pushes no work: a closure whose
+    environment is empty or whose term is closed (never a continuation
+    that `cc` saved), as the head, a variable's value or a cell's entry,
+    a variable bound inside the term being read back, a `Stack`, and a
     closed child of an application, which, as the argument, rides on the
     build item.  Work is pushed for open subterms, other closures and
     stack cells, and for the nodes built from them.  Those closures and
@@ -253,8 +226,12 @@ def _read_back(t: Term, env, s) -> Pair:
     back to one shared `Stack`."""
     memo: dict[int, object] = {}
     out: list = []
-    work: list = [(_STACK, s), (_CLOSURE, (t, env))]
+    work: list = [(_STACK, s)]
     pop, push = work.pop, work.append
+    if t.__class__ is not _Captured and (env is None or not t.fvs):
+        out.append(t)
+    else:
+        push((_CLOSURE, (t, env)))
     while work:
         item = pop()
         tag = item[0]
@@ -265,10 +242,7 @@ def _read_back(t: Term, env, s) -> Pair:
             if x.__class__ is Stack:
                 out.append(x)
                 continue
-            u, e = x  # a closure (term, environment) or a cell (closure, rest)
-            if tag is _CLOSURE and u.__class__ is not _Captured and (e is None or not u.fvs):
-                out.append(u)  # a closed term is its own read-back
-                continue
+            u, e = x  # an open closure (term, environment) or a cell (closure, rest)
             if id(x) in memo:
                 out.append(memo[id(x)])
                 continue
@@ -276,7 +250,10 @@ def _read_back(t: Term, env, s) -> Pair:
             if tag is _STACK:  # a (closure, rest) cell
                 push((_CONS,))
                 push((_STACK, e))
-                push((_CLOSURE, u))
+                if u[0].__class__ is not _Captured and (u[1] is None or not u[0].fvs):
+                    out.append(u[0])
+                else:
+                    push((_CLOSURE, u))
                 continue
             if u.__class__ is _Captured:
                 push((_KONT,))
@@ -304,10 +281,13 @@ def _read_back(t: Term, env, s) -> Pair:
             name = u.name
             while e[0] != name:
                 e = e[2]
-            if e[1] is None:  # bound inside the term being read back
+            c = e[1]
+            if c is None:  # bound inside the term being read back
                 out.append(u)
+            elif c[0].__class__ is not _Captured and (c[1] is None or not c[0].fvs):
+                out.append(c[0])
             else:
-                push((_CLOSURE, e[1]))
+                push((_CLOSURE, c))
         elif cls is App:
             fun, arg = u.fun, u.arg
             if arg.fvs:
@@ -405,6 +385,18 @@ def _iterate(p: Pair, fuel: int, source: str | None) -> tuple:
             t, env = top
         left -= 1
     return "fuel", t, env, s, fuel, visible, read
+
+
+def eval_step(p: Process) -> Process | None:
+    """The unique effect-free successor of p, or None if no rule applies
+    (an instruction head steps only in the execution relation): one step
+    of `_iterate` without input, read back, which is name for name the
+    substitution machine's step.  `lts_step` and `settle`'s exact loop
+    take their silent steps from it."""
+    if p.__class__ is not Pair:
+        return None
+    _, t, env, s, steps = _iterate(p, 1, None)[:5]
+    return _read_back(t, env, s) if steps else None
 
 
 def settle(p: Process, fuel: int, targets: Container[Process] = ()) -> tuple[str, Process]:

@@ -11,7 +11,7 @@ node gets its hash when it is built, from its children's hashes and
 never from names, so alpha-equivalent values hash alike; a pair hashes
 on demand.  Parsing, equality and printing walk explicit work lists or
 frame stacks, so nesting depth does not limit them; `substitute` still
-recurses.
+recurses, and only `equivalence.beta_contract` calls it.
 
 The concrete grammar (comments run from ``--`` to end of line)::
 

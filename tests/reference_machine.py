@@ -1,12 +1,18 @@
 """Earlier versions of rewritten code, kept unchanged as differential
 oracles.
 
+- `eval_step` as it stood when it was the substitution machine, with
+  its own push, pop, save and restore rules on processes and a pop that
+  copies the body through `substitute`; its docstring is kept too.
+  Oracle for `kamio.machine.eval_step`, now one step of the closure loop
+  read back.  Every oracle here that takes a silent step takes it with
+  this copy, never with the code under test.
 - The execution relation as it stood before it was rewritten on top of
   `lts_step`: hand-written read/write/end rules on the substitution
   machine, and a `run` that builds an `ExecutionContext` on every step.
   Oracle for `kamio.machine.run`, the closure machine, at every step
-  count, for `kamio.machine.exec_step_labeled`, and for the visible
-  transitions of `kamio.machine.lts_step`.
+  count, and for `kamio.machine.exec_step_labeled`.  `lts_step` takes
+  each transition from it; oracle for `kamio.machine.lts_step`.
 - `trace_conforms` as it stood when it tested the read_all_then_write
   discipline clause by clause.  Oracle for
   `kamio.realizability.trace_conforms`.
@@ -55,15 +61,43 @@ import re
 from typing import Container
 
 from kamio.equivalence import DEFAULT_DEPTH, DEFAULT_OBS_FUEL, Observable
-from kamio.machine import (
-    DEFAULT_FUEL, Action, ExecutionContext, RunResult, _Captured, eval_step, lts_step,
-)
+from kamio.machine import DEFAULT_FUEL, Action, ExecutionContext, RunResult, _Captured
 from kamio.realizability import COPY, READ_ALL_THEN_WRITE
 from kamio.syntax import (
-    END, READ, RESERVED, TOP, WRITE0, WRITE1, Abs, App, Const, Kont, Pair, ParseError, Process,
-    Stack, Term, Var, _ATOM_STARTERS, _KEYWORD_TERMS, church_numeral, stack_of,
+    CALLCC, END, READ, RESERVED, TOP, WRITE0, WRITE1, Abs, App, Const, Kont, Pair, ParseError,
+    Process, Stack, Term, Var, _ATOM_STARTERS, _KEYWORD_TERMS, church_numeral, stack_of,
+    substitute,
 )
 from kamio.verdict import Verdict
+
+
+def eval_step(p: Process) -> Process | None:
+    """The unique effect-free successor of p, or None if no rule applies.
+
+    Instruction constants in head position never step here; they only
+    step in the execution relation.  This is the substitution machine: a
+    pop copies the body through `substitute`.  `lts_step` takes its
+    silent transition from it, and `settle` follows it only where every
+    intermediate process is needed: to meet a target, or to tell a cycle
+    from spent fuel.  `run` does not use it.
+    """
+    if p.__class__ is not Pair:
+        return None
+    t, pi = p.term, p.stack
+    cls = t.__class__
+    if cls is App:
+        return Pair(t.fun, Stack(t.arg, pi))
+    head = pi.head
+    if head is None:
+        return None
+    if cls is Abs:
+        return Pair(substitute(t.body, t.param, head), pi.tail)
+    if t is CALLCC:
+        rest = pi.tail
+        return Pair(head, Stack(Kont(rest), rest))
+    if cls is Kont:
+        return Pair(head, t.stack)
+    return None
 
 
 def exec_step_labeled(c: ExecutionContext) -> tuple[Action, ExecutionContext] | None:
@@ -123,6 +157,15 @@ def run(c: ExecutionContext, fuel: int = DEFAULT_FUEL) -> RunResult:
     if exec_step_labeled(c) is None:
         return RunResult("stuck", c, tuple(trace))
     return RunResult("fuel", c, tuple(trace))
+
+
+def lts_step(p: Process) -> tuple[tuple[Action, Process], ...]:
+    """All transitions of p, each from `exec_step_labeled`: a read head's
+    three branches, on input 0, 1 and none, if all three exist, else the
+    one step, if any, on no input."""
+    bits = ("0", "1", "") if p.__class__ is Pair and p.term is READ else ("",)
+    steps = [exec_step_labeled(ExecutionContext(p, bit)) for bit in bits]
+    return () if None in steps else tuple((action, c.process) for action, c in steps)
 
 
 def _read_label(bit: str) -> Action:

@@ -56,6 +56,28 @@ class TestEvalStep:
     def test_top_has_no_step(self):
         assert eval_step(TOP) is None
 
+    def test_deep_silent_step(self):
+        # the pop reads back a 2,000-deep body with no recursion
+        [(action, q)] = lts_step(parse_process("#2000 * end :: end :: nil"))
+        body = Var("x")
+        for _ in range(2000):
+            body = App(END, body)
+        assert (action, q) == (Action.TAU, Pair(Abs("x", body), stack_of(END)))
+
+    def test_deep_finite_pole_member(self):
+        # the exact loop steps with eval_step until it meets the seed
+        stuck = END
+        for _ in range(1999):
+            stuck = App(END, stuck)
+        pole = FinitePole.of([Pair(END, stack_of(stuck))])
+        assert pole.member(parse_process("#2000 * end :: end :: nil"), 100_000).is_verified
+
+    def test_deep_settle_cycle(self):
+        # the closure pass spends its fuel; the exact loop finds the cycle
+        w = parse_term(r"\x. x x")
+        reason, q = settle(parse_process(r"#2000 * (\x. x x) :: (\x. x x) :: nil"), 100_000)
+        assert (reason, q.term, len(q.stack)) == ("cycle", App(w, w), 1999)
+
     @given(st.one_of(gen.processes(), gen.silent_loops()))
     def test_exactly_the_silent_transitions(self, p):
         # lts_step's silent move is eval_step's successor, and where
@@ -413,7 +435,8 @@ def assert_read_back_matches_reference(p, bits, limit=62):
     `limit`) plus one, `_read_back` builds the process the reference
     `_read_back` builds.  A stack cell whose saved continuation is the
     cell's own rest reads back, on both sides, to a `Kont` that holds the
-    read-back tail itself."""
+    read-back tail itself.  Returns how many such cells were met."""
+    hits = 0
     for source in (None, bits):
         last = _iterate(p, limit, source)[4]
         for fuel in range(last + 2):
@@ -429,7 +452,19 @@ def assert_read_back_matches_reference(p, bits, limit=62):
                     saved = cell[0][0]
                     if saved.__class__ is _Captured and saved.stack is cell[1]:
                         assert entries.head.stack is entries.tail
+                        hits += q is got
                     cell, entries = cell[1], entries.tail
+    return hits
+
+
+def assert_eval_step_matches_reference(p):
+    """`eval_step` gives the substitution machine's step, name for name;
+    returns whether p has one."""
+    got, expected = eval_step(p), reference.eval_step(p)
+    assert got == expected
+    if expected is not None:
+        assert pretty(got) == pretty(expected)
+    return expected is not None
 
 
 class TestClosureMachine:
@@ -453,6 +488,28 @@ class TestClosureMachine:
     def test_read_back_matches_reference_on_compiled_programs(self, program, bits):
         assert_read_back_matches_reference(program, bits, DEFAULT_FUEL)
 
+    @pytest.mark.parametrize("text", [
+        r"(\x. cc (\k. k) x) end * nil",
+        r"cc (\k. k (write0 k)) * end :: nil",
+        r"(\x. cc (\k. k x) x) (\y. y) * end :: nil",
+    ])
+    def test_read_back_keeps_saved_stacks_shared(self, text):
+        assert assert_read_back_matches_reference(parse_process(text), "") > 0
+
+    @given(st.one_of(gen.processes(), gen.silent_loops()))
+    def test_eval_step_matches_reference(self, p):
+        assert_eval_step_matches_reference(p)
+        assert lts_step(p) == reference.lts_step(p)
+
+    @pytest.mark.parametrize("program, bits", COMPILED_PROGRAMS)
+    def test_eval_step_matches_reference_on_compiled_programs(self, program, bits):
+        # at every state of the run, silent or visible
+        c, silent = ExecutionContext(program, bits), 0
+        while c.process is not TOP:
+            silent += assert_eval_step_matches_reference(c.process)
+            c = reference.exec_step_labeled(c)[1]
+        assert silent > 0
+
     @given(st.one_of(gen.processes(), gen.silent_loops()))
     def test_eval_step_is_one_silent_run_step(self, p):
         result = run(ExecutionContext(p), 1)
@@ -466,10 +523,7 @@ class TestClosureMachine:
     @given(st.sampled_from((READ, WRITE0, WRITE1, END)), gen.stacks())
     def test_lts_step_on_instruction_heads(self, head, stack):
         p = Pair(head, stack)
-        expected = [reference.exec_step_labeled(ExecutionContext(p, bit))
-                    for bit in (("0", "1", "") if head is READ else ("",))]
-        expected = () if None in expected else tuple((a, c.process) for a, c in expected)
-        got = lts_step(p)
+        got, expected = lts_step(p), reference.lts_step(p)
         assert got == expected
         assert [pretty(q) for _, q in got] == [pretty(q) for _, q in expected]
 
