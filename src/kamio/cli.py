@@ -319,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"kamio: error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        print("kamio: error: input is nested too deeply", file=sys.stderr)
+        print("kamio: error: scenario JSON is nested too deeply", file=sys.stderr)
         return 1
 
 

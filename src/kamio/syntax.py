@@ -9,7 +9,9 @@ Terms, stacks and pairs share one identity protocol, the private base
 one, and `str` and `repr` print through `pretty`.  Each term and stack
 node gets its hash when it is built, from its children's hashes and
 never from names, so alpha-equivalent values hash alike; a pair hashes
-on demand.  Parsing, equality and printing walk explicit work lists or
+on demand.  The tokenizer returns each token as a plain string, and a
+token's offset is worked out only when a `ParseError` is raised.
+Parsing, equality and printing walk explicit work lists or
 frame stacks, so nesting depth does not limit them; `substitute` still
 recurses, and only `equivalence.beta_contract` calls it.
 
@@ -509,27 +511,37 @@ _KEYWORD_TERMS = {
 
 RESERVED = frozenset(_KEYWORD_TERMS) | {"nil", "TOP", "kont"}
 
-_TOKEN_RE = re.compile(
-    r"(?P<skip>\s+|--[^\n]*)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<nat>[0-9]+)"
-    r"|(?P<punct>::|[\\.(){}*#])"
-    r"|(?P<bad>.)"
-)
+# Outside comments, text holds only whitespace and tokens, and tokens only
+# ASCII characters: an anchored match of `_VALID_RE` stops at the first
+# character that breaks this.  `_TOKEN_RE` matches no whitespace, so a
+# search skips it.
+_VALID_RE = re.compile(r"(?:[\sA-Za-z0-9_\\.(){}*#]+|::|--[^\n]*)*")
+_TOKEN_RE = re.compile(r"[\\.(){}*#]|[A-Za-z_][A-Za-z0-9_]*|::|[0-9]+|--[^\n]*")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, value, offset) for each token of text, then an "eof" token."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "skip":
-            continue
-        if kind == "bad":
-            raise _error(text, m.start(), f"unexpected character {m.group()!r}")
-        tokens.append((kind, m.group(), m.start()))
-    tokens.append(("eof", "", len(text)))
+def _tokenize(text: str) -> list[str]:
+    """The tokens of text as strings, then "" for end of input.
+
+    No offset is kept: only an error reads one, from `_offset`."""
+    end = _VALID_RE.match(text).end()
+    if end < len(text):
+        raise _error(text, end, f"unexpected character {text[end]!r}")
+    tokens = _TOKEN_RE.findall(text)
+    if "--" in text:
+        tokens = [token for token in tokens if token[0] != "-"]
+    tokens.append("")
     return tokens
+
+
+def _offset(text: str, pos: int) -> int:
+    """The offset in text of `_tokenize(text)[pos]`, by a scan that stops
+    at that token."""
+    for m in _TOKEN_RE.finditer(text):
+        if text[m.start()] != "-":  # not a comment
+            if not pos:
+                return m.start()
+            pos -= 1
+    return len(text)
 
 
 def _error(text: str, offset: int, message: str, expected: tuple[str, ...] = ()) -> ParseError:
@@ -544,22 +556,22 @@ def _error(text: str, offset: int, message: str, expected: tuple[str, ...] = ())
 _ATOM_STARTERS = "an identifier, 'cc', 'read', 'write0', 'write1', 'end', 'kont{', '#', or '('"
 
 
-def _fail(text: str, token, message: str, expected: tuple[str, ...]):
-    _, value, offset = token
-    raise _error(text, offset, f"{message}, found {value or 'end of input'!r}", expected)
+def _fail(text: str, tokens: list[str], pos: int, message: str, expected: tuple[str, ...]):
+    raise _error(text, _offset(text, pos),
+                 f"{message}, found {tokens[pos] or 'end of input'!r}", expected)
 
 
-def _expect(text: str, tokens, pos: int, value: str) -> int:
+def _expect(text: str, tokens: list[str], pos: int, value: str) -> int:
     """The position after tokens[pos], which must be the punctuation `value`."""
-    if tokens[pos][1] != value:
-        _fail(text, tokens[pos], f"expected {value!r}", (value,))
+    if tokens[pos] != value:
+        _fail(text, tokens, pos, f"expected {value!r}", (value,))
     return pos + 1
 
 
-def _finish(text: str, tokens, pos: int, result):
-    kind, value, offset = tokens[pos]
-    if kind != "eof":
-        raise _error(text, offset, f"unexpected trailing input {value!r}", ("end of input",))
+def _finish(text: str, tokens: list[str], pos: int, result):
+    if tokens[pos]:
+        raise _error(text, _offset(text, pos), f"unexpected trailing input {tokens[pos]!r}",
+                     ("end of input",))
     return result
 
 
@@ -575,9 +587,11 @@ def _parse(text: str, goal: str):
     Closing the frame pops them back, and the finished term, or the
     continuation over the finished stack, is the next atom of that
     application.  `entries` is the list of the stack being read, or None
-    while a term is read outside any stack."""
+    while a term is read outside any stack.  A token is a plain string,
+    so its kind is read from the string, and its offset is found only
+    for an error."""
     tokens = _tokenize(text)
-    if goal in ("process", "any") and tokens[0][1] == "TOP":
+    if goal in ("process", "any") and tokens[0] == "TOP":
         return _finish(text, tokens, 1, TOP)
     pos = 0
     frames = []
@@ -585,8 +599,11 @@ def _parse(text: str, goal: str):
     binders: list[str] = []
     app = None  # the application read so far in the innermost term
     head = None  # a process's term, once its '*' is read
+    # `_tokenize` has rejected every non-ASCII character outside comments,
+    # so on a token `isidentifier` and `isdigit` hold exactly for the
+    # identifiers and the numbers of `_TOKEN_RE`.
     while True:
-        kind, value, offset = tokens[pos]
+        value = tokens[pos]
         if app is None and not binders and entries is not None and value == "nil":
             pos += 1
             stack = stack_of(*entries)
@@ -598,17 +615,17 @@ def _parse(text: str, goal: str):
         else:
             if app is None:
                 while value == "\\":
-                    kind, value, offset = tokens[pos + 1]
-                    if kind != "ident":
-                        _fail(text, tokens[pos + 1], "expected a variable name", ("identifier",))
+                    value = tokens[pos + 1]
+                    if not value.isidentifier():
+                        _fail(text, tokens, pos + 1, "expected a variable name", ("identifier",))
                     if value in RESERVED:
-                        raise _error(text, offset,
+                        raise _error(text, _offset(text, pos + 1),
                                      f"reserved word {value!r} cannot be a variable name",
                                      ("identifier",))
                     binders.append(value)
                     pos = _expect(text, tokens, pos + 2, ".")
-                    kind, value, offset = tokens[pos]
-            if kind == "ident" and value not in RESERVED:
+                    value = tokens[pos]
+            if value.isidentifier() and value not in RESERVED:
                 t = Var(value)
                 pos += 1
             elif value in _KEYWORD_TERMS:
@@ -625,19 +642,19 @@ def _parse(text: str, goal: str):
                 entries, binders, app = None, [], None
                 continue
             elif value == "#":
-                if tokens[pos + 1][0] != "nat":
-                    _fail(text, tokens[pos + 1], "expected a number after '#'", ("natural number",))
-                t = church_numeral(int(tokens[pos + 1][1]))
+                if not tokens[pos + 1].isdigit():
+                    _fail(text, tokens, pos + 1, "expected a number after '#'", ("natural number",))
+                t = church_numeral(int(tokens[pos + 1]))
                 pos += 2
             elif value == "nil" or value == "TOP":
-                raise _error(text, offset, f"reserved word {value!r} is not a term",
+                raise _error(text, _offset(text, pos), f"reserved word {value!r} is not a term",
                              (_ATOM_STARTERS,))
             else:
-                _fail(text, tokens[pos], "expected a term", (_ATOM_STARTERS,))
+                _fail(text, tokens, pos, "expected a term", (_ATOM_STARTERS,))
         while True:  # t is an atom: apply to it, then close each term that ends here
             app = t if app is None else App(app, t)
-            kind, value, offset = tokens[pos]
-            if kind == "ident" and value != "nil" and value != "TOP" or value in ("(", "#"):
+            value = tokens[pos]
+            if value.isidentifier() and value != "nil" and value != "TOP" or value in ("(", "#"):
                 break
             t = app
             while binders:

@@ -155,10 +155,15 @@ def random_silent_loop(rng: random.Random):
 
 
 # Parser input vocabulary: every punctuation mark and reserved word, names,
-# numerals, binders (reserved ones too), a comment and a line break.
+# numerals, binders (reserved ones too), comments (one holding characters
+# rejected outside a comment), a line break, a tab and a carriage return;
+# and, drawn one time in 50, characters the grammar rejects: a lone ':'
+# and '-', '$', and a non-ASCII letter and digit.
 _TOKENS = ("(", ")", "(", ")", "kont{", "kont", "{", "}", "::", "::", "*", "TOP", "nil", "nil",
            "#", "#2", "7", "\\", ".", "\\x.", "\\y.", "\\nil.", "\\end.", "\\TOP.",
-           "x", "y", "f", "end", "cc", "read", "write0", "write1", "-- note\n", "\n")
+           "x", "y", "f", "end", "cc", "read", "write0", "write1", "-- note\n", "-- $ \u00e9\n",
+           "\n", "\t", "\r")
+_REJECTED = (":", "-", "$", "\u00e9", "\u0663")
 _TOKEN_RE = re.compile(r"::|kont\{|\\\w+\.|\w+|\S")
 
 
@@ -169,12 +174,16 @@ def printed_tokens(rng: random.Random) -> list[str]:
     return _TOKEN_RE.findall(str(value))
 
 
+def _random_token(rng: random.Random) -> str:
+    return rng.choice(_REJECTED if rng.random() < 0.02 else _TOKENS)
+
+
 def random_text(rng: random.Random, printed: list[list[str]], max_tokens: int = 14) -> str:
     """Parser input near the grammar: half the time a string of random
     tokens, else one of the `printed` token lists with up to two of its
     tokens deleted, replaced, or preceded by a random one."""
     if rng.random() < 0.5:
-        return " ".join(rng.choice(_TOKENS) for _ in range(rng.randrange(max_tokens + 1)))
+        return " ".join(_random_token(rng) for _ in range(rng.randrange(max_tokens + 1)))
     tokens = list(rng.choice(printed))
     for _ in range(rng.randrange(3)):
         i = rng.randrange(len(tokens) + 1)
@@ -182,9 +191,9 @@ def random_text(rng: random.Random, printed: list[list[str]], max_tokens: int = 
         if edit == 0:
             tokens[i:i + 1] = []
         elif edit == 1:
-            tokens[i:i + 1] = [rng.choice(_TOKENS)]
+            tokens[i:i + 1] = [_random_token(rng)]
         else:
-            tokens.insert(i, rng.choice(_TOKENS))
+            tokens.insert(i, _random_token(rng))
     return " ".join(tokens)
 
 

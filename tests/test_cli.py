@@ -574,7 +574,7 @@ class TestRealize:
         code, out, err = run_cli(capsys, "realize", scenario)
         assert code == 1
         assert out == ""
-        assert err == "kamio: error: input is nested too deeply\n"
+        assert err == "kamio: error: scenario JSON is nested too deeply\n"
 
 
 class TestDecode:

@@ -120,6 +120,18 @@ class TestParseTerm:
             parse_term(r"\x. \y \z. x")
         assert str(info.value) == "1:8: expected '.', found '\\\\' (expected .)"
 
+    @pytest.mark.parametrize("text, message", [
+        # a comment's contents are not checked, and positions after it are right
+        ("x -- $ \u00e9\n )", "2:2: unexpected trailing input ')' (expected end of input)"),
+        ("#\u0663", "1:2: unexpected character '\u0663'"),
+        ("\\\u00e9. x", "1:2: unexpected character '\u00e9'"),
+        ("x : y", "1:3: unexpected character ':'"),
+    ], ids=["after-comment", "non-ascii-digit", "non-ascii-letter", "lone-colon"])
+    def test_lexer_messages(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_term(text)
+        assert str(info.value) == message
+
 
 def parse_outcome(parse, *args):
     """What parse(*args) gives: the kind and printed text of its value, or
@@ -154,8 +166,10 @@ class TestParser:
                 outcome = parse_outcome(_parse, text, goal)
                 assert outcome == parse_outcome(oracle, text), (goal, text)
                 kinds[goal, outcome[0] if outcome[0].endswith("Error") else "value"] += 1
-        for goal, _ in self.ORACLES:  # each entry point met values and both errors
-            for kind in ("value", "ParseError", "ClosednessError"):
+                if outcome[0] == "ParseError" and "unexpected character" in outcome[1]:
+                    kinds[goal, "bad character"] += 1
+        for goal, _ in self.ORACLES:  # each entry point met values, both errors and bad characters
+            for kind in ("value", "ParseError", "ClosednessError", "bad character"):
                 assert kinds[goal, kind] >= 100, (goal, kind, kinds)
 
     def test_term_or_process(self):
