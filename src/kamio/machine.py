@@ -22,11 +22,14 @@ step, and `settle`, which passes none, stops.  Looking a variable head
 up is not a step (a commutative transition in the sense of Accattoli,
 Barenbaum and Mazza, "Distilling abstract machines", ICFP 2014), so
 traces and step counts are those of the substitution machine.  The loop
-counts steps and notes each visible one; `run` builds its trace once, at
-the end.  A state where a chain stops short of TOP is read back to a
-process once, by `_read_back`, which emits closed terms as they are,
-without walking them.  Written bits are prepended, so the final output
-string is read verbatim as a most-significant-bit-first binary numeral.
+runs over `range(fuel)`, whose index is the step count, so no step tests
+the budget; a loop that spends its fuel checks once, at the state it
+stopped at, whether that state is stuck.  It notes each visible step,
+and `run` builds its trace once, at the end.  A state where a chain
+stops short of TOP is read back to a process once, by `_read_back`,
+which emits closed terms as they are, without walking them.  Written
+bits are prepended, so the final output string is read verbatim as a
+most-significant-bit-first binary numeral.
 
 `lts_step` is the labeled transition system on processes: `_effect`'s
 visible transitions, and the silent step of `eval_step`, one step of
@@ -149,37 +152,40 @@ class _Captured:
         self.stack = stack
 
 
-def _pop(s):
-    """(closure, rest) for the top of closure stack s, or None if s is empty."""
-    if s.__class__ is tuple:
-        return s
-    if s.head is None:
-        return None
-    return (s.head, None), s.tail
-
-
 def _effect(t: Term, s) -> tuple:
     """The visible transitions of head t on closure stack s, as
     (action, closure, rest) triples: a read's three branches in the
     order R0, R1, REPS, a write's one, or end's one, which leaves no
     closure and no rest (None).  Empty if t is no instruction or lacks
-    its arguments."""
+    its arguments.  Each entry is popped in place: a `Stack` cell is
+    first turned into a (closure, rest) cell."""
     if t is END:
         return (_E, None, None),
     if t is WRITE0 or t is WRITE1:
-        top = _pop(s)
-        if top is None:
+        if s.__class__ is not tuple:
+            if s.head is None:
+                return ()
+            s = (s.head, None), s.tail
+        top, s = s
+        return ((_W0 if t is WRITE0 else _W1), top, s),
+    if t is not READ:
+        return ()
+    if s.__class__ is not tuple:
+        if s.head is None:
             return ()
-        return ((_W0 if t is WRITE0 else _W1), top[0], top[1]),
-    if t is READ:
-        first = _pop(s)
-        second = first and _pop(first[1])
-        third = second and _pop(second[1])
-        if third is None:
+        s = (s.head, None), s.tail
+    first, s = s
+    if s.__class__ is not tuple:
+        if s.head is None:
             return ()
-        rest = third[1]
-        return (_R0, first[0], rest), (_R1, second[0], rest), (_REPS, third[0], rest)
-    return ()
+        s = (s.head, None), s.tail
+    second, s = s
+    if s.__class__ is not tuple:
+        if s.head is None:
+            return ()
+        s = (s.head, None), s.tail
+    third, s = s
+    return (_R0, first, s), (_R1, second, s), (_REPS, third, s)
 
 
 def lts_step(p: Process) -> tuple[tuple[Action, Process], ...]:
@@ -321,26 +327,27 @@ def _iterate(p: Pair, fuel: int, source: str | None) -> tuple:
     that the next unread bit selects (`read` counts the bits read).
     Given None it is the evaluation relation, which stops at an
     instruction head.  outcome is "terminated" (end was taken), "stuck"
-    (no step applies) or "fuel"; a last allowed step that lands on a
-    stuck state gives "stuck".  `visible` lists (index, action) for each
-    visible step, so a silent step appends nothing."""
+    (no step applies) or "fuel".  The loop runs over `range(fuel)`, whose
+    index is the step count, so no step tests the budget; a loop that
+    spends it decides once, at the state it stopped at, between "stuck"
+    and "fuel", so a last allowed step that lands on a stuck state gives
+    "stuck".  `visible` lists (index, action) for each visible step, so
+    a silent step appends nothing."""
+    Var_, App_, Abs_, tuple_ = Var, App, Abs, tuple  # locals: read faster than globals
     t, env, s = p.term, None, p.stack
     read = 0
     visible: list[tuple[int, Action]] = []
-    left = fuel
-    while True:
+    for i in range(fuel):
         cls = t.__class__
-        if cls is Var:
+        if cls is Var_:
             name = t.name
             while env[0] != name:
                 env = env[2]
             t, env = env[1]
             cls = t.__class__
-        if cls is App:
-            if not left:
-                break
+        if cls is App_:
             arg = t.arg
-            if arg.__class__ is Var:
+            if arg.__class__ is Var_:
                 name, e = arg.name, env
                 while e[0] != name:
                     e = e[2]
@@ -348,43 +355,63 @@ def _iterate(p: Pair, fuel: int, source: str | None) -> tuple:
             else:
                 s = (arg, env), s
             t = t.fun
-        elif cls is Abs or cls is Kont or cls is _Captured or t is CALLCC:
-            if s.__class__ is tuple:
+        elif cls is Abs_:
+            if s.__class__ is tuple_:
+                top, s = s
+            elif s.head is None:
+                return "stuck", t, env, s, i, visible, read
+            else:
+                top, s = (s.head, None), s.tail
+            env = (t.param, top, env)
+            t = t.body
+        elif cls is Kont or cls is _Captured or t is CALLCC:
+            if s.__class__ is tuple_:
                 top, rest = s
             elif s.head is None:
-                return "stuck", t, env, s, fuel - left, visible, read
+                return "stuck", t, env, s, i, visible, read
             else:
                 top, rest = (s.head, None), s.tail
-            if not left:
-                break
-            if cls is Abs:
-                env = (t.param, top, env)
-                t = t.body
-                s = rest
-            elif cls is Kont or cls is _Captured:  # restore
-                s = t.stack
-                t, env = top
-            else:  # save
-                s = (_Captured(rest), None), rest
-                t, env = top
+            # restore a continuation's stack, or save the rest (cc)
+            s = t.stack if t is not CALLCC else ((_Captured(rest), None), rest)
+            t, env = top
         else:
             moves = _effect(t, s) if source is not None else ()
             if not moves:
-                return "stuck", t, env, s, fuel - left, visible, read
-            if not left:
-                break
+                return "stuck", t, env, s, i, visible, read
             if len(moves) == 1:
                 action, top, s = moves[0]
             else:  # the read branch that the next input bit selects
                 bit = source[read:read + 1]
                 action, top, s = moves[int(bit) if bit else 2]
                 read += len(bit)
-            visible.append((fuel - left, action))
+            visible.append((i, action))
             if top is None:
-                return "terminated", t, env, s, fuel - left + 1, visible, read
+                return "terminated", t, env, s, i + 1, visible, read
             t, env = top
-        left -= 1
-    return "fuel", t, env, s, fuel, visible, read
+    # the fuel is spent: is the state it stopped at stuck?
+    cls = t.__class__
+    if cls is Var:
+        name = t.name
+        while env[0] != name:
+            env = env[2]
+        t, env = env[1]
+        cls = t.__class__
+    if cls is App:
+        stuck = False
+    elif cls is Abs or cls is Kont or cls is _Captured or t is CALLCC:
+        stuck = s.__class__ is not tuple and s.head is None
+    else:
+        stuck = source is None or not _effect(t, s)
+    return ("stuck" if stuck else "fuel"), t, env, s, fuel, visible, read
+
+
+def _check_fuel(fuel: int) -> None:
+    """Reject, before any step, a fuel that is not an integer (TypeError)
+    or is negative (ValueError)."""
+    if not isinstance(fuel, int):
+        raise TypeError(f"fuel must be an integer, not {type(fuel).__name__}")
+    if fuel < 0:
+        raise ValueError("fuel must be non-negative")
 
 
 def eval_step(p: Process) -> Process | None:
@@ -404,7 +431,8 @@ def settle(p: Process, fuel: int, targets: Container[Process] = ()) -> tuple[str
     stopped and the process it stopped at.  The reason is "stop" (a
     member of `targets`), "stuck" (no silent step applies), "cycle" (a
     process repeats) or "fuel", checked in that order at each process.
-    A negative fuel raises ValueError.
+    A fuel that is not an integer raises TypeError, a negative one
+    ValueError.
 
     With no targets the chain runs on closures: `_iterate` without input,
     which stops at an instruction head, and builds no trace.  Silent
@@ -413,8 +441,7 @@ def settle(p: Process, fuel: int, targets: Container[Process] = ()) -> tuple[str
     process `eval_step` reaches.  Only a chain that spends its fuel, and
     every chain with targets, is followed again from p through
     `eval_step` with a seen-set, which tells "cycle" from "fuel"."""
-    if fuel < 0:
-        raise ValueError("fuel must be non-negative")
+    _check_fuel(fuel)
     if not targets and p.__class__ is Pair:
         outcome, t, env, s = _iterate(p, fuel, None)[:4]
         if outcome == "stuck":
@@ -443,10 +470,10 @@ def run(c: ExecutionContext, fuel: int = DEFAULT_FUEL) -> RunResult:
     applies ("stuck"); a run whose last allowed step lands on a stuck
     state is "stuck", not "fuel".  The trace is built once, at the end,
     from the step count and the visible steps, and the final state is
-    read back to a process unless the run terminated.
+    read back to a process unless the run terminated.  A fuel that is
+    not an integer raises TypeError, a negative one ValueError.
     """
-    if fuel < 0:
-        raise ValueError("fuel must be non-negative")
+    _check_fuel(fuel)
     if c.process is TOP:
         return RunResult("terminated", c, ())
     outcome, t, env, s, steps, visible, read = _iterate(c.process, fuel, c.input)

@@ -24,7 +24,10 @@ oracles.
   Oracles for `kamio.syntax._parse` and its entry points.  `_Parser`
   reads the tokens of its own `_tokenize`, the tokenizer as it stood
   when each token carried its line and column, so the error positions
-  of `kamio.syntax`, worked out from an offset, are compared too.
+  of `kamio.syntax`, worked out from an offset, are compared too.  One
+  edit: `_tokenize` keeps its last few results and returns a tuple, so
+  the four entry points, called one after another on one text, tokenize
+  it once.
 - The recursive alpha-equivalence `_alpha_eq` and alpha-invariant hash
   `_alpha_hash`, and `equal` and `alpha_hash`, which extend them to
   stacks and processes as `Stack` and `Pair` did.  Oracle for `==` and
@@ -46,6 +49,10 @@ oracles.
   subterm and every closure, closed ones included.  Oracle for
   `kamio.machine._read_back`, which emits closed terms and closures
   without pushing work for them.
+- The closure loop `_iterate` as it stood when it counted its fuel down
+  and tested it at each rule, with the `_effect` it called and the
+  `_pop` helper that `_effect` popped through.  Oracle for
+  `kamio.machine._iterate`, compared at every fuel.
 - The recursive `weak_bisim`.  Oracle for `kamio.equivalence.weak_bisim`.
   One edit: `visited` maps each pair to the depth left when it was
   explored, and a pair met again with more depth than that is explored
@@ -57,6 +64,7 @@ oracles.
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Container
 
@@ -275,7 +283,8 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+@functools.lru_cache(maxsize=8)
+def _tokenize(text: str) -> tuple[tuple[str, str, int, int], ...]:
     tokens = []
     line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(text):
@@ -293,7 +302,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
             kind, value = "punct", "::"
         tokens.append((kind, value, line, col))
     tokens.append(("eof", "", line, len(text) - line_start + 1))
-    return tokens
+    return tuple(tokens)
 
 
 class _Parser:
@@ -678,6 +687,126 @@ def _read_back(t: Term, env, s) -> Pair:
             memo[id(item[1])] = out[-1]
     term, stack = out
     return Pair(term, stack)
+
+
+# ---------------------------------------------------------------------------
+# The closure loop
+
+_TAU, _R0, _R1, _REPS, _W0, _W1, _E = Action
+
+
+def _pop(s):
+    """(closure, rest) for the top of closure stack s, or None if s is empty."""
+    if s.__class__ is tuple:
+        return s
+    if s.head is None:
+        return None
+    return (s.head, None), s.tail
+
+
+def _effect(t: Term, s) -> tuple:
+    """The visible transitions of head t on closure stack s, as
+    (action, closure, rest) triples: a read's three branches in the
+    order R0, R1, REPS, a write's one, or end's one, which leaves no
+    closure and no rest (None).  Empty if t is no instruction or lacks
+    its arguments."""
+    if t is END:
+        return (_E, None, None),
+    if t is WRITE0 or t is WRITE1:
+        top = _pop(s)
+        if top is None:
+            return ()
+        return ((_W0 if t is WRITE0 else _W1), top[0], top[1]),
+    if t is READ:
+        first = _pop(s)
+        second = first and _pop(first[1])
+        third = second and _pop(second[1])
+        if third is None:
+            return ()
+        rest = third[1]
+        return (_R0, first[0], rest), (_R1, second[0], rest), (_REPS, third[0], rest)
+    return ()
+
+
+def _iterate(p: Pair, fuel: int, source: str | None) -> tuple:
+    """Load p as a closure state and step it at most `fuel` times; return
+    (outcome, t, env, s, steps, visible, read), where (t, env, s) is the
+    state it stopped at.
+
+    Push, pop, save and restore each take one silent step, and a
+    variable head is replaced by the closure it is bound to without one;
+    a pushed variable pushes the closure it names, so no chain of
+    indirections builds up.  A silent step calls no helper: both
+    lookups and the pop of the closure stack are written in place.
+    Given `source`, the input bits, this is the execution relation: an
+    instruction head takes `_effect`'s step, and a read takes the branch
+    that the next unread bit selects (`read` counts the bits read).
+    Given None it is the evaluation relation, which stops at an
+    instruction head.  outcome is "terminated" (end was taken), "stuck"
+    (no step applies) or "fuel"; a last allowed step that lands on a
+    stuck state gives "stuck".  `visible` lists (index, action) for each
+    visible step, so a silent step appends nothing."""
+    t, env, s = p.term, None, p.stack
+    read = 0
+    visible: list[tuple[int, Action]] = []
+    left = fuel
+    while True:
+        cls = t.__class__
+        if cls is Var:
+            name = t.name
+            while env[0] != name:
+                env = env[2]
+            t, env = env[1]
+            cls = t.__class__
+        if cls is App:
+            if not left:
+                break
+            arg = t.arg
+            if arg.__class__ is Var:
+                name, e = arg.name, env
+                while e[0] != name:
+                    e = e[2]
+                s = e[1], s
+            else:
+                s = (arg, env), s
+            t = t.fun
+        elif cls is Abs or cls is Kont or cls is _Captured or t is CALLCC:
+            if s.__class__ is tuple:
+                top, rest = s
+            elif s.head is None:
+                return "stuck", t, env, s, fuel - left, visible, read
+            else:
+                top, rest = (s.head, None), s.tail
+            if not left:
+                break
+            if cls is Abs:
+                env = (t.param, top, env)
+                t = t.body
+                s = rest
+            elif cls is Kont or cls is _Captured:  # restore
+                s = t.stack
+                t, env = top
+            else:  # save
+                s = (_Captured(rest), None), rest
+                t, env = top
+        else:
+            moves = _effect(t, s) if source is not None else ()
+            if not moves:
+                return "stuck", t, env, s, fuel - left, visible, read
+            if not left:
+                break
+            if len(moves) == 1:
+                action, top, s = moves[0]
+            else:  # the read branch that the next input bit selects
+                bit = source[read:read + 1]
+                action, top, s = moves[int(bit) if bit else 2]
+                read += len(bit)
+            visible.append((fuel - left, action))
+            if top is None:
+                return "terminated", t, env, s, fuel - left + 1, visible, read
+            t, env = top
+        left -= 1
+    return "fuel", t, env, s, fuel, visible, read
 
 
 _LABEL_ORDER = (Action.R0, Action.R1, Action.REPS, Action.W0, Action.W1, Action.E)

@@ -124,8 +124,18 @@ class TestSettle:
     def test_negative_fuel_rejected(self):
         p = parse_process(r"(\x. x) end * nil")
         for check in (lambda: settle(p, -1), lambda: observable(p, -1),
-                      lambda: FinitePole.of([p]).member(p, -1)):
+                      lambda: FinitePole.of([p]).member(p, -1),
+                      lambda: run(ExecutionContext(p), -1)):
             with pytest.raises(ValueError, match="^fuel must be non-negative$"):
+                check()
+
+    def test_non_integer_fuel_rejected(self):
+        # a fuel of 2.5 once counted down past 0 and ran omega forever
+        p = parse_process(OMEGA)
+        for check in (lambda: settle(p, 2.5), lambda: settle(p, 2.5, {TOP}),
+                      lambda: observable(p, 2.5), lambda: FinitePole.of([p]).member(p, 2.5),
+                      lambda: run(ExecutionContext(p), 2.5), lambda: run(ExecutionContext(p), "3")):
+            with pytest.raises(TypeError, match="^fuel must be an integer, not (float|str)$"):
                 check()
 
     @given(st.one_of(gen.processes(), gen.silent_loops()), st.integers(0, 60), st.data())
@@ -547,3 +557,73 @@ class TestClosureMachine:
             body = App(END, body)
         assert result.outcome == "fuel"
         assert result.final.process == Pair(Abs("x", body), stack_of(END))
+
+
+def assert_iterate_matches_reference(p, bits, limit=200):
+    """At every fuel from 0 to the steps of p's chain (at most `limit`)
+    plus one, with `bits` as input and without input, `_iterate` stops
+    where the loop it replaced stops (`reference._iterate`): the same
+    outcome, steps, visible steps and bits read, and a state that reads
+    back to the same process, name for name."""
+    for source in (None, bits):
+        last = reference._iterate(p, limit, source)[4]
+        for fuel in range(last + 2):
+            assert_same_stop(p, fuel, source)
+
+
+def assert_same_stop(p, fuel, source):
+    got, expected = _iterate(p, fuel, source), reference._iterate(p, fuel, source)
+    assert (got[0], *got[4:]) == (expected[0], *expected[4:]), (pretty(p), fuel, source)
+    if expected[0] != "terminated":
+        got, expected = _read_back(*got[1:4]), _read_back(*expected[1:4])
+        assert got == expected
+        assert pretty(got) == pretty(expected)
+
+
+ITERATE_EDGE_CASES = [
+    r"(\x. x) read * end :: end :: nil",  # a variable head that resolves to read, two entries
+    r"(\x. x end end) read * nil",  # the same on pushed closures
+    r"(\x. x end end) write0 * nil",  # a variable head that resolves to a write
+    "cc * nil",
+    "kont{end :: nil} * nil",
+    r"cc (\k. k) * nil",  # a saved continuation on the empty stack
+    r"cc (\k. k end) * nil",  # a saved continuation restored
+    "read end end end * nil",  # an instruction head: stuck with no input source
+    "write1 * nil",
+    "end * nil",
+    "end * end :: nil",
+    r"\x. x * nil",
+    OMEGA,
+]
+
+
+class TestIterate:
+    """`_iterate`, a loop over `range(fuel)` that decides stuck or fuel
+    once after the loop, against the loop it replaced."""
+
+    @given(st.one_of(gen.processes(), gen.silent_loops()), st.text("01", max_size=4))
+    def test_matches_reference_at_every_fuel(self, p, bits):
+        if p is not TOP:
+            assert_iterate_matches_reference(p, bits)
+
+    @given(gen.contexts())
+    def test_matches_reference_on_random_contexts(self, c):
+        if c.process is not TOP:
+            assert_iterate_matches_reference(c.process, c.input)
+
+    @pytest.mark.parametrize("text", ITERATE_EDGE_CASES)
+    def test_matches_reference_on_edge_cases(self, text):
+        for bits in ("", "0", "1"):
+            assert_iterate_matches_reference(parse_process(text), bits, 40)
+
+    @pytest.mark.parametrize("program, bits", COMPILED_PROGRAMS)
+    def test_matches_reference_on_compiled_programs(self, program, bits):
+        assert_iterate_matches_reference(program, bits, DEFAULT_FUEL)
+
+    @pytest.mark.parametrize("text", [t for t in ITERATE_EDGE_CASES if t != OMEGA])
+    def test_fuel_above_maxsize(self, text):
+        p = parse_process(text)
+        for source in (None, "01"):
+            assert_same_stop(p, 2**70, source)
+        c = ExecutionContext(p, "01")
+        assert run(c, 2**70) == reference.run(c, 2**70)
