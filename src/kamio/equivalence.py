@@ -11,14 +11,18 @@ deterministic, and only a read head offers more than one labeled
 transition, so the bounded bisimulation check can compare unique
 successors per label instead of searching relations.  It walks the pairs
 from an explicit work list, so its depth bound is not limited by
-Python's recursion limit.
+Python's recursion limit.  At its depth frontier it reads labels only
+(`machine.settled_labels`): a pair with no depth left is compared by its
+two label sets, and no settled process or successor is built for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .machine import Action, ExecutionContext, lts_step, run, settle
+from .machine import (
+    Action, ExecutionContext, _check_bound, lts_step, run, settle, settled_labels,
+)
 from .syntax import (
     Abs, App, InvalidPosition, Position, Process,
     replace_at, subterm_at, substitute, subterms,
@@ -76,10 +80,13 @@ def weak_bisim(p: Process, q: Process,
     (labels in `_LABEL_ORDER`).  Unknown says "fuel" if any observable ran
     out of fuel, else "depth".  `explored` maps each pair to the most depth
     it was explored with; a pair met again with no more depth is skipped,
-    which also closes cycles.  A negative depth or fuel raises ValueError.
+    which also closes cycles.  A pair with no depth left is compared by
+    its two label sets alone (`machine.settled_labels`), by the same test
+    as the others.  A depth or fuel that is not an integer raises
+    TypeError, a negative one ValueError.
     """
-    if depth < 0 or fuel < 0:
-        raise ValueError(f"{'depth' if depth < 0 else 'fuel'} must be non-negative")
+    _check_bound(depth, "depth")
+    _check_bound(fuel)
     explored: dict[tuple[Process, Process], int] = {}
     cut = None  # "fuel" if an observable ran out, else "depth" if a pair was cut off
     work = [(p, q, depth, ())]
@@ -88,18 +95,23 @@ def weak_bisim(p: Process, q: Process,
         if a == b or explored.get((a, b), -1) >= remaining:
             continue
         explored[a, b] = remaining
-        oa, ob = observable(a, fuel), observable(b, fuel)
-        if oa.kind == "unknown" or ob.kind == "unknown":
+        if remaining:
+            oa, ob = observable(a, fuel), observable(b, fuel)
+            labels_a = None if oa.kind == "unknown" else tuple(oa.entries or ())
+            labels_b = None if ob.kind == "unknown" else tuple(ob.entries or ())
+        else:
+            labels_a, labels_b = settled_labels(a, fuel), settled_labels(b, fuel)
+        if labels_a is None or labels_b is None:
             cut = "fuel"
             continue
-        menu_a, menu_b = oa.entries or {}, ob.entries or {}  # silent offers no label
-        if menu_a.keys() != menu_b.keys():
-            label = min(menu_a.keys() ^ menu_b.keys(), key=_LABEL_ORDER.index)
+        # both in `lts_step`'s order, so equal label sets are equal tuples
+        if labels_a != labels_b:
+            label = min(set(labels_a) ^ set(labels_b), key=_LABEL_ORDER.index)
             return Verdict.refuted(prefix + (label,))
-        if remaining > 0:
-            work.extend((menu_a[label], menu_b[label], remaining - 1, prefix + (label,))
-                        for label in reversed(_LABEL_ORDER) if label in menu_a)
-        elif menu_a:
+        if remaining:
+            work.extend((oa.entries[label], ob.entries[label], remaining - 1, prefix + (label,))
+                        for label in reversed(labels_a))
+        elif labels_a:
             cut = cut or "depth"
     return Verdict.unknown(cut) if cut else Verdict.verified()
 
@@ -138,7 +150,9 @@ def top_equiv(c1: ExecutionContext, c2: ExecutionContext,
               fuel: int = DEFAULT_OBS_FUEL) -> Verdict:
     """Do both contexts reach the same terminal (TOP, input, output), or
     provably neither?  Execution is deterministic, so a single bounded run
-    per side decides this up to fuel."""
+    per side decides this up to fuel.  A fuel that is not an integer
+    raises TypeError, a negative one ValueError."""
+    _check_bound(fuel)
     if c1 == c2:
         return Verdict.verified()  # deterministic execution: one context, one fate
     kind1, final1 = _classify(c1, fuel)

@@ -37,8 +37,11 @@ the closure loop read back.  `settle` follows silent steps alone (for
 `equivalence.observable` and finite-pole membership).  With no targets
 it runs the closure loop and reads back only the state where the chain
 gets stuck; it follows `eval_step`, with a seen-set, only for a chain
-that spends its fuel and for a chain with targets.  No path here copies
-a body through `substitute`.
+that spends its fuel and for a chain with targets.  `settled_labels`
+gives the labels `lts_step` offers where `settle` stops; for a chain
+that gets stuck within its fuel it reads nothing back and takes them
+from `_effect` on the closure state.  No path here copies a body through
+`substitute`.
 """
 
 from __future__ import annotations
@@ -55,8 +58,8 @@ from .verdict import Verdict
 
 __all__ = [
     "DEFAULT_FUEL", "Action", "ExecutionContext", "RunResult",
-    "eval_step", "settle", "lts_step", "exec_step", "exec_step_labeled", "run",
-    "bin_nat", "nat_of_bin", "implements_row", "implements_on",
+    "eval_step", "settle", "settled_labels", "lts_step", "exec_step", "exec_step_labeled",
+    "run", "bin_nat", "nat_of_bin", "implements_row", "implements_on",
 ]
 
 DEFAULT_FUEL = 1_000_000
@@ -405,13 +408,13 @@ def _iterate(p: Pair, fuel: int, source: str | None) -> tuple:
     return ("stuck" if stuck else "fuel"), t, env, s, fuel, visible, read
 
 
-def _check_fuel(fuel: int) -> None:
-    """Reject, before any step, a fuel that is not an integer (TypeError)
-    or is negative (ValueError)."""
-    if not isinstance(fuel, int):
-        raise TypeError(f"fuel must be an integer, not {type(fuel).__name__}")
-    if fuel < 0:
-        raise ValueError("fuel must be non-negative")
+def _check_bound(value: int, name: str = "fuel") -> None:
+    """Reject, before any step, a bound (a fuel, or `weak_bisim`'s depth)
+    that is not an integer (TypeError) or is negative (ValueError)."""
+    if not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative")
 
 
 def eval_step(p: Process) -> Process | None:
@@ -441,11 +444,39 @@ def settle(p: Process, fuel: int, targets: Container[Process] = ()) -> tuple[str
     process `eval_step` reaches.  Only a chain that spends its fuel, and
     every chain with targets, is followed again from p through
     `eval_step` with a seen-set, which tells "cycle" from "fuel"."""
-    _check_fuel(fuel)
+    _check_bound(fuel)
     if not targets and p.__class__ is Pair:
         outcome, t, env, s = _iterate(p, fuel, None)[:4]
         if outcome == "stuck":
             return "stuck", _read_back(t, env, s)
+    return _follow(p, fuel, targets)
+
+
+def settled_labels(p: Process, fuel: int) -> tuple[Action, ...] | None:
+    """The labels of the transitions `lts_step` offers at the process
+    where `settle(p, fuel)` stops, in `lts_step`'s order: () when that
+    process is silent (stuck with no transition, or on a silent cycle),
+    None when the fuel runs out.  A fuel that is not an integer raises
+    TypeError, a negative one ValueError.
+
+    A chain that gets stuck within its fuel is not read back: the labels
+    are `_effect`'s on the closure state it stopped at, which has the
+    head and the stack length of its read-back.  Any other chain (TOP, a
+    spent fuel, a cycle) is followed by `settle`'s exact loop, and its
+    process is read by `lts_step`."""
+    _check_bound(fuel)
+    if p.__class__ is Pair:
+        outcome, t, _, s = _iterate(p, fuel, None)[:4]
+        if outcome == "stuck":
+            return tuple([action for action, _, _ in _effect(t, s)])
+    reason, settled = _follow(p, fuel, ())
+    if reason == "fuel":
+        return None
+    return tuple([action for action, _ in lts_step(settled)]) if reason == "stuck" else ()
+
+
+def _follow(p: Process, fuel: int, targets: Container[Process]) -> tuple[str, Process]:
+    """`settle`'s exact loop: follow `eval_step` from p with a seen-set."""
     seen: set[Process] = set()
     current = p
     while True:
@@ -473,7 +504,7 @@ def run(c: ExecutionContext, fuel: int = DEFAULT_FUEL) -> RunResult:
     read back to a process unless the run terminated.  A fuel that is
     not an integer raises TypeError, a negative one ValueError.
     """
-    _check_fuel(fuel)
+    _check_bound(fuel)
     if c.process is TOP:
         return RunResult("terminated", c, ())
     outcome, t, env, s, steps, visible, read = _iterate(c.process, fuel, c.input)

@@ -283,8 +283,18 @@ _TOKEN_RE = re.compile(
 )
 
 
-@functools.lru_cache(maxsize=8)
 def _tokenize(text: str) -> tuple[tuple[str, str, int, int], ...]:
+    tokens, error = _scan(text)
+    if error is not None:
+        raise ParseError(*error)
+    return tokens
+
+
+@functools.lru_cache(maxsize=8)
+def _scan(text: str):
+    """The tokens of text and None, or None and the arguments of the
+    ParseError its first bad character raises: `lru_cache` keeps no
+    exception, so an error is cached as its arguments."""
     tokens = []
     line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(text):
@@ -297,12 +307,12 @@ def _tokenize(text: str) -> tuple[tuple[str, str, int, int], ...]:
                 line_start = m.start() + value.rindex("\n") + 1
             continue
         if kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", line, col)
+            return None, (f"unexpected character {value!r}", line, col)
         if kind == "dcolon":
             kind, value = "punct", "::"
         tokens.append((kind, value, line, col))
     tokens.append(("eof", "", line, len(text) - line_start + 1))
-    return tuple(tokens)
+    return tuple(tokens), None
 
 
 class _Parser:

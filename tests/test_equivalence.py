@@ -171,22 +171,32 @@ class TestWeakBisim:
 
     def test_negative_bounds_rejected(self):
         p = parse_process("end * nil")
-        with pytest.raises(ValueError, match="depth must be non-negative"):
+        with pytest.raises(ValueError, match="^depth must be non-negative$"):
             weak_bisim(p, p, -1, 100)
-        with pytest.raises(ValueError, match="fuel must be non-negative"):
+        with pytest.raises(ValueError, match="^fuel must be non-negative$"):
             weak_bisim(p, p, 4, -1)
+        # a depth of 2.5 once ran to a verdict, and a fuel of 2.5 verified
+        # a process against itself but raised from `settle` on two processes
+        q = parse_process(OMEGA)
+        for left, right in ((p, q), (p, p)):
+            with pytest.raises(TypeError, match="^depth must be an integer, not float$"):
+                weak_bisim(left, right, 2.5, 100)
+            with pytest.raises(TypeError, match="^fuel must be an integer, not float$"):
+                weak_bisim(left, right, 3, fuel=2.5)
 
 
-def _agrees_with_reference(p, q, fuel=300):
+def _agrees_with_reference(p, q):
     """Same verdict and witness as the recursive search at every depth up to
     6; where the search that ignores the depth left decides, the same
-    decision."""
-    for depth in range(7):
-        verdict = weak_bisim(p, q, depth, fuel)
-        assert verdict == reference.weak_bisim(p, q, depth, fuel)
-        depth_blind = reference.weak_bisim(p, q, depth, fuel, depth_aware=False)
-        if not depth_blind.is_unknown:
-            assert verdict.status == depth_blind.status
+    decision.  Small fuels put the frontier's stuck-or-fuel boundary
+    (`machine.settled_labels`) within reach of short silent chains."""
+    for fuel in (0, 1, 2, 3, 300):
+        for depth in range(7):
+            verdict = weak_bisim(p, q, depth, fuel)
+            assert verdict == reference.weak_bisim(p, q, depth, fuel), (fuel, depth)
+            depth_blind = reference.weak_bisim(p, q, depth, fuel, depth_aware=False)
+            if not depth_blind.is_unknown:
+                assert verdict.status == depth_blind.status, (fuel, depth)
 
 
 class TestWeakBisimReference:
@@ -291,6 +301,17 @@ class TestTopEquiv:
         verdict = top_equiv(ExecutionContext(parse_process("end * nil"), "", ""),
                             ExecutionContext(parse_process(OMEGA), "", ""), 1000)
         assert verdict.is_refuted
+
+    def test_bad_fuel_rejected(self):
+        # a fuel of 2.5 once verified a context against itself, but raised
+        # from `run` on two contexts
+        c = ExecutionContext(parse_process("end * nil"), "", "")
+        d = ExecutionContext(parse_process(OMEGA), "", "")
+        for other in (c, d):
+            with pytest.raises(TypeError, match="^fuel must be an integer, not float$"):
+                top_equiv(c, other, fuel=2.5)
+            with pytest.raises(ValueError, match="^fuel must be non-negative$"):
+                top_equiv(c, other, -1)
 
     def test_growing_divergence_is_unknown(self):
         growing = parse_process(r"(\x. x x x) (\x. x x x) * nil")

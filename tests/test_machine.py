@@ -11,6 +11,7 @@ from kamio.equivalence import observable
 from kamio.machine import (
     DEFAULT_FUEL, Action, ExecutionContext, _Captured, _iterate, _read_back, bin_nat,
     eval_step, exec_step, exec_step_labeled, implements_on, lts_step, nat_of_bin, run, settle,
+    settled_labels,
 )
 from kamio.realizability import FinitePole
 from kamio.syntax import (
@@ -124,7 +125,7 @@ class TestSettle:
     def test_negative_fuel_rejected(self):
         p = parse_process(r"(\x. x) end * nil")
         for check in (lambda: settle(p, -1), lambda: observable(p, -1),
-                      lambda: FinitePole.of([p]).member(p, -1),
+                      lambda: settled_labels(p, -1), lambda: FinitePole.of([p]).member(p, -1),
                       lambda: run(ExecutionContext(p), -1)):
             with pytest.raises(ValueError, match="^fuel must be non-negative$"):
                 check()
@@ -133,7 +134,8 @@ class TestSettle:
         # a fuel of 2.5 once counted down past 0 and ran omega forever
         p = parse_process(OMEGA)
         for check in (lambda: settle(p, 2.5), lambda: settle(p, 2.5, {TOP}),
-                      lambda: observable(p, 2.5), lambda: FinitePole.of([p]).member(p, 2.5),
+                      lambda: observable(p, 2.5), lambda: settled_labels(p, 2.5),
+                      lambda: FinitePole.of([p]).member(p, 2.5),
                       lambda: run(ExecutionContext(p), 2.5), lambda: run(ExecutionContext(p), "3")):
             with pytest.raises(TypeError, match="^fuel must be an integer, not (float|str)$"):
                 check()
@@ -173,6 +175,48 @@ class TestSettle:
             got, expected = settle(p, fuel), reference.settle(p, fuel)
             assert got == expected
             assert pretty(got[1]) == pretty(expected[1])
+
+
+class TestSettledLabels:
+    """`settled_labels(p, fuel)` is None where `observable(p, fuel)` is
+    unknown, and the menu's labels in order otherwise (none if silent)."""
+
+    @given(st.one_of(gen.processes(), gen.silent_loops()))
+    def test_matches_observable_at_every_fuel(self, p):
+        self._check_every_fuel(p, len(_silent_chain(p)) + 1)
+
+    @pytest.mark.parametrize("text", [
+        "TOP",
+        OMEGA,  # a cycle
+        r"(\x. x x x) (\x. x x x) * nil",  # grows without end: fuel
+        "read * end :: end :: nil",  # instruction heads that lack arguments
+        r"(\x. read x x) end * nil",
+        "write0 * nil",
+        r"(\x. write1) end * nil",
+        "read * end :: cc :: write0 :: nil",  # a read with exactly three entries
+        r"(\x. read x x x) end * nil",
+        r"(\x. read x) end * end :: end :: nil",
+        r"(\x. write0 x) end * nil",
+        "cc * nil",  # cc or a continuation on nil
+        "kont{end :: nil} * nil",
+        r"cc (\k. k) * nil",
+    ])
+    def test_matches_observable_on_fixed_chains(self, text):
+        self._check_every_fuel(parse_process(text), 40)
+
+    def test_frontier_cases(self):
+        p = parse_process(r"(\x. read x x x) end * nil")  # stuck after five steps
+        assert settled_labels(p, 4) is None
+        assert settled_labels(p, 5) == (Action.R0, Action.R1, Action.REPS)
+        assert settled_labels(parse_process(OMEGA), 2) == ()
+        assert settled_labels(TOP, 0) == ()
+
+    @staticmethod
+    def _check_every_fuel(p, last):
+        for fuel in range(last + 1):
+            ob = observable(p, fuel)
+            expected = None if ob.kind == "unknown" else tuple(ob.entries or ())
+            assert settled_labels(p, fuel) == expected, fuel
 
 
 class TestExecStep:
