@@ -9,7 +9,11 @@ head position step visibly: `read` continues with its first, second or
 third argument as the next input bit is 0, 1 or used up; `write0` and
 `write1` write a bit and continue with their argument; `end` discards
 the stack and terminates at TOP.  `_effect` is the one home of these
-read, write and end rules.
+read, write and end rules.  It gives a head's moves as one of four label
+tuples, the closures the moves continue with, and the rest of the stack
+they share, and builds nothing more: `run` loads only the closure of the
+branch its input selects, `lts_step` pairs each label with a successor,
+and `settled_labels` returns the label tuple as it is.
 
 One closure machine loop (Krivine, "A call-by-name lambda-calculus
 machine", HOSC 2007), `_iterate`, serves `run`, `settle` and
@@ -17,13 +21,14 @@ machine", HOSC 2007), `_iterate`, serves `run`, `settle` and
 closures, so a pop binds a name instead of copying the body, and a
 loaded `Pair`'s stack is used as it is.  The push, pop, save and restore
 rules are written there once, in place, with no helper call per step.
-At an instruction head `run`, which passes its input, takes `_effect`'s
-step, and `settle`, which passes none, stops.  Looking a variable head
-up is not a step (a commutative transition in the sense of Accattoli,
-Barenbaum and Mazza, "Distilling abstract machines", ICFP 2014), so
-traces and step counts are those of the substitution machine.  The loop
-runs over `range(fuel)`, whose index is the step count, so no step tests
-the budget; a loop that spends its fuel checks once, at the state it
+At an instruction head `run`, which passes its input, takes the one
+`_effect` move that its next input bit selects, and `settle`, which
+passes none, stops.  Looking a variable head up is not a step (a
+commutative transition in the sense of Accattoli, Barenbaum and Mazza,
+"Distilling abstract machines", ICFP 2014), so traces and step counts
+are those of the substitution machine.  The loop runs over
+`range(fuel)`, whose index is the step count, so no step tests the
+budget; a loop that spends its fuel checks once, at the state it
 stopped at, whether that state is stuck.  It notes each visible step,
 and `run` builds its trace once, at the end.  A state where a chain
 stops short of TOP is read back to a process once, by `_read_back`,
@@ -32,16 +37,16 @@ bits are prepended, so the final output string is read verbatim as a
 most-significant-bit-first binary numeral.
 
 `lts_step` is the labeled transition system on processes: `_effect`'s
-visible transitions, and the silent step of `eval_step`, one step of
-the closure loop read back.  `settle` follows silent steps alone (for
-`equivalence.observable` and finite-pole membership).  With no targets
-it runs the closure loop and reads back only the state where the chain
-gets stuck; it follows `eval_step`, with a seen-set, only for a chain
-that spends its fuel and for a chain with targets.  `settled_labels`
-gives the labels `lts_step` offers where `settle` stops; for a chain
-that gets stuck within its fuel it reads nothing back and takes them
-from `_effect` on the closure state.  No path here copies a body through
-`substitute`.
+visible transitions, a read's three from one call, and the silent step
+of `eval_step`, one step of the closure loop read back.  `settle`
+follows silent steps alone (for `equivalence.observable` and
+finite-pole membership).  With no targets it runs the closure loop and
+reads back only the state where the chain gets stuck; it follows
+`eval_step`, with a seen-set, only for a chain that spends its fuel and
+for a chain with targets.  `settled_labels` gives the labels `lts_step`
+offers where `settle` stops; for a chain that gets stuck within its
+fuel it reads nothing back and takes them from `_effect` on the closure
+state.  No path here copies a body through `substitute`.
 """
 
 from __future__ import annotations
@@ -155,40 +160,50 @@ class _Captured:
         self.stack = stack
 
 
-def _effect(t: Term, s) -> tuple:
+# The label tuples `_effect` returns, one per instruction: the branches
+# of a read in the order R0, R1, REPS, or the one move of a write or end.
+_READS, _WRITES0, _WRITES1, _ENDS = (_R0, _R1, _REPS), (_W0,), (_W1,), (_E,)
+
+
+def _effect(t: Term, s) -> tuple | None:
     """The visible transitions of head t on closure stack s, as
-    (action, closure, rest) triples: a read's three branches in the
-    order R0, R1, REPS, a write's one, or end's one, which leaves no
-    closure and no rest (None).  Empty if t is no instruction or lacks
-    its arguments.  Each entry is popped in place: a `Stack` cell is
-    first turned into a (closure, rest) cell."""
+    (labels, closures, rest): `labels` is `_READS`, `_WRITES0`,
+    `_WRITES1` or `_ENDS`, and the move labelled `labels[k]` continues
+    with closure `closures[k]` on `rest`.  A read has three closures,
+    its first three entries, on one rest; a write has one, its top; end
+    has the one closure None and the rest None, since it leaves TOP.
+    None if t is no instruction or lacks its arguments.  Each entry is
+    popped in place: a `Stack` cell is first turned into a (closure,
+    rest) cell.  No move is built here, so a read returns one tuple of
+    closures, not a triple per branch, and a caller builds only the
+    moves it takes."""
     if t is END:
-        return (_E, None, None),
+        return _ENDS, (None,), None
     if t is WRITE0 or t is WRITE1:
         if s.__class__ is not tuple:
             if s.head is None:
-                return ()
+                return None
             s = (s.head, None), s.tail
         top, s = s
-        return ((_W0 if t is WRITE0 else _W1), top, s),
+        return (_WRITES0 if t is WRITE0 else _WRITES1), (top,), s
     if t is not READ:
-        return ()
+        return None
     if s.__class__ is not tuple:
         if s.head is None:
-            return ()
+            return None
         s = (s.head, None), s.tail
     first, s = s
     if s.__class__ is not tuple:
         if s.head is None:
-            return ()
+            return None
         s = (s.head, None), s.tail
     second, s = s
     if s.__class__ is not tuple:
         if s.head is None:
-            return ()
+            return None
         s = (s.head, None), s.tail
     third, s = s
-    return (_R0, first, s), (_R1, second, s), (_REPS, third, s)
+    return _READS, (first, second, third), s
 
 
 def lts_step(p: Process) -> tuple[tuple[Action, Process], ...]:
@@ -196,19 +211,26 @@ def lts_step(p: Process) -> tuple[tuple[Action, Process], ...]:
 
     A read head with at least three stack entries offers exactly the
     three read branches, in the order R0, R1, REPS; every other head
-    offers at most one transition.  The visible ones are `_effect`'s on
-    p's own stack, whose entries are closed, so each successor is a
-    `Pair` of an entry and a tail of that stack; the silent one is
-    `eval_step`'s.
+    offers at most one transition.  The visible ones come from one
+    `_effect` call on p's own stack, whose entries are closed: each label
+    is paired with a `Pair` of its closure's term and the rest of the
+    stack (TOP after end).  The pairs are written out by arity, since a
+    comprehension over `zip(labels, closures)` made a read head's call
+    about 1.3x slower.  The silent one is `eval_step`'s.
     """
     if p.__class__ is not Pair:
         return ()
-    moves = _effect(p.term, p.stack)
-    if not moves:
+    effect = _effect(p.term, p.stack)
+    if effect is None:
         q = eval_step(p)
         return () if q is None else ((_TAU, q),)
-    return tuple([(action, TOP if top is None else Pair(top[0], rest))
-                  for action, top, rest in moves])
+    labels, closures, rest = effect
+    if rest is None:  # end
+        return ((labels[0], TOP),)
+    if labels is not _READS:  # a write
+        return ((labels[0], Pair(closures[0][0], rest)),)
+    (r0, r1, reps), (first, second, third) = labels, closures
+    return (r0, Pair(first[0], rest)), (r1, Pair(second[0], rest)), (reps, Pair(third[0], rest))
 
 
 # Read-back work items; see `_read_back`.
@@ -315,6 +337,12 @@ def _read_back(t: Term, env, s) -> Pair:
     return Pair(term, stack)
 
 
+# What `_iterate` reads on every step, unpacked into locals at once: a
+# local reads faster than a global, and one unpack costs less per call
+# than a load of each.
+_LOOP_GLOBALS = Var, App, Abs, Kont, _Captured, CALLCC, tuple, _READS, _effect
+
+
 def _iterate(p: Pair, fuel: int, source: str | None) -> tuple:
     """Load p as a closure state and step it at most `fuel` times; return
     (outcome, t, env, s, steps, visible, read), where (t, env, s) is the
@@ -327,18 +355,20 @@ def _iterate(p: Pair, fuel: int, source: str | None) -> tuple:
     lookups and the pop of the closure stack are written in place.
     Given `source`, the input bits, this is the execution relation: an
     instruction head takes `_effect`'s step, and a read takes the branch
-    that the next unread bit selects (`read` counts the bits read).
-    Given None it is the evaluation relation, which stops at an
-    instruction head.  outcome is "terminated" (end was taken), "stuck"
-    (no step applies) or "fuel".  The loop runs over `range(fuel)`, whose
-    index is the step count, so no step tests the budget; a loop that
-    spends it decides once, at the state it stopped at, between "stuck"
-    and "fuel", so a last allowed step that lands on a stuck state gives
-    "stuck".  `visible` lists (index, action) for each visible step, so
-    a silent step appends nothing."""
-    Var_, App_, Abs_, tuple_ = Var, App, Abs, tuple  # locals: read faster than globals
+    whose index the next unread bit selects, 0 or 1, or 2 when the input
+    is used up (`read` counts the bits read); only the closure of that
+    branch is loaded.  Given None it is the evaluation relation, which
+    stops at an instruction head.  outcome is "terminated" (end was
+    taken), "stuck" (no step applies) or "fuel".  The loop runs over
+    `range(fuel)`, whose index is the step count, so no step tests the
+    budget; a loop that spends it decides once, at the state it stopped
+    at, between "stuck" and "fuel", so a last allowed step that lands on
+    a stuck state gives "stuck".  `visible` lists (index, action) for
+    each visible step, so a silent step appends nothing."""
+    Var_, App_, Abs_, Kont_, Captured_, CALLCC_, tuple_, READS_, effect_ = _LOOP_GLOBALS
     t, env, s = p.term, None, p.stack
     read = 0
+    size = 0 if source is None else len(source)
     visible: list[tuple[int, Action]] = []
     for i in range(fuel):
         cls = t.__class__
@@ -367,7 +397,7 @@ def _iterate(p: Pair, fuel: int, source: str | None) -> tuple:
                 top, s = (s.head, None), s.tail
             env = (t.param, top, env)
             t = t.body
-        elif cls is Kont or cls is _Captured or t is CALLCC:
+        elif cls is Kont_ or cls is Captured_ or t is CALLCC_:
             if s.__class__ is tuple_:
                 top, rest = s
             elif s.head is None:
@@ -375,19 +405,22 @@ def _iterate(p: Pair, fuel: int, source: str | None) -> tuple:
             else:
                 top, rest = (s.head, None), s.tail
             # restore a continuation's stack, or save the rest (cc)
-            s = t.stack if t is not CALLCC else ((_Captured(rest), None), rest)
+            s = t.stack if t is not CALLCC_ else ((Captured_(rest), None), rest)
             t, env = top
         else:
-            moves = _effect(t, s) if source is not None else ()
-            if not moves:
+            moves = None if source is None else effect_(t, s)
+            if moves is None:
                 return "stuck", t, env, s, i, visible, read
-            if len(moves) == 1:
-                action, top, s = moves[0]
-            else:  # the read branch that the next input bit selects
-                bit = source[read:read + 1]
-                action, top, s = moves[int(bit) if bit else 2]
-                read += len(bit)
-            visible.append((i, action))
+            labels, closures, s = moves
+            k = 0
+            if labels is READS_:
+                if read < size:
+                    k = source[read] == "1"  # False or True: branch 0 or 1
+                    read += 1
+                else:
+                    k = 2
+            visible.append((i, labels[k]))
+            top = closures[k]
             if top is None:
                 return "terminated", t, env, s, i + 1, visible, read
             t, env = top
@@ -404,7 +437,7 @@ def _iterate(p: Pair, fuel: int, source: str | None) -> tuple:
     elif cls is Abs or cls is Kont or cls is _Captured or t is CALLCC:
         stuck = s.__class__ is not tuple and s.head is None
     else:
-        stuck = source is None or not _effect(t, s)
+        stuck = source is None or _effect(t, s) is None
     return ("stuck" if stuck else "fuel"), t, env, s, fuel, visible, read
 
 
@@ -460,15 +493,16 @@ def settled_labels(p: Process, fuel: int) -> tuple[Action, ...] | None:
     TypeError, a negative one ValueError.
 
     A chain that gets stuck within its fuel is not read back: the labels
-    are `_effect`'s on the closure state it stopped at, which has the
-    head and the stack length of its read-back.  Any other chain (TOP, a
-    spent fuel, a cycle) is followed by `settle`'s exact loop, and its
-    process is read by `lts_step`."""
+    are `_effect`'s label tuple, as it is, on the closure state it
+    stopped at, which has the head and the stack length of its
+    read-back.  Any other chain (TOP, a spent fuel, a cycle) is followed
+    by `settle`'s exact loop, and its process is read by `lts_step`."""
     _check_bound(fuel)
     if p.__class__ is Pair:
         outcome, t, _, s = _iterate(p, fuel, None)[:4]
         if outcome == "stuck":
-            return tuple([action for action, _, _ in _effect(t, s)])
+            effect = _effect(t, s)
+            return () if effect is None else effect[0]
     reason, settled = _follow(p, fuel, ())
     if reason == "fuel":
         return None

@@ -19,6 +19,7 @@ a sample say so.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -453,23 +454,38 @@ def consistency_probe(pole: Pole, candidates: Iterable[Term],
 # strings; predicates are lists of {"index": ..., "stacks": [...]} rows.
 
 
+def _integer(value, name: str) -> int:
+    """The integer a scenario gives for `name`.  A boolean or a number
+    with a fractional part raises ValueError: `int` would truncate it."""
+    if value.__class__ is bool or (value.__class__ is float and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 def pole_from_json(obj: dict, fuel: int | None = None) -> Pole:
     """Build a pole whose budget is its own "fuel" key, else `fuel`, else
-    the pole kind's default; a union hands its budget to its members."""
+    the pole kind's default; a union hands its budget to its members.
+    A function pole's rows are checked here: each input and output is a
+    natural number, and no input is named twice."""
     budget = obj.get("fuel", fuel)
-    kw = {} if budget is None else {"fuel": int(budget)}
+    kw = {} if budget is None else {"fuel": _integer(budget, "fuel")}
     kind = obj.get("kind")
     if kind == "finite":
         return FinitePole.of([parse_process(s) for s in obj["seeds"]], **kw)
     if kind == "function":
         table: dict[int, int] = {}
         for key, value in obj["table"].items():
-            if int(key) in table:
-                raise ValueError(f"function pole table names input {int(key)} twice")
-            table[int(key)] = int(value)
+            n = _integer(key, "function pole table input")
+            m = _integer(value, f"function pole table row {key}")
+            if n < 0 or m < 0:
+                raise ValueError(f"function pole table row {key}: naturals required")
+            if n in table:
+                raise ValueError(f"function pole table names input {n} twice")
+            table[n] = m
         return FunctionPole.of(table, **kw)
     if kind == "trace":
-        return TracePole(obj["spec"], int(obj.get("max_input_len", 4)), **kw)
+        return TracePole(obj["spec"], _integer(obj.get("max_input_len", 4), "max_input_len"),
+                         **kw)
     if kind == "union":
         return UnionPole(tuple(pole_from_json(m, budget) for m in obj["members"]))
     raise ValueError(f"unknown pole kind {kind!r}")
@@ -526,7 +542,7 @@ def _scenario(obj: dict) -> Scenario:
     if not isinstance(obj, dict):
         raise ValueError("scenario must be a JSON object")
     kind = obj.get("kind", "entailment")
-    fuel = int(obj.get("fuel", DEFAULT_FUEL))
+    fuel = _integer(obj.get("fuel", DEFAULT_FUEL), "fuel")
     pole = pole_from_json(obj["pole"], fuel)
     if kind == "entailment":
         conclusion = _predicate_from_json(obj["conclusion"], "conclusion")

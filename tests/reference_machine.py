@@ -52,7 +52,10 @@ oracles.
 - The closure loop `_iterate` as it stood when it counted its fuel down
   and tested it at each rule, with the `_effect` it called and the
   `_pop` helper that `_effect` popped through.  Oracle for
-  `kamio.machine._iterate`, compared at every fuel.
+  `kamio.machine._iterate`, compared at every fuel.  That `_effect`
+  built an (action, closure, rest) triple for every move, a read's
+  three included; oracle for `kamio.machine._effect`, which returns one
+  label tuple and one tuple of closures.
 - The recursive `weak_bisim`.  Oracle for `kamio.equivalence.weak_bisim`.
   One edit: `visited` maps each pair to the depth left when it was
   explored, and a pair met again with more depth than that is explored

@@ -376,6 +376,27 @@ class TestRealize:
         assert out == ""
         assert err == "kamio: error: max_input_len must be non-negative, got -1\n"
 
+    @pytest.mark.parametrize("fuel, shown", [(2.5, "2.5"), (True, "true"), (1e999, "Infinity")])
+    def test_non_integer_fuel_exit_1(self, files, capsys, fuel, shown):
+        scenario = self._slow(files, {"kind": "finite", "seeds": ["end * nil"]}, fuel=fuel)
+        code, out, err = run_cli(capsys, "realize", scenario)
+        assert (code, out) == (1, "")
+        assert err == f"kamio: error: fuel must be an integer, got {shown}\n"
+
+    @pytest.mark.parametrize("term", ["end", r"\x. x"])
+    def test_negative_table_row_exit_1(self, files, capsys, term):
+        # rejected at load, whether the row's run terminates (end) or
+        # gets stuck (\x. x on nil)
+        scenario = files("table.json", json.dumps({
+            "kind": "realizes",
+            "pole": {"kind": "function", "table": {"0": -1}, "fuel": 100},
+            "term": term,
+            "truth_value": {"stacks": ["nil"]},
+        }))
+        code, out, err = run_cli(capsys, "realize", scenario)
+        assert (code, out) == (1, "")
+        assert err == "kamio: error: function pole table row 0: naturals required\n"
+
     def _slow(self, files, pole, **top):
         # the term needs 8 evaluation steps to reach the seed `end * nil`
         return files("slow.json", json.dumps({

@@ -9,7 +9,8 @@ import reference_machine as reference
 from kamio.combinators import B, H, S, W, Y, compile_function, decode_numeral
 from kamio.equivalence import observable
 from kamio.machine import (
-    DEFAULT_FUEL, Action, ExecutionContext, _Captured, _iterate, _read_back, bin_nat,
+    DEFAULT_FUEL, Action, ExecutionContext, _ENDS, _READS, _WRITES0, _WRITES1, _Captured,
+    _effect, _iterate, _read_back, bin_nat,
     eval_step, exec_step, exec_step_labeled, implements_on, lts_step, nat_of_bin, run, settle,
     settled_labels,
 )
@@ -660,9 +661,17 @@ class TestIterate:
         for bits in ("", "0", "1"):
             assert_iterate_matches_reference(parse_process(text), bits, 40)
 
-    @pytest.mark.parametrize("program, bits", COMPILED_PROGRAMS)
+    @pytest.mark.parametrize("program, bits", COMPILED_PROGRAMS + [
+        pytest.param(COPY_LOOP, "0000", id="copy-all-zero"),
+        pytest.param(COPY_LOOP, "1111", id="copy-all-one"),
+        # reads one of four bits, writes its complement and ends
+        pytest.param(parse_process("read (write1 end) (write0 end) end * nil"), "0110",
+                     id="reads-one-of-four"),
+    ])
     def test_matches_reference_on_compiled_programs(self, program, bits):
         assert_iterate_matches_reference(program, bits, DEFAULT_FUEL)
+        c = ExecutionContext(program, bits)
+        assert run(c) == reference.run(c)
 
     @pytest.mark.parametrize("text", [t for t in ITERATE_EDGE_CASES if t != OMEGA])
     def test_fuel_above_maxsize(self, text):
@@ -671,3 +680,47 @@ class TestIterate:
             assert_same_stop(p, 2**70, source)
         c = ExecutionContext(p, "01")
         assert run(c, 2**70) == reference.run(c, 2**70)
+
+    def test_long_copy_at_fuel_above_maxsize(self):
+        bits = "".join(random.Random(2048).choice("01") for _ in range(2048))
+        assert_same_stop(COPY_LOOP, 2**70, bits)
+        c = ExecutionContext(COPY_LOOP, bits)
+        result = run(c, 2**70)
+        assert result == reference.run(c, 2**70)
+        assert result.final.output == bits[::-1]
+
+
+def closure_stacks():
+    """Closure stacks of 0 to 4 entries: for each split, the top entries
+    as (closure, rest) cells over a plain `Stack` of the others."""
+    entries = [parse_term(text) for text in (r"\x. x", "end", "write0 end", "cc")]
+    env = ("y", (END, None), None)
+    for n in range(5):
+        for cells in range(n + 1):
+            s = stack_of(*entries[cells:n])
+            for term in reversed(entries[:cells]):
+                s = (term, env), s
+            yield s
+
+
+class TestEffect:
+    """`_effect`, which returns one label tuple and one tuple of
+    closures, against the `_effect` that built an (action, closure,
+    rest) triple for every move."""
+
+    @pytest.mark.parametrize("head", [END, WRITE0, WRITE1, READ, parse_term(r"\x. x")],
+                             ids=pretty)
+    def test_matches_reference(self, head):
+        for s in closure_stacks():
+            got, expected = _effect(head, s), reference._effect(head, s)
+            if got is None:
+                assert expected == ()
+                continue
+            labels, closures, rest = got
+            assert any(labels is c for c in (_READS, _WRITES0, _WRITES1, _ENDS))
+            assert len(labels) == len(closures) == len(expected)
+            for action, closure, (ref_action, ref_closure, ref_rest) in zip(
+                    labels, closures, expected):
+                assert action is ref_action
+                assert closure == ref_closure
+                assert rest is ref_rest

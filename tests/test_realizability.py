@@ -529,6 +529,38 @@ class TestScenarioJson:
                                        "truth_value": {"stacks": ["nil"]}})
         assert (scenario.fuel, scenario.pole.fuel) == (9, 9)
 
+    @pytest.mark.parametrize("pole", [
+        {"kind": "function", "table": {"0": 0}, "fuel": 2.5},
+        {"kind": "function", "table": {"0": 0}, "fuel": True},
+        {"kind": "function", "table": {"0": 0.5}},
+        {"kind": "function", "table": {"0": False}},
+        {"kind": "trace", "spec": "copy", "max_input_len": 1.5},
+        {"kind": "finite", "seeds": [], "fuel": float("inf")},
+        {"kind": "union", "fuel": 2.5, "members": [{"kind": "finite", "seeds": []}]},
+    ])
+    def test_non_integer_numbers_rejected(self, pole):
+        # `int` would truncate them: fuel 2.5 ran with fuel 2, true with fuel 1
+        with pytest.raises(ValueError, match="must be an integer"):
+            pole_from_json(pole)
+
+    @pytest.mark.parametrize("fuel", [2.5, True, False])
+    def test_non_integer_scenario_fuel_rejected(self, fuel):
+        with pytest.raises(ValueError, match="fuel must be an integer"):
+            scenario_from_json({"kind": "realizes", "fuel": fuel, "term": r"\x. x",
+                                "pole": {"kind": "finite", "seeds": []},
+                                "truth_value": {"stacks": ["nil"]}})
+
+    def test_integral_numbers_accepted(self):
+        pole = pole_from_json({"kind": "function", "table": {"0": 1.0}, "fuel": 7.0})
+        assert pole == FunctionPole.of({0: 1}, fuel=7)
+
+    @pytest.mark.parametrize("table", [{"0": -1}, {"-1": 0}, {"1": 1, "2": -3}])
+    def test_negative_table_rows_rejected(self, table):
+        # checked at load, not only when a row's run terminates: a stuck
+        # process never reached `bin_nat`
+        with pytest.raises(ValueError, match="naturals required"):
+            pole_from_json({"kind": "function", "table": table})
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             scenario_from_json({"kind": "nope", "pole": {"kind": "finite", "seeds": []}})
