@@ -28,13 +28,14 @@ commutative transition in the sense of Accattoli, Barenbaum and Mazza,
 "Distilling abstract machines", ICFP 2014), so traces and step counts
 are those of the substitution machine.  The loop runs over
 `range(fuel)`, whose index is the step count, so no step tests the
-budget; a loop that spends its fuel checks once, at the state it
-stopped at, whether that state is stuck.  It notes each visible step,
-and `run` builds its trace once, at the end.  A state where a chain
-stops short of TOP is read back to a process once, by `_read_back`,
-which emits closed terms as they are, without walking them.  Written
-bits are prepended, so the final output string is read verbatim as a
-most-significant-bit-first binary numeral.
+budget, and only the loop says whether a rule applies: where it spends
+its fuel, `run` asks it for one more step, and `settle` leaves the chain
+to its exact loop.  It notes each visible step, and `run` builds its
+trace once, at the end.  A state where a chain stops short of TOP is
+read back to a process once, by `_read_back`, which emits closed terms
+as they are, without walking them.  Written bits are prepended, so the
+final output string is read verbatim as a most-significant-bit-first
+binary numeral.
 
 `lts_step` is the labeled transition system on processes: `_effect`'s
 visible transitions, a read's three from one call, and the silent step
@@ -359,12 +360,12 @@ def _iterate(p: Pair, fuel: int, source: str | None) -> tuple:
     is used up (`read` counts the bits read); only the closure of that
     branch is loaded.  Given None it is the evaluation relation, which
     stops at an instruction head.  outcome is "terminated" (end was
-    taken), "stuck" (no step applies) or "fuel".  The loop runs over
-    `range(fuel)`, whose index is the step count, so no step tests the
-    budget; a loop that spends it decides once, at the state it stopped
-    at, between "stuck" and "fuel", so a last allowed step that lands on
-    a stuck state gives "stuck".  `visible` lists (index, action) for
-    each visible step, so a silent step appends nothing."""
+    taken), "stuck" (a rule failed, after fewer than `fuel` steps) or
+    "fuel" (`fuel` steps were taken).  The loop runs over `range(fuel)`,
+    whose index is the step count, so no step tests the budget, and no
+    code after it tests a rule: "fuel" says nothing of whether the state
+    it stopped at can step.  `visible` lists (index, action) for each
+    visible step, so a silent step appends nothing."""
     Var_, App_, Abs_, Kont_, Captured_, CALLCC_, tuple_, READS_, effect_ = _LOOP_GLOBALS
     t, env, s = p.term, None, p.stack
     read = 0
@@ -424,21 +425,7 @@ def _iterate(p: Pair, fuel: int, source: str | None) -> tuple:
             if top is None:
                 return "terminated", t, env, s, i + 1, visible, read
             t, env = top
-    # the fuel is spent: is the state it stopped at stuck?
-    cls = t.__class__
-    if cls is Var:
-        name = t.name
-        while env[0] != name:
-            env = env[2]
-        t, env = env[1]
-        cls = t.__class__
-    if cls is App:
-        stuck = False
-    elif cls is Abs or cls is Kont or cls is _Captured or t is CALLCC:
-        stuck = s.__class__ is not tuple and s.head is None
-    else:
-        stuck = source is None or _effect(t, s) is None
-    return ("stuck" if stuck else "fuel"), t, env, s, fuel, visible, read
+    return "fuel", t, env, s, fuel, visible, read
 
 
 def _check_bound(value: int, name: str = "fuel") -> None:
@@ -476,7 +463,8 @@ def settle(p: Process, fuel: int, targets: Container[Process] = ()) -> tuple[str
     never repeated a process, and its read-back is, name for name, the
     process `eval_step` reaches.  Only a chain that spends its fuel, and
     every chain with targets, is followed again from p through
-    `eval_step` with a seen-set, which tells "cycle" from "fuel"."""
+    `eval_step` with a seen-set, which tells "stuck", "cycle" and "fuel"
+    apart where the fuel runs out."""
     _check_bound(fuel)
     if not targets and p.__class__ is Pair:
         outcome, t, env, s = _iterate(p, fuel, None)[:4]
@@ -533,10 +521,11 @@ def run(c: ExecutionContext, fuel: int = DEFAULT_FUEL) -> RunResult:
     """Iterate the execution relation at most `fuel` steps: `_iterate`
     with c's input.  Stops early at TOP ("terminated") or when no step
     applies ("stuck"); a run whose last allowed step lands on a stuck
-    state is "stuck", not "fuel".  The trace is built once, at the end,
-    from the step count and the visible steps, and the final state is
-    read back to a process unless the run terminated.  A fuel that is
-    not an integer raises TypeError, a negative one ValueError.
+    state is "stuck", not "fuel", as one more loop step tells.  The
+    trace is built once, at the end, from the step count and the visible
+    steps, and the final state is read back to a process unless the run
+    terminated.  A fuel that is not an integer raises TypeError, a
+    negative one ValueError.
     """
     _check_bound(fuel)
     if c.process is TOP:
@@ -548,6 +537,8 @@ def run(c: ExecutionContext, fuel: int = DEFAULT_FUEL) -> RunResult:
     written = "".join(["0" if action is _W0 else "1" for _, action in reversed(visible)
                        if action is _W0 or action is _W1])
     process = TOP if outcome == "terminated" else _read_back(t, env, s)
+    if outcome == "fuel" and _iterate(process, 1, c.input[read:])[0] == "stuck":
+        outcome = "stuck"
     return RunResult(outcome, ExecutionContext(process, c.input[read:], written + c.output),
                      tuple(trace))
 

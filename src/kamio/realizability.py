@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping
 
 from .machine import (
-    Action, DEFAULT_FUEL, ExecutionContext, implements_row, run, settle,
+    Action, DEFAULT_FUEL, ExecutionContext, _check_bound, implements_row, run, settle,
 )
 from .syntax import (
     Abs, App, Pair, Process, Stack, Term, TOP, Var,
@@ -462,13 +462,21 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _fuel(value) -> int:
+    """A scenario's or a pole's fuel: an `_integer` that is not negative,
+    checked as `machine.run` checks it."""
+    fuel = _integer(value, "fuel")
+    _check_bound(fuel)
+    return fuel
+
+
 def pole_from_json(obj: dict, fuel: int | None = None) -> Pole:
     """Build a pole whose budget is its own "fuel" key, else `fuel`, else
     the pole kind's default; a union hands its budget to its members.
-    A function pole's rows are checked here: each input and output is a
-    natural number, and no input is named twice."""
+    A function pole's rows are checked here: there is one at least, each
+    input and output is a natural number, and no input is named twice."""
     budget = obj.get("fuel", fuel)
-    kw = {} if budget is None else {"fuel": _integer(budget, "fuel")}
+    kw = {} if budget is None else {"fuel": _fuel(budget)}
     kind = obj.get("kind")
     if kind == "finite":
         return FinitePole.of([parse_process(s) for s in obj["seeds"]], **kw)
@@ -482,6 +490,8 @@ def pole_from_json(obj: dict, fuel: int | None = None) -> Pole:
             if n in table:
                 raise ValueError(f"function pole table names input {n} twice")
             table[n] = m
+        if not table:
+            raise ValueError("function pole table has no rows")
         return FunctionPole.of(table, **kw)
     if kind == "trace":
         return TracePole(obj["spec"], _integer(obj.get("max_input_len", 4), "max_input_len"),
@@ -542,7 +552,7 @@ def _scenario(obj: dict) -> Scenario:
     if not isinstance(obj, dict):
         raise ValueError("scenario must be a JSON object")
     kind = obj.get("kind", "entailment")
-    fuel = _integer(obj.get("fuel", DEFAULT_FUEL), "fuel")
+    fuel = _fuel(obj.get("fuel", DEFAULT_FUEL))
     pole = pole_from_json(obj["pole"], fuel)
     if kind == "entailment":
         conclusion = _predicate_from_json(obj["conclusion"], "conclusion")

@@ -171,8 +171,6 @@ WRITE0 = Const("write0")
 WRITE1 = Const("write1")
 END = Const("end")
 
-_EFFECTS = (READ, WRITE0, WRITE1, END)
-
 
 class Kont(Term):
     """A captured continuation holding a saved stack."""

@@ -52,7 +52,10 @@ oracles.
 - The closure loop `_iterate` as it stood when it counted its fuel down
   and tested it at each rule, with the `_effect` it called and the
   `_pop` helper that `_effect` popped through.  Oracle for
-  `kamio.machine._iterate`, compared at every fuel.  That `_effect`
+  `kamio.machine._iterate`, compared at every fuel, with one outcome
+  mapped: where no rule applies after `fuel` steps, this loop says
+  "stuck" and `kamio.machine._iterate` says "fuel" (`run`, `settle` and
+  `settled_labels` still say "stuck" there).  That `_effect`
   built an (action, closure, rest) triple for every move, a read's
   three included; oracle for `kamio.machine._effect`, which returns one
   label tuple and one tuple of closures.

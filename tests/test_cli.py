@@ -568,6 +568,35 @@ class TestRealize:
         assert (code, out) == (1, "")
         assert err == "kamio: error: fuel must be non-negative\n"
 
+    @pytest.mark.parametrize("argv, scenario", [
+        (["--fuel", "-3"], {}),
+        ([], {"fuel": -1}),
+        ([], {"pole": {"kind": "finite", "seeds": [], "fuel": -1}}),
+        ([], {"pole": {"kind": "union", "members": [
+            {"kind": "trace", "spec": "copy", "fuel": -1}]}}),
+        ([], {"pole": {"kind": "function", "table": {}, "fuel": -1}}),
+    ], ids=["cli", "scenario", "pole", "union-member", "empty-table"])
+    def test_negative_fuel_unused_exit_1(self, files, capsys, argv, scenario):
+        # no stack, so no membership check would read the fuel
+        path = files("empty.json", json.dumps({
+            "kind": "realizes", "pole": {"kind": "finite", "seeds": []},
+            "term": r"\x. x", "truth_value": {"stacks": []}, **scenario}))
+        code, out, err = run_cli(capsys, "realize", path, *argv)
+        assert (code, out) == (1, "")
+        assert err == "kamio: error: fuel must be non-negative\n"
+
+    def test_empty_function_table_exit_1(self, files, capsys):
+        # a verdict over no rows would be a vacuous Verified
+        scenario = files("table.json", json.dumps({
+            "kind": "realizes",
+            "pole": {"kind": "function", "table": {}},
+            "term": r"\x. x x",
+            "truth_value": {"stacks": ["nil"]},
+        }))
+        code, out, err = run_cli(capsys, "realize", scenario)
+        assert (code, out) == (1, "")
+        assert err == "kamio: error: function pole table has no rows\n"
+
     def test_schema_violation_exit_1(self, files, capsys):
         scenario = files("bad.json", json.dumps({"kind": "entailment"}))
         code, _, err = run_cli(capsys, "realize", scenario)

@@ -606,10 +606,7 @@ class TestClosureMachine:
 
 def assert_iterate_matches_reference(p, bits, limit=200):
     """At every fuel from 0 to the steps of p's chain (at most `limit`)
-    plus one, with `bits` as input and without input, `_iterate` stops
-    where the loop it replaced stops (`reference._iterate`): the same
-    outcome, steps, visible steps and bits read, and a state that reads
-    back to the same process, name for name."""
+    plus one, with `bits` as input and without input, `assert_same_stop`."""
     for source in (None, bits):
         last = reference._iterate(p, limit, source)[4]
         for fuel in range(last + 2):
@@ -617,12 +614,36 @@ def assert_iterate_matches_reference(p, bits, limit=200):
 
 
 def assert_same_stop(p, fuel, source):
+    """`_iterate` stops where the loop it replaced stops
+    (`reference._iterate`): the same outcome, steps, visible steps and
+    bits read, and a state that reads back to the same process, name for
+    name.  One outcome is mapped: where the reference is stuck after
+    `fuel` steps, `_iterate` says "fuel", and it says "stuck" only after
+    fewer steps.  The public results at that fuel still say "stuck"
+    there: `run` matches the reference `run` given `source`, and
+    without it `settle` matches the reference `settle` and
+    `settled_labels` the reference `observable`."""
     got, expected = _iterate(p, fuel, source), reference._iterate(p, fuel, source)
-    assert (got[0], *got[4:]) == (expected[0], *expected[4:]), (pretty(p), fuel, source)
+    outcome = expected[0]
+    if outcome == "stuck" and expected[4] == fuel:
+        outcome = "fuel"
+    assert (got[0], *got[4:]) == (outcome, *expected[4:]), (pretty(p), fuel, source)
+    assert got[0] != "stuck" or got[4] < fuel
     if expected[0] != "terminated":
         got, expected = _read_back(*got[1:4]), _read_back(*expected[1:4])
         assert got == expected
         assert pretty(got) == pretty(expected)
+    if source is not None:
+        c = ExecutionContext(p, source)
+        got, expected = run(c, fuel), reference.run(c, fuel)
+        assert got == expected, (pretty(p), fuel, source)
+        assert pretty(got.final.process) == pretty(expected.final.process)
+        return
+    got, expected = settle(p, fuel), reference.settle(p, fuel)
+    assert got == expected, (pretty(p), fuel)
+    assert pretty(got[1]) == pretty(expected[1])
+    ob = reference.observable(p, fuel)
+    assert settled_labels(p, fuel) == (None if ob.kind == "unknown" else tuple(ob.entries or ()))
 
 
 ITERATE_EDGE_CASES = [
@@ -643,8 +664,10 @@ ITERATE_EDGE_CASES = [
 
 
 class TestIterate:
-    """`_iterate`, a loop over `range(fuel)` that decides stuck or fuel
-    once after the loop, against the loop it replaced."""
+    """`_iterate`, a loop over `range(fuel)` with no stuck test after it,
+    against the loop it replaced, and `run`, `settle` and
+    `settled_labels`, which say "stuck" at the budget's end, against
+    their oracles."""
 
     @given(st.one_of(gen.processes(), gen.silent_loops()), st.text("01", max_size=4))
     def test_matches_reference_at_every_fuel(self, p, bits):

@@ -519,7 +519,7 @@ class TestScenarioJson:
     def test_pole_fuel_precedence(self):
         union = pole_from_json({"kind": "union", "fuel": 50, "members": [
             {"kind": "finite", "seeds": [], "fuel": 3},
-            {"kind": "function", "table": {}},
+            {"kind": "function", "table": {"0": 0}},
         ]}, fuel=7)
         assert [m.fuel for m in union.members] == [3, 50]
         assert pole_from_json({"kind": "trace", "spec": "copy"}, fuel=7).fuel == 7
@@ -560,6 +560,35 @@ class TestScenarioJson:
         # process never reached `bin_nat`
         with pytest.raises(ValueError, match="naturals required"):
             pole_from_json({"kind": "function", "table": table})
+
+    @pytest.mark.parametrize("pole", [
+        {"kind": "finite", "seeds": [], "fuel": -1},
+        {"kind": "function", "table": {"0": 0}, "fuel": -1},
+        {"kind": "trace", "spec": "copy", "fuel": -1},
+        {"kind": "union", "fuel": -1, "members": [{"kind": "finite", "seeds": []}]},
+        {"kind": "union", "members": [{"kind": "finite", "seeds": [], "fuel": -1}]},
+    ])
+    def test_negative_pole_fuel_rejected(self, pole):
+        # checked at load, not only when a membership check runs
+        with pytest.raises(ValueError, match="^fuel must be non-negative$"):
+            pole_from_json(pole)
+
+    def test_negative_scenario_fuel_rejected(self):
+        # no stack, so no membership check would ever read the fuel
+        with pytest.raises(ValueError, match="^fuel must be non-negative$"):
+            scenario_from_json({"kind": "realizes", "fuel": -1, "term": r"\x. x",
+                                "pole": {"kind": "finite", "seeds": []},
+                                "truth_value": {"stacks": []}})
+
+    @pytest.mark.parametrize("pole", [
+        {"kind": "function", "table": {}},
+        {"kind": "function", "table": {}, "fuel": 5},
+        {"kind": "union", "members": [{"kind": "function", "table": {}}]},
+    ])
+    def test_empty_function_table_rejected(self, pole):
+        # a verdict over no rows is a vacuous Verified for every process
+        with pytest.raises(ValueError, match="^function pole table has no rows$"):
+            pole_from_json(pole)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
