@@ -18,8 +18,6 @@ two label sets, and no settled process or successor is built for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .machine import (
     Action, ExecutionContext, _check_bound, lts_step, run, settle, settled_labels,
 )
@@ -27,7 +25,7 @@ from .syntax import (
     Abs, App, InvalidPosition, Position, Process,
     replace_at, subterm_at, substitute, subterms,
 )
-from .verdict import Verdict
+from .verdict import Verdict, _Record, _set
 
 __all__ = [
     "DEFAULT_DEPTH", "DEFAULT_OBS_FUEL", "Observable",
@@ -41,8 +39,7 @@ DEFAULT_OBS_FUEL = 100_000
 _LABEL_ORDER = (Action.R0, Action.R1, Action.REPS, Action.W0, Action.W1, Action.E)
 
 
-@dataclass(frozen=True)
-class Observable:
+class Observable(_Record):
     """What a process can do after silently settling.
 
     kind is "menu" (labeled transitions available, `entries` maps each
@@ -51,8 +48,13 @@ class Observable:
     ran out before the silent chain settled).
     """
 
+    __slots__ = ("kind", "entries")
     kind: str
-    entries: dict[Action, Process] | None = None
+    entries: dict[Action, Process] | None
+
+    def __init__(self, kind: str, entries: dict[Action, Process] | None = None):
+        _set(self, "kind", kind)
+        _set(self, "entries", entries)
 
     @property
     def is_menu(self) -> bool:

@@ -52,7 +52,6 @@ state.  No path here copies a body through `substitute`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Container
 
@@ -60,7 +59,7 @@ from .syntax import (
     Abs, App, CALLCC, Kont, Pair, Process, READ, Stack, TOP, Term, Var,
     WRITE0, WRITE1, END, pretty,
 )
-from .verdict import Verdict
+from .verdict import Verdict, _Record, _set
 
 __all__ = [
     "DEFAULT_FUEL", "Action", "ExecutionContext", "RunResult",
@@ -83,29 +82,31 @@ class Action(Enum):
     E = "e"
 
 
-@dataclass(frozen=True)
-class ExecutionContext:
+class ExecutionContext(_Record):
     """A process together with remaining input and accumulated output.
 
     The head of `input` is the next bit to be read; the head of `output`
     is the most recently written bit.
     """
 
+    __slots__ = ("process", "input", "output")
     process: Process
-    input: str = ""
-    output: str = ""
+    input: str
+    output: str
 
-    def __post_init__(self):
-        for field in (self.input, self.output):
+    def __init__(self, process: Process, input: str = "", output: str = ""):
+        for field in (input, output):
             if field.strip("01"):
                 raise ValueError(f"input/output must contain only bits: {field!r}")
+        _set(self, "process", process)
+        _set(self, "input", input)
+        _set(self, "output", output)
 
     def __str__(self):
         return f"({pretty(self.process)}, {self.input!r}, {self.output!r})"
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(_Record):
     """Outcome of a fuel-bounded run.
 
     outcome is "terminated" (reached TOP), "stuck" (no step applies), or
@@ -113,9 +114,15 @@ class RunResult:
     a "terminated" trace always ends with Action.E.
     """
 
+    __slots__ = ("outcome", "final", "trace")
     outcome: str
     final: ExecutionContext
     trace: tuple[Action, ...]
+
+    def __init__(self, outcome: str, final: ExecutionContext, trace: tuple[Action, ...]):
+        _set(self, "outcome", outcome)
+        _set(self, "final", final)
+        _set(self, "trace", trace)
 
     @property
     def steps(self) -> int:

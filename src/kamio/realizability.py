@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping
 
 from .machine import (
@@ -31,7 +30,7 @@ from .syntax import (
     effect_constants, parse_process, parse_stack, parse_term, pretty,
     require_proof_like,
 )
-from .verdict import Verdict
+from .verdict import Verdict, _Record, _set
 
 __all__ = [
     "TruthValue", "Predicate", "RealizerList", "Sequent", "ContextEntry",
@@ -50,8 +49,7 @@ __all__ = [
 # Truth values, predicates, realizer lists
 
 
-@dataclass(frozen=True)
-class TruthValue:
+class TruthValue(_Record):
     """A finite set of stacks; bigger sets are `falser`.
 
     all_stacks marks the list as a sample of the set of all stacks (the
@@ -59,8 +57,13 @@ class TruthValue:
     under-approximations and downgrade Verified to sampled-Verified.
     """
 
+    __slots__ = ("stacks", "all_stacks")
     stacks: tuple[Stack, ...]
-    all_stacks: bool = False
+    all_stacks: bool
+
+    def __init__(self, stacks: tuple[Stack, ...], all_stacks: bool = False):
+        _set(self, "stacks", stacks)
+        _set(self, "all_stacks", all_stacks)
 
     @staticmethod
     def of(stacks: Iterable[Stack], all_stacks: bool = False) -> "TruthValue":
@@ -85,17 +88,18 @@ def falsity_sample(stacks: Iterable[Stack]) -> TruthValue:
     return TruthValue.of(stacks, all_stacks=True)
 
 
-@dataclass(frozen=True)
-class RealizerList:
+class RealizerList(_Record):
     """Closed terms designated as known realizers of some truth value;
     a finite stand-in for the full realizer set."""
 
+    __slots__ = ("terms",)
     terms: tuple[Term, ...]
 
-    def __post_init__(self):
-        for t in self.terms:
+    def __init__(self, terms: tuple[Term, ...]):
+        for t in terms:
             if t.fvs:
                 raise ValueError(f"realizer is not closed: {pretty(t)}")
+        _set(self, "terms", terms)
 
     @staticmethod
     def of(terms: Iterable[Term]) -> "RealizerList":
@@ -108,17 +112,19 @@ class RealizerList:
         return len(self.terms)
 
 
-@dataclass(frozen=True)
-class Predicate:
+class Predicate(_Record):
     """A finite-index family of truth values."""
 
+    __slots__ = ("index_set", "mapping")
     index_set: tuple[Any, ...]
     mapping: Mapping[Any, TruthValue]
 
-    def __post_init__(self):
-        missing = [i for i in self.index_set if i not in self.mapping]
+    def __init__(self, index_set: tuple[Any, ...], mapping: Mapping[Any, TruthValue]):
+        missing = [i for i in index_set if i not in mapping]
         if missing:
             raise ValueError(f"predicate is not total: missing {missing!r}")
+        _set(self, "index_set", index_set)
+        _set(self, "mapping", mapping)
 
     @staticmethod
     def of(mapping: Mapping[Any, TruthValue], index_set: Iterable[Any] | None = None) -> "Predicate":
@@ -139,17 +145,23 @@ READ_ALL_THEN_WRITE = "read_all_then_write"
 class Pole:
     """Base class for bounded pole-membership engines."""
 
+    __slots__ = ()
+
     def member(self, p: Process, fuel: int | None = None) -> Verdict:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class FinitePole(Pole):
+class FinitePole(Pole, _Record):
     """The saturation closure of a finite seed set: a process is a member
     iff its effect-free evaluation chain reaches a seed within fuel."""
 
+    __slots__ = ("seeds", "fuel")
     seeds: frozenset[Process]
-    fuel: int = 10_000
+    fuel: int
+
+    def __init__(self, seeds: frozenset[Process], fuel: int = 10_000):
+        _set(self, "seeds", seeds)
+        _set(self, "fuel", fuel)
 
     @staticmethod
     def of(seeds: Iterable[Process], fuel: int = 10_000) -> "FinitePole":
@@ -164,14 +176,18 @@ class FinitePole(Pole):
         return Verdict.refuted(settled)  # stuck, or cycling short of any seed
 
 
-@dataclass(frozen=True)
-class FunctionPole(Pole):
+class FunctionPole(Pole, _Record):
     """Processes implementing a partial function, bounded to a finite
     table of (input, output) rows.  Verified is an over-approximation:
     only the listed rows are checked."""
 
+    __slots__ = ("table", "fuel")
     table: tuple[tuple[int, int], ...]
-    fuel: int = DEFAULT_FUEL
+    fuel: int
+
+    def __init__(self, table: tuple[tuple[int, int], ...], fuel: int = DEFAULT_FUEL):
+        _set(self, "table", table)
+        _set(self, "fuel", fuel)
 
     @staticmethod
     def of(table: Mapping[int, int], fuel: int = DEFAULT_FUEL) -> "FunctionPole":
@@ -220,20 +236,23 @@ def trace_conforms(spec: str, p: Process, input_bits: str, fuel: int) -> Verdict
     return Verdict.verified() if ok else Verdict.refuted((input_bits, visible))
 
 
-@dataclass(frozen=True)
-class TracePole(Pole):
+class TracePole(Pole, _Record):
     """Processes whose visible traces satisfy a discipline on every input
     of bounded length."""
 
+    __slots__ = ("spec", "max_input_len", "fuel")
     spec: str
-    max_input_len: int = 4
-    fuel: int = 100_000
+    max_input_len: int
+    fuel: int
 
-    def __post_init__(self):
-        if self.spec not in (COPY, READ_ALL_THEN_WRITE):
-            raise ValueError(f"unknown trace discipline {self.spec!r}")
-        if self.max_input_len < 0:
-            raise ValueError(f"max_input_len must be non-negative, got {self.max_input_len}")
+    def __init__(self, spec: str, max_input_len: int = 4, fuel: int = 100_000):
+        if spec not in (COPY, READ_ALL_THEN_WRITE):
+            raise ValueError(f"unknown trace discipline {spec!r}")
+        if max_input_len < 0:
+            raise ValueError(f"max_input_len must be non-negative, got {max_input_len}")
+        _set(self, "spec", spec)
+        _set(self, "max_input_len", max_input_len)
+        _set(self, "fuel", fuel)
 
     def member(self, p: Process, fuel: int | None = None) -> Verdict:
         budget = self.fuel if fuel is None else fuel
@@ -242,11 +261,14 @@ class TracePole(Pole):
                               sampled=True)  # inputs up to max_input_len only
 
 
-@dataclass(frozen=True)
-class UnionPole(Pole):
+class UnionPole(Pole, _Record):
     """Union of poles: member of any part means member of the union."""
 
+    __slots__ = ("members",)
     members: tuple[Pole, ...]
+
+    def __init__(self, members: tuple[Pole, ...]):
+        _set(self, "members", members)
 
     def member(self, p: Process, fuel: int | None = None) -> Verdict:
         refutations = []
@@ -306,32 +328,44 @@ def reindex(f: Mapping, phi: Predicate) -> Predicate:
     return Predicate(indices, {j: phi(f[j]) for j in indices})
 
 
-@dataclass(frozen=True)
-class ContextEntry:
+class ContextEntry(_Record):
     """A context predicate together with, per index, the terms standing in
-    for its realizer set."""
+    for its realizer set.  Realizers at an index the predicate does not
+    have raise ValueError: no entailment check would ever read them."""
 
+    __slots__ = ("predicate", "realizers")
     predicate: Predicate
     realizers: Mapping[Any, RealizerList]
+
+    def __init__(self, predicate: Predicate, realizers: Mapping[Any, RealizerList]):
+        extra = [i for i in realizers if i not in predicate.index_set]
+        if extra:
+            raise ValueError(f"realizers name indices the predicate does not have: {extra!r}")
+        _set(self, "predicate", predicate)
+        _set(self, "realizers", realizers)
 
     def realizers_at(self, index) -> RealizerList:
         return self.realizers.get(index, RealizerList(()))
 
 
-@dataclass(frozen=True)
-class Sequent:
+class Sequent(_Record):
     """An entailment instance: context predicates, a conclusion predicate,
     and a candidate realizer (which must be free of instruction constants)."""
 
+    __slots__ = ("context", "conclusion", "candidate")
     context: tuple[ContextEntry, ...]
     conclusion: Predicate
     candidate: Term
 
-    def __post_init__(self):
-        require_proof_like(self.candidate, "candidate")
-        for entry in self.context:
-            if tuple(entry.predicate.index_set) != tuple(self.conclusion.index_set):
+    def __init__(self, context: tuple[ContextEntry, ...], conclusion: Predicate,
+                 candidate: Term):
+        require_proof_like(candidate, "candidate")
+        for entry in context:
+            if tuple(entry.predicate.index_set) != tuple(conclusion.index_set):
                 raise ValueError("all predicates in a sequent share one index set")
+        _set(self, "context", context)
+        _set(self, "conclusion", conclusion)
+        _set(self, "candidate", candidate)
 
 
 def check_entailment(pole: Pole, seq: Sequent, fuel: int | None = None) -> Verdict:
@@ -409,15 +443,20 @@ def modus_ponens(t: Term, u: Term, n: int, m: int) -> Term:
 # Consistency probing
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(_Record):
     """Each candidate's verdict over the stack samples (Refuted at the first
     stack whose pairing leaves the pole) and every process other than TOP
     the probe saw verified: a consistent pole has no effect-free member
     other than TOP."""
 
+    __slots__ = ("candidates", "members")
     candidates: tuple[tuple[Term, Verdict], ...]
     members: tuple[Process, ...]
+
+    def __init__(self, candidates: tuple[tuple[Term, Verdict], ...],
+                 members: tuple[Process, ...]):
+        _set(self, "candidates", candidates)
+        _set(self, "members", members)
 
     @property
     def violations(self) -> tuple[Process, ...]:
@@ -470,6 +509,15 @@ def _fuel(value) -> int:
     return fuel
 
 
+def _list(value, key: str) -> list:
+    """The JSON array a scenario gives for `key`.  Anything else raises
+    TypeError, which `scenario_from_json` reports as a malformed
+    scenario: a string would be read one character at a time."""
+    if not isinstance(value, list):
+        raise TypeError(f"{key} must be a list")
+    return value
+
+
 def pole_from_json(obj: dict, fuel: int | None = None) -> Pole:
     """Build a pole whose budget is its own "fuel" key, else `fuel`, else
     the pole kind's default; a union hands its budget to its members.
@@ -479,8 +527,10 @@ def pole_from_json(obj: dict, fuel: int | None = None) -> Pole:
     kw = {} if budget is None else {"fuel": _fuel(budget)}
     kind = obj.get("kind")
     if kind == "finite":
-        return FinitePole.of([parse_process(s) for s in obj["seeds"]], **kw)
+        return FinitePole.of([parse_process(s) for s in _list(obj["seeds"], "seeds")], **kw)
     if kind == "function":
+        if not isinstance(obj["table"], dict):
+            raise TypeError("table must be an object")
         table: dict[int, int] = {}
         for key, value in obj["table"].items():
             n = _integer(key, "function pole table input")
@@ -497,7 +547,8 @@ def pole_from_json(obj: dict, fuel: int | None = None) -> Pole:
         return TracePole(obj["spec"], _integer(obj.get("max_input_len", 4), "max_input_len"),
                          **kw)
     if kind == "union":
-        return UnionPole(tuple(pole_from_json(m, budget) for m in obj["members"]))
+        members = _list(obj["members"], "members")
+        return UnionPole(tuple(pole_from_json(m, budget) for m in members))
     raise ValueError(f"unknown pole kind {kind!r}")
 
 
@@ -505,7 +556,7 @@ def _by_index(rows: list[dict], field: str, build) -> dict:
     """{row["index"]: build(row)} over `rows`, the rows of scenario key
     `field`; an index named twice raises ValueError."""
     out = {}
-    for row in rows:
+    for row in _list(rows, field):
         index = row["index"]
         if index in out:
             raise ValueError(f"{field} names index {index!r} twice")
@@ -516,25 +567,40 @@ def _by_index(rows: list[dict], field: str, build) -> dict:
 def _predicate_from_json(rows: list[dict], field: str,
                          index_set: Iterable | None = None) -> Predicate:
     return Predicate.of(_by_index(rows, field, lambda row: TruthValue.of(
-        parse_stack(s) for s in row["stacks"])), index_set)
+        parse_stack(s) for s in _list(row["stacks"], "stacks"))), index_set)
 
 
 def _realizers_from_json(rows: list[dict]) -> dict[Any, RealizerList]:
     return _by_index(rows, "realizers", lambda row: RealizerList.of(
-        parse_term(s) for s in row["terms"]))
+        parse_term(s) for s in _list(row["terms"], "terms")))
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Record):
+    __slots__ = ("kind", "pole", "fuel", "sequent", "term", "truth_value",
+                 "candidates", "stack_samples", "member_samples")
     kind: str
     pole: Pole
     fuel: int  # the budget a pole without its own "fuel" key was given
-    sequent: Sequent | None = None
-    term: Term | None = None
-    truth_value: TruthValue | None = None
-    candidates: tuple[Term, ...] = ()
-    stack_samples: tuple[Stack, ...] = ()
-    member_samples: tuple[Process, ...] = ()
+    sequent: Sequent | None
+    term: Term | None
+    truth_value: TruthValue | None
+    candidates: tuple[Term, ...]
+    stack_samples: tuple[Stack, ...]
+    member_samples: tuple[Process, ...]
+
+    def __init__(self, kind: str, pole: Pole, fuel: int, sequent: Sequent | None = None,
+                 term: Term | None = None, truth_value: TruthValue | None = None,
+                 candidates: tuple[Term, ...] = (), stack_samples: tuple[Stack, ...] = (),
+                 member_samples: tuple[Process, ...] = ()):
+        _set(self, "kind", kind)
+        _set(self, "pole", pole)
+        _set(self, "fuel", fuel)
+        _set(self, "sequent", sequent)
+        _set(self, "term", term)
+        _set(self, "truth_value", truth_value)
+        _set(self, "candidates", candidates)
+        _set(self, "stack_samples", stack_samples)
+        _set(self, "member_samples", member_samples)
 
 
 def scenario_from_json(obj: dict) -> Scenario:
@@ -557,7 +623,7 @@ def _scenario(obj: dict) -> Scenario:
     if kind == "entailment":
         conclusion = _predicate_from_json(obj["conclusion"], "conclusion")
         context = []
-        for entry in obj.get("context", ()):
+        for entry in _list(obj.get("context", []), "context"):
             predicate = _predicate_from_json(entry["predicate"], "predicate",
                                              conclusion.index_set)
             context.append(ContextEntry(predicate, _realizers_from_json(entry["realizers"])))
@@ -567,14 +633,17 @@ def _scenario(obj: dict) -> Scenario:
         all_stacks = obj["truth_value"].get("all_stacks", False)
         if not isinstance(all_stacks, bool):
             raise ValueError(f"all_stacks must be true or false, got {all_stacks!r}")
-        tv = TruthValue.of((parse_stack(s) for s in obj["truth_value"]["stacks"]), all_stacks)
+        stacks = _list(obj["truth_value"]["stacks"], "truth_value.stacks")
+        tv = TruthValue.of((parse_stack(s) for s in stacks), all_stacks)
         return Scenario(kind, pole, fuel, term=parse_term(obj["term"]), truth_value=tv)
     if kind == "consistency":
         return Scenario(
             kind, pole, fuel,
-            candidates=tuple(parse_term(s) for s in obj["candidates"]),
-            stack_samples=tuple(parse_stack(s) for s in obj["stack_samples"]),
-            member_samples=tuple(parse_process(s) for s in obj.get("member_samples", ())))
+            candidates=tuple(parse_term(s) for s in _list(obj["candidates"], "candidates")),
+            stack_samples=tuple(parse_stack(s)
+                                for s in _list(obj["stack_samples"], "stack_samples")),
+            member_samples=tuple(parse_process(s) for s in
+                                 _list(obj.get("member_samples", []), "member_samples")))
     raise ValueError(f"unknown scenario kind {kind!r}")
 
 

@@ -216,7 +216,7 @@ class TestCompileAndVerify:
         out_path = str(tmp_path / "id.kam")
         code, _, _ = run_cli(capsys, "compile-fn", lam, "-o", out_path)
         assert code == 0
-        parse_process(open(out_path, encoding="utf-8").read())  # round-trips
+        parse_process(Path(out_path).read_text(encoding="utf-8"))  # round-trips
 
         table = files("id.tsv", "".join(f"{n}\t{n}\n" for n in range(9)))
         code, out, _ = run_cli(capsys, "verify-impl", out_path, "--table", table)
@@ -618,6 +618,15 @@ class TestRealize:
         assert "Traceback" not in err
         [line] = err.strip().splitlines()
         assert line.startswith("kamio: error: malformed scenario: ")
+
+    def test_string_for_a_list_exit_1(self, files, capsys):
+        # "" was read as no stacks, and the scenario verified with exit 0
+        scenario = files("bad.json", json.dumps({
+            "kind": "realizes", "pole": {"kind": "finite", "seeds": []},
+            "term": r"\x. x", "truth_value": {"stacks": ""}}))
+        code, out, err = run_cli(capsys, "realize", scenario)
+        assert (code, out) == (1, "")
+        assert err == "kamio: error: malformed scenario: truth_value.stacks must be a list\n"
 
     def test_deep_json_exit_1(self, files, capsys):
         scenario = files("deep.json", "[" * 100_000)

@@ -320,6 +320,13 @@ class TestCheckEntailment:
         with pytest.raises(ValueError):
             Sequent((ContextEntry(bad, {}),), good, IDENTITY)
 
+    def test_realizers_off_the_predicate_rejected(self):
+        # a row at index j was never enumerated against a predicate at i,
+        # so the entailment verified without checking a realizer
+        predicate = Predicate.of({"i": TruthValue.of([EMPTY])})
+        with pytest.raises(ValueError, match=r"does not have: \['j'\]$"):
+            ContextEntry(predicate, {"j": RealizerList.of([FST])})
+
 
 class TestRuleRealizers:
     def test_shapes(self):
@@ -467,6 +474,21 @@ class TestPoleFromBisimulation:
             assert left.status == right.status
 
 
+def _realizes(**keys):
+    return {"kind": "realizes", "pole": {"kind": "finite", "seeds": ["end * nil"]},
+            "term": r"\x. x", "truth_value": {"stacks": ["nil"]}, **keys}
+
+
+def _entailment(**keys):
+    return {"kind": "entailment", "pole": {"kind": "finite", "seeds": ["end * nil"]},
+            "conclusion": [{"index": "i", "stacks": ["nil"]}], "candidate": r"\x. x", **keys}
+
+
+def _consistency(**keys):
+    return {"kind": "consistency", "pole": {"kind": "finite", "seeds": ["end * nil"]},
+            "candidates": [r"\x. x"], "stack_samples": ["nil"], **keys}
+
+
 class TestScenarioJson:
     def test_entailment_round_trip(self):
         payload = {
@@ -589,6 +611,47 @@ class TestScenarioJson:
         # a verdict over no rows is a vacuous Verified for every process
         with pytest.raises(ValueError, match="^function pole table has no rows$"):
             pole_from_json(pole)
+
+    @pytest.mark.parametrize("payload, message", [
+        pytest.param(_realizes(pole={"kind": "finite", "seeds": []}, truth_value={"stacks": ""}),
+                     "truth_value.stacks must be a list", id="truth_value.stacks"),
+        pytest.param(_realizes(truth_value={"stacks": "nil"}),
+                     "truth_value.stacks must be a list", id="truth_value.stacks-text"),
+        pytest.param(_realizes(pole={"kind": "finite", "seeds": "end * nil"}),
+                     "seeds must be a list", id="seeds"),
+        pytest.param(_realizes(pole={"kind": "union", "members": {}}),
+                     "members must be a list", id="members"),
+        pytest.param(_realizes(pole={"kind": "function", "table": [[0, 0]]}),
+                     "table must be an object", id="table"),
+        pytest.param(_entailment(conclusion="i"), "conclusion must be a list", id="conclusion"),
+        pytest.param(_entailment(conclusion=[{"index": "i", "stacks": "nil"}]),
+                     "stacks must be a list", id="stacks"),
+        pytest.param(_entailment(context={}), "context must be a list", id="context"),
+        pytest.param(_entailment(context=[{"predicate": "i", "realizers": []}]),
+                     "predicate must be a list", id="predicate"),
+        pytest.param(_entailment(context=[{"predicate": [{"index": "i", "stacks": []}],
+                                            "realizers": "i"}]),
+                     "realizers must be a list", id="realizers"),
+        pytest.param(_entailment(context=[{"predicate": [{"index": "i", "stacks": ["nil"]}],
+                                           "realizers": [{"index": "i", "terms": "cc"}]}]),
+                     "terms must be a list", id="terms"),
+        pytest.param(_consistency(candidates=""), "candidates must be a list", id="candidates"),
+        pytest.param(_consistency(stack_samples=""), "stack_samples must be a list",
+                     id="stack_samples"),
+        pytest.param(_consistency(member_samples="end * nil"), "member_samples must be a list",
+                     id="member_samples"),
+    ])
+    def test_list_keys_reject_other_values(self, payload, message):
+        # a string was read one character at a time: "" as no stacks (a
+        # vacuous Verified), "nil" as the stack `n`
+        with pytest.raises(ValueError, match=f"^malformed scenario: {message}$"):
+            scenario_from_json(payload)
+
+    def test_realizers_off_the_predicate_rejected(self):
+        payload = _entailment(context=[{"predicate": [{"index": "i", "stacks": ["nil"]}],
+                                        "realizers": [{"index": "j", "terms": [r"\u. u"]}]}])
+        with pytest.raises(ValueError, match=r"does not have: \['j'\]$"):
+            scenario_from_json(payload)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -34,3 +34,4 @@ class TestAllOf:
 def test_at_replaces_only_the_witness():
     verdict = Verdict.unknown("depth", witness="old").at("new")
     assert verdict == Verdict.unknown("depth", witness="new")
+    assert Verdict.verified(sampled=True).at(1) == Verdict("verified", 1, None, True)
