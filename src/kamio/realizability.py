@@ -4,16 +4,16 @@ A pole is a set of processes closed under predecessors of effect-free
 evaluation; here poles are built from finite seed sets or from I/O
 specifications (input/output tables, trace disciplines), so membership is
 a fuel-bounded three-valued check.  Truth values are finite stack sets, a
-term realizes a truth value when pairing it with each member stack lands
-in the pole, and entailment between finite predicates is checked by
-enumerating realizer tuples.  Derived connectives are `implication`
-calls; rule realizers are functions of the premises' realizers.  The
-consistency probe gives each candidate the `Verdict.all_of` of its stack
-samples; a scenario is refuted by a candidate no stack refuted or by an
-effect-free member, else unknown if a candidate ran out of fuel.  Every
-quantification over an infinite set (all stacks, all realizers, all
-inputs) is approximated by explicit samples, and verdicts that relied on
-a sample say so.
+predicate is its table of rows (index to truth value), a term realizes a
+truth value when pairing it with each member stack lands in the pole, and
+entailment between finite predicates is checked by enumerating realizer
+tuples.  Derived connectives are `implication` calls; rule realizers are
+functions of the premises' realizers.  The consistency probe gives each
+candidate the `Verdict.all_of` of its stack samples; a scenario is
+refuted by a candidate no stack refuted or by an effect-free member, else
+unknown if a candidate ran out of fuel.  Every quantification over an
+infinite set (all stacks, all realizers, all inputs) is approximated by
+explicit samples, and verdicts that relied on a sample say so.
 """
 
 from __future__ import annotations
@@ -113,23 +113,22 @@ class RealizerList(_Record):
 
 
 class Predicate(_Record):
-    """A finite-index family of truth values."""
+    """A finite-index family of truth values: its rows, an ordered mapping
+    from index to truth value.  The index set is the mapping's keys."""
 
-    __slots__ = ("index_set", "mapping")
-    index_set: tuple[Any, ...]
+    __slots__ = ("mapping",)
     mapping: Mapping[Any, TruthValue]
 
-    def __init__(self, index_set: tuple[Any, ...], mapping: Mapping[Any, TruthValue]):
-        missing = [i for i in index_set if i not in mapping]
-        if missing:
-            raise ValueError(f"predicate is not total: missing {missing!r}")
-        _set(self, "index_set", index_set)
+    def __init__(self, mapping: Mapping[Any, TruthValue]):
         _set(self, "mapping", mapping)
 
     @staticmethod
-    def of(mapping: Mapping[Any, TruthValue], index_set: Iterable[Any] | None = None) -> "Predicate":
-        indices = tuple(index_set) if index_set is not None else tuple(mapping)
-        return Predicate(indices, dict(mapping))
+    def of(mapping: Mapping[Any, TruthValue]) -> "Predicate":
+        return Predicate(dict(mapping))
+
+    @property
+    def index_set(self) -> tuple[Any, ...]:
+        return tuple(self.mapping)
 
     def __call__(self, index) -> TruthValue:
         return self.mapping[index]
@@ -217,6 +216,8 @@ def trace_conforms(spec: str, p: Process, input_bits: str, fuel: int) -> Verdict
     least once, write the input bits last to first (writes are prepended,
     so the terminal output equals the input), then terminate.
     """
+    if spec not in (COPY, READ_ALL_THEN_WRITE):
+        raise ValueError(f"unknown trace discipline {spec!r}")
     result = run(ExecutionContext(p, input_bits, ""), fuel)
     if result.outcome == "fuel":
         return Verdict.unknown("fuel", witness=input_bits)
@@ -227,11 +228,9 @@ def trace_conforms(spec: str, p: Process, input_bits: str, fuel: int) -> Verdict
     writes = [Action.W0 if bit == "0" else Action.W1 for bit in input_bits]
     if spec == COPY:
         expected = [a for pair in zip(reads, writes) for a in pair] + [Action.REPS]
-    elif spec == READ_ALL_THEN_WRITE:
+    else:
         probes = max(1, len(visible) - 2 * len(input_bits) - 1)
         expected = reads + [Action.REPS] * probes + writes[::-1]
-    else:
-        raise ValueError(f"unknown trace discipline {spec!r}")
     ok = visible == tuple(expected + [Action.E])
     return Verdict.verified() if ok else Verdict.refuted((input_bits, visible))
 
@@ -248,6 +247,8 @@ class TracePole(Pole, _Record):
     def __init__(self, spec: str, max_input_len: int = 4, fuel: int = 100_000):
         if spec not in (COPY, READ_ALL_THEN_WRITE):
             raise ValueError(f"unknown trace discipline {spec!r}")
+        if not isinstance(max_input_len, int):
+            raise TypeError(f"max_input_len must be an integer, got {max_input_len!r}")
         if max_input_len < 0:
             raise ValueError(f"max_input_len must be non-negative, got {max_input_len}")
         _set(self, "spec", spec)
@@ -313,19 +314,17 @@ def forall_along(f: Mapping, theta: Predicate,
                  index_set: Iterable | None = None) -> Predicate:
     """Universal quantification along f: J -> I, as the union of theta
     over each fiber (empty fibers give the empty truth value)."""
-    indices = tuple(index_set) if index_set is not None else tuple(dict.fromkeys(f.values()))
-    mapping: dict[Any, TruthValue] = {i: EMPTY_TRUTH for i in indices}
+    mapping = dict.fromkeys(f.values() if index_set is None else index_set, EMPTY_TRUTH)
     for j in theta.index_set:
         i = f[j]
         if i in mapping:
             mapping[i] = mapping[i].union(theta(j))
-    return Predicate(indices, mapping)
+    return Predicate(mapping)
 
 
 def reindex(f: Mapping, phi: Predicate) -> Predicate:
     """Reindexing along f: J -> I: the predicate j |-> phi(f(j))."""
-    indices = tuple(f)
-    return Predicate(indices, {j: phi(f[j]) for j in indices})
+    return Predicate({j: phi(f[j]) for j in f})
 
 
 class ContextEntry(_Record):
@@ -338,7 +337,7 @@ class ContextEntry(_Record):
     realizers: Mapping[Any, RealizerList]
 
     def __init__(self, predicate: Predicate, realizers: Mapping[Any, RealizerList]):
-        extra = [i for i in realizers if i not in predicate.index_set]
+        extra = [i for i in realizers if i not in predicate.mapping]
         if extra:
             raise ValueError(f"realizers name indices the predicate does not have: {extra!r}")
         _set(self, "predicate", predicate)
@@ -350,7 +349,8 @@ class ContextEntry(_Record):
 
 class Sequent(_Record):
     """An entailment instance: context predicates, a conclusion predicate,
-    and a candidate realizer (which must be free of instruction constants)."""
+    and a candidate realizer (which must be free of instruction constants).
+    Every context predicate has the conclusion's indices, in any order."""
 
     __slots__ = ("context", "conclusion", "candidate")
     context: tuple[ContextEntry, ...]
@@ -361,7 +361,7 @@ class Sequent(_Record):
                  candidate: Term):
         require_proof_like(candidate, "candidate")
         for entry in context:
-            if tuple(entry.predicate.index_set) != tuple(conclusion.index_set):
+            if entry.predicate.mapping.keys() != conclusion.mapping.keys():
                 raise ValueError("all predicates in a sequent share one index set")
         _set(self, "context", context)
         _set(self, "conclusion", conclusion)
@@ -494,11 +494,12 @@ def consistency_probe(pole: Pole, candidates: Iterable[Term],
 
 
 def _integer(value, name: str) -> int:
-    """The integer a scenario gives for `name`.  A boolean or a number
-    with a fractional part raises ValueError: `int` would truncate it."""
-    if value.__class__ is bool or (value.__class__ is float and not value.is_integer()):
-        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
-    return int(value)
+    """The integer a scenario gives for `name`: a JSON number with no
+    fractional part.  Anything else raises ValueError, since `int` would
+    truncate a fraction and read a boolean or a string as a number."""
+    if value.__class__ is int or (value.__class__ is float and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
 
 
 def _fuel(value) -> int:
@@ -533,7 +534,8 @@ def pole_from_json(obj: dict, fuel: int | None = None) -> Pole:
             raise TypeError("table must be an object")
         table: dict[int, int] = {}
         for key, value in obj["table"].items():
-            n = _integer(key, "function pole table input")
+            integral = key.isascii() and key.removeprefix("-").isdigit()  # a JSON key is text
+            n = _integer(int(key) if integral else key, "function pole table input")
             m = _integer(value, f"function pole table row {key}")
             if n < 0 or m < 0:
                 raise ValueError(f"function pole table row {key}: naturals required")
@@ -564,10 +566,9 @@ def _by_index(rows: list[dict], field: str, build) -> dict:
     return out
 
 
-def _predicate_from_json(rows: list[dict], field: str,
-                         index_set: Iterable | None = None) -> Predicate:
-    return Predicate.of(_by_index(rows, field, lambda row: TruthValue.of(
-        parse_stack(s) for s in _list(row["stacks"], "stacks"))), index_set)
+def _predicate_from_json(rows: list[dict], field: str) -> Predicate:
+    return Predicate(_by_index(rows, field, lambda row: TruthValue.of(
+        parse_stack(s) for s in _list(row["stacks"], "stacks"))))
 
 
 def _realizers_from_json(rows: list[dict]) -> dict[Any, RealizerList]:
@@ -622,12 +623,10 @@ def _scenario(obj: dict) -> Scenario:
     pole = pole_from_json(obj["pole"], fuel)
     if kind == "entailment":
         conclusion = _predicate_from_json(obj["conclusion"], "conclusion")
-        context = []
-        for entry in _list(obj.get("context", []), "context"):
-            predicate = _predicate_from_json(entry["predicate"], "predicate",
-                                             conclusion.index_set)
-            context.append(ContextEntry(predicate, _realizers_from_json(entry["realizers"])))
-        sequent = Sequent(tuple(context), conclusion, parse_term(obj["candidate"]))
+        context = tuple(ContextEntry(_predicate_from_json(entry["predicate"], "predicate"),
+                                     _realizers_from_json(entry["realizers"]))
+                        for entry in _list(obj.get("context", []), "context"))
+        sequent = Sequent(context, conclusion, parse_term(obj["candidate"]))
         return Scenario(kind, pole, fuel, sequent=sequent)
     if kind == "realizes":
         all_stacks = obj["truth_value"].get("all_stacks", False)

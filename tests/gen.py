@@ -1,4 +1,5 @@
-"""Random generators for terms, stacks, processes, and execution contexts.
+"""Random generators for terms, stacks, processes, and execution contexts,
+and two readings of the execution rules written apart from the machine.
 
 One seeded-random generator serves both the fixed-count randomized
 acceptance checks and (wrapped in a composite) the hypothesis property
@@ -16,7 +17,7 @@ from kamio.syntax import (
     Abs, App, CALLCC, ClosednessError, EMPTY, END, Kont, Pair, READ, Stack, Term, TOP,
     Var, WRITE0, WRITE1, church_numeral, replace_at, stack_of, subterms,
 )
-from kamio.machine import ExecutionContext
+from kamio.machine import Action, ExecutionContext, eval_step, lts_step
 
 NAMES = ("a", "b", "c", "f", "g", "x", "y", "z")
 _SPARE_NAMES = ("u", "v", "w")  # binder names random_term never uses
@@ -204,6 +205,60 @@ def random_bits(rng: random.Random, max_len: int = 4) -> str:
 def random_context(rng: random.Random, size: int = 12) -> ExecutionContext:
     return ExecutionContext(random_process(rng, size, allow_top=True),
                             random_bits(rng), random_bits(rng))
+
+
+def matching_clauses(c: ExecutionContext) -> list[Action]:
+    """The labels of the seven execution clauses whose side conditions
+    hold on c, each clause tested on its own, for overlap checking."""
+    matched = []
+    p = c.process
+    if not isinstance(p, Pair):
+        return matched
+    t, pi = p.term, p.stack
+    if eval_step(p) is not None:
+        matched.append(Action.TAU)
+    if t is READ and len(pi) >= 3:
+        if c.input.startswith("0"):
+            matched.append(Action.R0)
+        if c.input.startswith("1"):
+            matched.append(Action.R1)
+        if c.input == "":
+            matched.append(Action.REPS)
+    if t is WRITE0 and len(pi) >= 1:
+        matched.append(Action.W0)
+    if t is WRITE1 and len(pi) >= 1:
+        matched.append(Action.W1)
+    if t is END:
+        matched.append(Action.E)
+    return matched
+
+
+def lts_resolved_labels(process, input_bits: str, budget: int) -> list[Action]:
+    """The visible labels of following `lts_step` from process for up to
+    budget steps, each read resolved by the next bit of input_bits."""
+    labels = []
+    current, remaining = process, input_bits
+    for _ in range(budget):
+        transitions = dict(lts_step(current))
+        if not transitions:
+            break
+        if Action.TAU in transitions:
+            current = transitions[Action.TAU]
+            continue
+        if Action.R0 in transitions:
+            if remaining == "":
+                label = Action.REPS
+            elif remaining[0] == "0":
+                label, remaining = Action.R0, remaining[1:]
+            else:
+                label, remaining = Action.R1, remaining[1:]
+        else:
+            [label] = transitions
+        labels.append(label)
+        current = transitions[label]
+        if current is TOP:
+            break
+    return labels
 
 
 @st.composite

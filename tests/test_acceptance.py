@@ -29,7 +29,7 @@ from kamio.realizability import (
     modus_ponens, realizes, weaken, COPY,
 )
 from kamio.syntax import (
-    App, CALLCC, EMPTY, END, Kont, Pair, READ, TOP, WRITE0, WRITE1,
+    App, CALLCC, EMPTY, END, Kont, Pair, TOP,
     church_numeral, effect_constants, parse_process, parse_stack, parse_term, stack_of,
 )
 
@@ -101,70 +101,20 @@ def test_01_rule_fidelity():
         assert lts_step(TOP) == ()
 
 
-def _matching_clauses(c):
-    matched = []
-    p = c.process
-    if not isinstance(p, Pair):
-        return matched
-    t, pi = p.term, p.stack
-    if eval_step(p) is not None:
-        matched.append(Action.TAU)
-    if t is READ and len(pi) >= 3:
-        if c.input.startswith("0"):
-            matched.append(Action.R0)
-        if c.input.startswith("1"):
-            matched.append(Action.R1)
-        if c.input == "":
-            matched.append(Action.REPS)
-    if t is WRITE0 and len(pi) >= 1:
-        matched.append(Action.W0)
-    if t is WRITE1 and len(pi) >= 1:
-        matched.append(Action.W1)
-    if t is END:
-        matched.append(Action.E)
-    return matched
-
-
-def _lts_resolved_labels(process, input_bits, budget):
-    labels = []
-    current, remaining = process, input_bits
-    for _ in range(budget):
-        transitions = dict(lts_step(current))
-        if not transitions:
-            break
-        if Action.TAU in transitions:
-            current = transitions[Action.TAU]
-            continue
-        if Action.R0 in transitions:
-            if remaining == "":
-                label = Action.REPS
-            elif remaining[0] == "0":
-                label, remaining = Action.R0, remaining[1:]
-            else:
-                label, remaining = Action.R1, remaining[1:]
-        else:
-            [label] = transitions
-        labels.append(label)
-        current = transitions[label]
-        if current is TOP:
-            break
-    return labels
-
-
 def test_02_determinism():
     with criterion(2, "execution determinism", 5.0):
         rng = random.Random(20250811)
         budget = 300
         for _ in range(1000):
             c = gen.random_context(rng)
-            matched = _matching_clauses(c)
+            matched = gen.matching_clauses(c)
             assert len(matched) <= 1, (str(c), matched)
             step = exec_step_labeled(c)
             assert (step is None) == (not matched)
             if matched:
                 assert step[0] == matched[0]
             result = run(c, budget)
-            labels = _lts_resolved_labels(c.process, c.input, budget)
+            labels = gen.lts_resolved_labels(c.process, c.input, budget)
             visible = result.visible_trace()
             if result.outcome == "fuel":
                 assert visible == tuple(labels[:len(visible)])

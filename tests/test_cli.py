@@ -383,6 +383,38 @@ class TestRealize:
         assert (code, out) == (1, "")
         assert err == f"kamio: error: fuel must be an integer, got {shown}\n"
 
+    def test_number_written_as_string_exit_1(self, files, capsys):
+        scenario = self._slow(files, {"kind": "finite", "seeds": ["end * nil"]}, fuel="5")
+        code, out, err = run_cli(capsys, "realize", scenario)
+        assert (code, out) == (1, "")
+        assert err == 'kamio: error: fuel must be an integer, got "5"\n'
+
+    def _entailment(self, files, context_indices):
+        # the conclusion has rows at i and j; the context's realizer at j
+        # refutes the candidate
+        terms = {"i": r"\u. \v. u", "j": "end"}
+        return files("rows.json", json.dumps({
+            "kind": "entailment",
+            "pole": {"kind": "finite", "seeds": [r"(\u. \v. u) * nil"], "fuel": 1000},
+            "context": [{"predicate": [{"index": i, "stacks": ["nil"]} for i in context_indices],
+                         "realizers": [{"index": i, "terms": [terms[i]]}
+                                       for i in context_indices if i in terms]}],
+            "conclusion": [{"index": i, "stacks": ["nil"]} for i in ("i", "j")],
+            "candidate": r"\x. x",
+        }))
+
+    @pytest.mark.parametrize("context_indices", [["i", "j", "k"], ["i"]],
+                             ids=["extra-row", "missing-row"])
+    def test_context_rows_off_the_conclusion_exit_1(self, files, capsys, context_indices):
+        code, out, err = run_cli(capsys, "realize", self._entailment(files, context_indices))
+        assert (code, out) == (1, "")
+        assert err == "kamio: error: all predicates in a sequent share one index set\n"
+
+    def test_context_rows_in_any_order(self, files, capsys):
+        code, out, _ = run_cli(capsys, "realize", self._entailment(files, ["i", "j"]))
+        assert code == 2
+        assert run_cli(capsys, "realize", self._entailment(files, ["j", "i"])) == (code, out, "")
+
     @pytest.mark.parametrize("term", ["end", r"\x. x"])
     def test_negative_table_row_exit_1(self, files, capsys, term):
         # rejected at load, whether the row's run terminates (end) or

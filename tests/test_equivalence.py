@@ -331,30 +331,7 @@ class TestExecutionLtsAgreement:
     def test_visible_trace_matches_resolved_lts(self, c):
         budget = 300
         result = run(c, budget)
-        labels = []
-        current, remaining = c.process, c.input
-        for _ in range(budget):
-            transitions = dict(lts_step(current))
-            if not transitions:
-                break
-            if Action.TAU in transitions:
-                current = transitions[Action.TAU]
-                continue
-            if Action.E in transitions:
-                labels.append(Action.E)
-                current = transitions[Action.E]
-                break
-            if Action.R0 in transitions:
-                if remaining == "":
-                    label = Action.REPS
-                elif remaining[0] == "0":
-                    label, remaining = Action.R0, remaining[1:]
-                else:
-                    label, remaining = Action.R1, remaining[1:]
-            else:
-                [label] = transitions
-            labels.append(label)
-            current = transitions[label]
+        labels = gen.lts_resolved_labels(c.process, c.input, budget)
         assert result.visible_trace() == tuple(labels[:len(result.visible_trace())])
         if result.outcome in ("terminated", "stuck"):
             assert result.visible_trace() == tuple(labels)

@@ -339,47 +339,22 @@ class TestImplementsOn:
         assert verdict.witness[0] == 1
 
 
-# the seven execution clauses, as independent matchers for overlap checking
-def matching_clauses(c: ExecutionContext) -> list[str]:
-    matched = []
-    p = c.process
-    if not isinstance(p, Pair):
-        return matched
-    t, pi = p.term, p.stack
-    if eval_step(p) is not None:
-        matched.append("tau")
-    if t is READ and len(pi) >= 3:
-        if c.input.startswith("0"):
-            matched.append("r0")
-        if c.input.startswith("1"):
-            matched.append("r1")
-        if c.input == "":
-            matched.append("reps")
-    if t is WRITE0 and len(pi) >= 1:
-        matched.append("w0")
-    if t is WRITE1 and len(pi) >= 1:
-        matched.append("w1")
-    if t is END:
-        matched.append("e")
-    return matched
-
-
 class TestDeterminism:
     def test_clauses_never_overlap(self):
         rng = random.Random(7)
         for _ in range(300):
             c = gen.random_context(rng)
-            matched = matching_clauses(c)
+            matched = gen.matching_clauses(c)
             assert len(matched) <= 1, (str(c), matched)
             step = exec_step_labeled(c)
             if matched:
-                assert step is not None and step[0].value == matched[0]
+                assert step is not None and step[0] == matched[0]
             else:
                 assert step is None
 
     @given(gen.contexts())
     def test_exec_step_agrees_with_clause_analysis(self, c):
-        matched = matching_clauses(c)
+        matched = gen.matching_clauses(c)
         assert len(matched) <= 1
         step = exec_step_labeled(c)
         assert (step is None) == (not matched)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +161,22 @@ class TestTracePole:
         with pytest.raises(ValueError, match="unknown trace discipline"):
             TracePole("echo")
 
+    @pytest.mark.parametrize("max_input_len", [2.5, "3", None])
+    def test_non_integer_max_input_len_rejected(self, max_input_len):
+        # 2.5 built a pole whose `member` raised from `range`; "3" failed
+        # with a bare comparison error
+        with pytest.raises(TypeError, match="^max_input_len must be an integer, got "):
+            TracePole(COPY, max_input_len)
+
+    @pytest.mark.parametrize("process", [
+        r"(\x. x x) (\x. x x) * nil",  # runs out of fuel
+        r"(\x. x) * nil",  # gets stuck
+        "end * nil",  # terminates
+    ])
+    def test_unknown_discipline_rejected_before_running(self, process):
+        with pytest.raises(ValueError, match="^unknown trace discipline 'bogus'$"):
+            trace_conforms("bogus", parse_process(process), "", 50)
+
     def test_all_inputs_enumeration(self):
         inputs = list(all_inputs(3))
         assert len(inputs) == 1 + 2 + 4 + 8
@@ -238,6 +255,14 @@ class TestConnectives:
         theta = Predicate.of({"a": TruthValue.of([EMPTY])})
         out = forall_along({"a": "i"}, theta, index_set=["i", "j"])
         assert len(out("j")) == 0
+
+    def test_predicate_is_its_rows(self):
+        at_a, at_b = TruthValue.of([EMPTY]), TruthValue.of([stack_of(END)])
+        phi = Predicate.of({"b": at_b, "a": at_a})
+        assert Predicate.__slots__ == ("mapping",)
+        assert phi.index_set == ("b", "a")
+        assert phi == Predicate.of({"a": at_a, "b": at_b})  # as two dicts are
+        assert phi != Predicate.of({"b": at_b})
 
     def test_reindex(self):
         phi = Predicate.of({"i": TruthValue.of([EMPTY])})
@@ -319,6 +344,17 @@ class TestCheckEntailment:
         bad = Predicate.of({"j": TruthValue.of([EMPTY])})
         with pytest.raises(ValueError):
             Sequent((ContextEntry(bad, {}),), good, IDENTITY)
+
+    def test_context_rows_in_any_order(self):
+        pole = FinitePole.of([Pair(FST, EMPTY)], fuel=500)
+        rows = {"i": TruthValue.of([EMPTY]), "j": TruthValue.of([EMPTY])}
+        conclusion = Predicate.of(rows)
+        realizers = {"i": RealizerList.of([FST]), "j": RealizerList.of([END])}
+        verdicts = [check_entailment(pole, Sequent(
+            (ContextEntry(Predicate.of(dict(order)), realizers),), conclusion, IDENTITY))
+            for order in (rows.items(), reversed(rows.items()))]
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0].is_refuted and verdicts[0].witness[0] == "j"
 
     def test_realizers_off_the_predicate_rejected(self):
         # a row at index j was never enumerated against a predicate at i,
@@ -572,6 +608,27 @@ class TestScenarioJson:
                                 "pole": {"kind": "finite", "seeds": []},
                                 "truth_value": {"stacks": ["nil"]}})
 
+    @pytest.mark.parametrize("payload, message", [
+        pytest.param(_realizes(fuel="5"), 'fuel must be an integer, got "5"', id="fuel"),
+        pytest.param(_realizes(pole={"kind": "finite", "seeds": [], "fuel": "5"}),
+                     'fuel must be an integer, got "5"', id="pole-fuel"),
+        pytest.param(_realizes(pole={"kind": "trace", "spec": "copy", "max_input_len": "3"}),
+                     'max_input_len must be an integer, got "3"', id="max_input_len"),
+        pytest.param(_realizes(pole={"kind": "function", "table": {"0": "4"}}),
+                     'function pole table row 0 must be an integer, got "4"', id="output"),
+        pytest.param(_realizes(pole={"kind": "function", "table": {"0": None}}),
+                     "function pole table row 0 must be an integer, got null", id="null"),
+        *(pytest.param(_realizes(pole={"kind": "function", "table": {key: 0}}),
+                       f"function pole table input must be an integer, got {json.dumps(key)}",
+                       id=f"input-{json.dumps(key)}")
+          for key in ("1_0", "+2", " 7 ", "\u0663", "", "-", "--1", "0x1", "1.0")),
+    ])
+    def test_numbers_written_as_strings_rejected(self, payload, message):
+        # `int` read "5" as 5, and the keys "1_0", "+2", " 7 " and an
+        # Arabic-Indic three as 10, 2, 7 and 3
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            scenario_from_json(payload)
+
     def test_integral_numbers_accepted(self):
         pole = pole_from_json({"kind": "function", "table": {"0": 1.0}, "fuel": 7.0})
         assert pole == FunctionPole.of({0: 1}, fuel=7)
@@ -646,6 +703,32 @@ class TestScenarioJson:
         # vacuous Verified), "nil" as the stack `n`
         with pytest.raises(ValueError, match=f"^malformed scenario: {message}$"):
             scenario_from_json(payload)
+
+    @pytest.mark.parametrize("context_rows", [["i", "j"], ["i"]],
+                             ids=["extra-row", "missing-row"])
+    def test_context_rows_off_the_conclusion_rejected(self, context_rows):
+        # an extra row was loaded and dropped without a word; a missing
+        # row said "predicate is not total"
+        payload = _entailment(
+            conclusion=[{"index": "i", "stacks": ["nil"]}, {"index": "k", "stacks": ["nil"]}],
+            context=[{"predicate": [{"index": i, "stacks": ["nil"]} for i in context_rows],
+                      "realizers": []}])
+        with pytest.raises(ValueError, match="^all predicates in a sequent share one index set$"):
+            scenario_from_json(payload)
+
+    def test_context_rows_in_any_order(self):
+        rows = [{"index": "i", "stacks": ["nil"]}, {"index": "j", "stacks": ["cc :: nil"]}]
+
+        def report(context_rows):
+            return run_scenario(scenario_from_json(_entailment(
+                pole={"kind": "finite", "seeds": [r"(\u. \v. u) * nil"]},
+                conclusion=rows,
+                context=[{"predicate": context_rows,
+                          "realizers": [{"index": "i", "terms": [r"\u. \v. u"]},
+                                        {"index": "j", "terms": ["end"]}]}])))[1]
+
+        assert report(rows[::-1]) == report(rows)
+        assert report(rows)["verdict"]["status"] == "refuted"
 
     def test_realizers_off_the_predicate_rejected(self):
         payload = _entailment(context=[{"predicate": [{"index": "i", "stacks": ["nil"]}],

@@ -39,8 +39,8 @@ def test_import_generates_no_code():
 
 P = Pair(END, EMPTY)
 FST = parse_term(r"\u. \v. u")
-AT_I = Predicate(("i",), {"i": TruthValue((EMPTY,))})
-AT_I_FALSE = Predicate(("i",), {"i": TruthValue((EMPTY,), True)})
+AT_I = Predicate({"i": TruthValue((EMPTY,))})
+AT_I_FALSE = Predicate({"i": TruthValue((EMPTY,), True)})
 ENTRY = ContextEntry(AT_I, {"i": RealizerList((FST,))})
 
 # Each class with its fields in order, a field's default after its name
@@ -59,8 +59,8 @@ RECORDS = [
     (TruthValue, ["stacks", ("all_stacks", False)],
      ((EMPTY,), True), ((stack_of(END),), False)),
     (RealizerList, ["terms"], ((IDENTITY,),), ((FST, IDENTITY),)),
-    (Predicate, ["index_set", "mapping"],
-     (("i",), {"i": TruthValue((EMPTY,))}), ((), {"i": TruthValue((EMPTY,), True)})),
+    (Predicate, ["mapping"],
+     ({"i": TruthValue((EMPTY,))},), ({"i": TruthValue((EMPTY,), True)},)),
     (FinitePole, ["seeds", ("fuel", 10_000)], (frozenset({P}), 5), (frozenset(), 6)),
     (FunctionPole, ["table", ("fuel", DEFAULT_FUEL)], (((0, 0),), 5), (((1, 1),), 6)),
     (TracePole, ["spec", ("max_input_len", 4), ("fuel", 100_000)],
