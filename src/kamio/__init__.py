@@ -19,7 +19,7 @@ from .syntax import (
 from .verdict import Verdict
 from .machine import (
     Action, ExecutionContext, RunResult, DEFAULT_FUEL,
-    eval_step, lts_step, exec_step, run, bin_nat, nat_of_bin, implements_on,
+    eval_step, lts_step, exec_step, run, bin_nat, nat_of_bin,
 )
 from .equivalence import (
     Observable, observable, weak_bisim,

@@ -31,10 +31,7 @@ from .combinators import (
 )
 from .equivalence import top_equiv, weak_bisim
 from .machine import ExecutionContext, RunResult, implements_row, run
-from .syntax import (
-    ClosednessError, NotProofLike, ParseError, Process, Term,
-    _parse, parse_process, parse_term, pretty,
-)
+from .syntax import ClosednessError, NotProofLike, ParseError, Process, _parse, pretty
 from .verdict import Verdict
 
 __all__ = ["main"]
@@ -58,12 +55,8 @@ def _bindings(args) -> dict[str, str]:
     return {} if args.prelude is None else prelude_definitions(_prelude_source(args))
 
 
-def _load_term(path: str, args) -> Term:
-    return parse_term(resolve_names(_read(path), _bindings(args)))
-
-
-def _load_process(path: str, args) -> Process:
-    return parse_process(resolve_names(_read(path), _bindings(args)))
+def _load(path: str, args, goal: str):
+    return _parse(resolve_names(_read(path), _bindings(args)), goal)
 
 
 def _verdict_exit(verdict: Verdict) -> int:
@@ -104,7 +97,7 @@ def _print_run(result: RunResult, args) -> None:
 
 
 def _cmd_parse(args) -> int:
-    value = _parse(resolve_names(_read(args.file), _bindings(args)), "any")
+    value = _load(args.file, args, "any")
     if args.output_format == "json":
         kind = "process" if isinstance(value, Process) else "term"
         print(json.dumps({"kind": kind, "text": pretty(value)}))
@@ -114,30 +107,30 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    proc = _load_process(args.file, args)
+    proc = _load(args.file, args, "process")
     result = run(ExecutionContext(proc, args.input, args.output), args.fuel)
     _print_run(result, args)
     return {"terminated": 0, "stuck": 2, "fuel": 3}[result.outcome]
 
 
 def _cmd_bisim(args) -> int:
-    left = _load_process(args.left, args)
-    right = _load_process(args.right, args)
+    left = _load(args.left, args, "process")
+    right = _load(args.right, args, "process")
     verdict = weak_bisim(left, right, args.depth, args.fuel)
     _print_verdict(verdict, args)
     return _verdict_exit(verdict)
 
 
 def _cmd_topequiv(args) -> int:
-    left = ExecutionContext(_load_process(args.left, args), args.input_a, args.output_a)
-    right = ExecutionContext(_load_process(args.right, args), args.input_b, args.output_b)
+    left = ExecutionContext(_load(args.left, args, "process"), args.input_a, args.output_a)
+    right = ExecutionContext(_load(args.right, args, "process"), args.input_b, args.output_b)
     verdict = top_equiv(left, right, args.fuel)
     _print_verdict(verdict, args)
     return _verdict_exit(verdict)
 
 
 def _cmd_compile_fn(args) -> int:
-    term = _load_term(args.file, args)
+    term = _load(args.file, args, "term")
     proc = compile_function(term)
     text = pretty(proc) + "\n"
     if args.output == "-":
@@ -157,7 +150,7 @@ def _parse_table(text: str) -> dict[int, int]:
         parts = line.split("\t") if "\t" in line else line.split()
         if len(parts) != 2:
             raise ValueError(f"table line {lineno}: expected `n<TAB>m`, got {raw!r}")
-        n, m = int(parts[0]), int(parts[1])
+        n, m = (realizability._decimal(cell, f"table line {lineno}: cell") for cell in parts)
         if n < 0 or m < 0:
             raise ValueError(f"table line {lineno}: naturals required")
         if n in table:
@@ -169,7 +162,7 @@ def _parse_table(text: str) -> dict[int, int]:
 
 
 def _cmd_verify_impl(args) -> int:
-    proc = _load_process(args.file, args)
+    proc = _load(args.file, args, "process")
     table = _parse_table(_read(args.table))
     rows = [(n, table[n], implements_row(proc, n, table[n], args.fuel))
             for n in sorted(table)]
@@ -198,7 +191,7 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    term = _load_term(args.file, args)
+    term = _load(args.file, args, "term")
     try:
         value = decode_numeral(term, args.fuel)
     except MalformedOutput as exc:

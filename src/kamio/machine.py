@@ -64,7 +64,7 @@ from .verdict import Verdict, _Record, _set
 __all__ = [
     "DEFAULT_FUEL", "Action", "ExecutionContext", "RunResult",
     "eval_step", "settle", "settled_labels", "lts_step", "exec_step", "exec_step_labeled",
-    "run", "bin_nat", "nat_of_bin", "implements_row", "implements_on",
+    "run", "bin_nat", "nat_of_bin", "implements_row",
 ]
 
 DEFAULT_FUEL = 1_000_000
@@ -437,8 +437,8 @@ def _iterate(p: Pair, fuel: int, source: str | None) -> tuple:
 
 def _check_bound(value: int, name: str = "fuel") -> None:
     """Reject, before any step, a bound (a fuel, or `weak_bisim`'s depth)
-    that is not an integer (TypeError) or is negative (ValueError)."""
-    if not isinstance(value, int):
+    that is not an int (TypeError; a bool is not one) or is negative (ValueError)."""
+    if value.__class__ is not int:
         raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
     if value < 0:
         raise ValueError(f"{name} must be non-negative")
@@ -592,12 +592,3 @@ def implements_row(p: Process, n: int, m: int, fuel: int = DEFAULT_FUEL) -> Verd
     if result.final.input == "" and result.final.output == bin_nat(m):
         return Verdict.verified()
     return Verdict.refuted((n, result))
-
-
-def implements_on(p: Process, table: dict[int, int], fuel: int = DEFAULT_FUEL) -> Verdict:
-    """Check p against a finite input/output table.
-
-    Verified covers only the supplied rows; it is a bounded proxy for
-    implementing the function on its whole domain.
-    """
-    return Verdict.all_of(implements_row(p, n, table[n], fuel) for n in sorted(table))

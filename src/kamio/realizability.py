@@ -1,8 +1,8 @@
 """Desk-scale classical realizability over the machine with I/O.
 
 A pole is a set of processes closed under predecessors of effect-free
-evaluation; here poles are built from finite seed sets or from I/O
-specifications (input/output tables, trace disciplines), so membership is
+evaluation; here poles, each checking its own fields, are built from
+seed sets, input/output tables or trace disciplines, so membership is
 a fuel-bounded three-valued check.  Truth values are finite stack sets, a
 predicate is its table of rows (index to truth value), a term realizes a
 truth value when pairing it with each member stack lands in the pole, and
@@ -62,6 +62,8 @@ class TruthValue(_Record):
     all_stacks: bool
 
     def __init__(self, stacks: tuple[Stack, ...], all_stacks: bool = False):
+        if all_stacks.__class__ is not bool:
+            raise ValueError(f"all_stacks must be true or false, got {all_stacks!r}")
         _set(self, "stacks", stacks)
         _set(self, "all_stacks", all_stacks)
 
@@ -159,6 +161,7 @@ class FinitePole(Pole, _Record):
     fuel: int
 
     def __init__(self, seeds: frozenset[Process], fuel: int = 10_000):
+        _check_bound(fuel)
         _set(self, "seeds", seeds)
         _set(self, "fuel", fuel)
 
@@ -177,14 +180,28 @@ class FinitePole(Pole, _Record):
 
 class FunctionPole(Pole, _Record):
     """Processes implementing a partial function, bounded to a finite
-    table of (input, output) rows.  Verified is an over-approximation:
-    only the listed rows are checked."""
+    table of (input, output) rows: naturals, inputs strictly increasing,
+    and one row at least, or every process would verify.  Verified is an
+    over-approximation: only the listed rows are checked, so it is sampled."""
 
     __slots__ = ("table", "fuel")
     table: tuple[tuple[int, int], ...]
     fuel: int
 
     def __init__(self, table: tuple[tuple[int, int], ...], fuel: int = DEFAULT_FUEL):
+        _check_bound(fuel)
+        if not table:
+            raise ValueError("function pole table has no rows")
+        previous = -1
+        for n, m in table:
+            if n.__class__ is not int or m.__class__ is not int:
+                raise TypeError(f"function pole table rows must be integers, got {(n, m)!r}")
+            if n < 0 or m < 0:
+                raise ValueError(f"function pole table row {n}: naturals required")
+            if n <= previous:
+                raise ValueError(f"function pole table names input {n} twice" if n == previous
+                                 else f"function pole table input {n} comes after {previous}")
+            previous = n
         _set(self, "table", table)
         _set(self, "fuel", fuel)
 
@@ -245,9 +262,10 @@ class TracePole(Pole, _Record):
     fuel: int
 
     def __init__(self, spec: str, max_input_len: int = 4, fuel: int = 100_000):
+        _check_bound(fuel)
         if spec not in (COPY, READ_ALL_THEN_WRITE):
             raise ValueError(f"unknown trace discipline {spec!r}")
-        if not isinstance(max_input_len, int):
+        if max_input_len.__class__ is not int:
             raise TypeError(f"max_input_len must be an integer, got {max_input_len!r}")
         if max_input_len < 0:
             raise ValueError(f"max_input_len must be non-negative, got {max_input_len}")
@@ -502,9 +520,17 @@ def _integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
 
 
+def _decimal(text: str, name: str) -> int:
+    """`text` read as an optional '-' and ASCII digits, else ValueError:
+    `int` alone would also read "1_0", "+2", " 7 " and other scripts' digits."""
+    if text.isascii() and text.removeprefix("-").isdigit():
+        return int(text)
+    raise ValueError(f"{name} must be an integer, got {json.dumps(text)}")
+
+
 def _fuel(value) -> int:
-    """A scenario's or a pole's fuel: an `_integer` that is not negative,
-    checked as `machine.run` checks it."""
+    """A scenario's or a pole's fuel: an `_integer` that is not negative.
+    A scenario's or a union's fuel has no constructor to check it."""
     fuel = _integer(value, "fuel")
     _check_bound(fuel)
     return fuel
@@ -522,8 +548,8 @@ def _list(value, key: str) -> list:
 def pole_from_json(obj: dict, fuel: int | None = None) -> Pole:
     """Build a pole whose budget is its own "fuel" key, else `fuel`, else
     the pole kind's default; a union hands its budget to its members.
-    A function pole's rows are checked here: there is one at least, each
-    input and output is a natural number, and no input is named twice."""
+    Only what needs the JSON text is checked here: that each number is an
+    integer, and each table key a `_decimal`; the pole checks the rest."""
     budget = obj.get("fuel", fuel)
     kw = {} if budget is None else {"fuel": _fuel(budget)}
     kind = obj.get("kind")
@@ -532,19 +558,10 @@ def pole_from_json(obj: dict, fuel: int | None = None) -> Pole:
     if kind == "function":
         if not isinstance(obj["table"], dict):
             raise TypeError("table must be an object")
-        table: dict[int, int] = {}
-        for key, value in obj["table"].items():
-            integral = key.isascii() and key.removeprefix("-").isdigit()  # a JSON key is text
-            n = _integer(int(key) if integral else key, "function pole table input")
-            m = _integer(value, f"function pole table row {key}")
-            if n < 0 or m < 0:
-                raise ValueError(f"function pole table row {key}: naturals required")
-            if n in table:
-                raise ValueError(f"function pole table names input {n} twice")
-            table[n] = m
-        if not table:
-            raise ValueError("function pole table has no rows")
-        return FunctionPole.of(table, **kw)
+        rows = [(_decimal(key, "function pole table input"),
+                 _integer(value, f"function pole table row {key}"))
+                for key, value in obj["table"].items()]
+        return FunctionPole(tuple(sorted(rows)), **kw)
     if kind == "trace":
         return TracePole(obj["spec"], _integer(obj.get("max_input_len", 4), "max_input_len"),
                          **kw)
@@ -629,11 +646,9 @@ def _scenario(obj: dict) -> Scenario:
         sequent = Sequent(context, conclusion, parse_term(obj["candidate"]))
         return Scenario(kind, pole, fuel, sequent=sequent)
     if kind == "realizes":
-        all_stacks = obj["truth_value"].get("all_stacks", False)
-        if not isinstance(all_stacks, bool):
-            raise ValueError(f"all_stacks must be true or false, got {all_stacks!r}")
         stacks = _list(obj["truth_value"]["stacks"], "truth_value.stacks")
-        tv = TruthValue.of((parse_stack(s) for s in stacks), all_stacks)
+        tv = TruthValue.of((parse_stack(s) for s in stacks),
+                           obj["truth_value"].get("all_stacks", False))
         return Scenario(kind, pole, fuel, term=parse_term(obj["term"]), truth_value=tv)
     if kind == "consistency":
         return Scenario(

@@ -307,6 +307,25 @@ class TestCompileAndVerify:
         code, _, _ = run_cli(capsys, "verify-impl", out_path, "--table", table)
         assert code == 1
 
+    @pytest.mark.parametrize("rows, message", [
+        ("1_0\t20\n", 'table line 1: cell must be an integer, got "1_0"'),
+        ("\u0663\t6\n", 'table line 1: cell must be an integer, got "\\u0663"'),
+        ("+2\t4\n", 'table line 1: cell must be an integer, got "+2"'),
+        ("0\t0\nx\t1\n", 'table line 2: cell must be an integer, got "x"'),
+        ("0\t-0x1\n", 'table line 1: cell must be an integer, got "-0x1"'),
+        ("0\t0\n-1\t1\n", "table line 2: naturals required"),
+    ], ids=["underscore", "arabic-indic", "plus", "letter", "hex", "negative"])
+    def test_bad_table_cell_exit_1(self, files, capsys, tmp_path, rows, message):
+        # `int` read the first three as rows 10, 3 and 2, and named no line
+        # for the other two
+        lam = files("id.lam", r"\x. x")
+        out_path = str(tmp_path / "id.kam")
+        run_cli(capsys, "compile-fn", lam, "-o", out_path)
+        table = files("bad.tsv", rows)
+        code, out, err = run_cli(capsys, "verify-impl", out_path, "--table", table)
+        assert (code, out) == (1, "")
+        assert err == f"kamio: error: {message}\n"
+
 
 class TestRealize:
     def test_ax_scenario(self, files, capsys):

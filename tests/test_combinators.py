@@ -9,7 +9,8 @@ from kamio.combinators import (
     prelude_definitions, reader_process, resolve_names, storage_apply,
 )
 from kamio.equivalence import top_equiv, weak_bisim
-from kamio.machine import ExecutionContext, bin_nat, implements_on, run
+from kamio.machine import ExecutionContext, bin_nat, run
+from kamio.realizability import FunctionPole
 from kamio.syntax import (
     App, NotProofLike, Pair, READ, Var, WRITE0,
     church_numeral, effect_constants, is_proof_like, parse_term, stack_of,
@@ -177,8 +178,9 @@ class TestCompileFunction:
     def test_doubling_by_iteration(self):
         dbl = parse_term(resolve_names(r"\n. n (\m. S (S m)) #0",
                                        prelude_definitions(PRELUDE_SOURCE)))
-        verdict = implements_on(compile_function(dbl), {n: 2 * n for n in range(9)}, FUEL)
-        assert verdict.is_verified
+        pole = FunctionPole.of({n: 2 * n for n in range(9)}, FUEL)
+        verdict = pole.member(compile_function(dbl))
+        assert verdict.is_verified and verdict.sampled
 
     def test_no_residual_input_on_success(self):
         p = compile_function(S)

@@ -176,13 +176,16 @@ class TestWeakBisim:
         with pytest.raises(ValueError, match="^fuel must be non-negative$"):
             weak_bisim(p, p, 4, -1)
         # a depth of 2.5 once ran to a verdict, and a fuel of 2.5 verified
-        # a process against itself but raised from `settle` on two processes
+        # a process against itself but raised from `settle` on two
+        # processes; a depth of True checked depth 1
         q = parse_process(OMEGA)
         for left, right in ((p, q), (p, p)):
-            with pytest.raises(TypeError, match="^depth must be an integer, not float$"):
-                weak_bisim(left, right, 2.5, 100)
-            with pytest.raises(TypeError, match="^fuel must be an integer, not float$"):
-                weak_bisim(left, right, 3, fuel=2.5)
+            for bad in (2.5, True):
+                kind = type(bad).__name__
+                with pytest.raises(TypeError, match=f"^depth must be an integer, not {kind}$"):
+                    weak_bisim(left, right, bad, 100)
+                with pytest.raises(TypeError, match=f"^fuel must be an integer, not {kind}$"):
+                    weak_bisim(left, right, 3, fuel=bad)
 
 
 def _agrees_with_reference(p, q):

@@ -11,10 +11,10 @@ from kamio.equivalence import observable
 from kamio.machine import (
     DEFAULT_FUEL, Action, ExecutionContext, _ENDS, _READS, _WRITES0, _WRITES1, _Captured,
     _effect, _iterate, _read_back, bin_nat,
-    eval_step, exec_step, exec_step_labeled, implements_on, lts_step, nat_of_bin, run, settle,
+    eval_step, exec_step, exec_step_labeled, lts_step, nat_of_bin, run, settle,
     settled_labels,
 )
-from kamio.realizability import FinitePole
+from kamio.realizability import FinitePole, FunctionPole
 from kamio.syntax import (
     Abs, App, END, EMPTY, Pair, READ, TOP, Var, WRITE0, WRITE1,
     church_numeral, parse_process, parse_term, pretty, stack_of,
@@ -132,13 +132,15 @@ class TestSettle:
                 check()
 
     def test_non_integer_fuel_rejected(self):
-        # a fuel of 2.5 once counted down past 0 and ran omega forever
+        # a fuel of 2.5 once counted down past 0 and ran omega forever, and
+        # a fuel of True ran one step
         p = parse_process(OMEGA)
         for check in (lambda: settle(p, 2.5), lambda: settle(p, 2.5, {TOP}),
                       lambda: observable(p, 2.5), lambda: settled_labels(p, 2.5),
                       lambda: FinitePole.of([p]).member(p, 2.5),
-                      lambda: run(ExecutionContext(p), 2.5), lambda: run(ExecutionContext(p), "3")):
-            with pytest.raises(TypeError, match="^fuel must be an integer, not (float|str)$"):
+                      lambda: run(ExecutionContext(p), 2.5), lambda: run(ExecutionContext(p), "3"),
+                      lambda: run(ExecutionContext(p), True), lambda: settle(p, True)):
+            with pytest.raises(TypeError, match="^fuel must be an integer, not (float|str|bool)$"):
                 check()
 
     @given(st.one_of(gen.processes(), gen.silent_loops()), st.integers(0, 60), st.data())
@@ -315,9 +317,16 @@ class TestBin:
             nat_of_bin("01")
 
 
+def implements_on(p, table, fuel):
+    """Does p implement the table?  Verified covers only its rows."""
+    return FunctionPole.of(table, fuel).member(p)
+
+
 class TestImplementsOn:
     def test_end_implements_zero_to_zero(self):
-        assert implements_on(parse_process("end * nil"), {0: 0}, 10).is_verified
+        verdict = implements_on(parse_process("end * nil"), {0: 0}, 10)
+        assert verdict.is_verified
+        assert verdict.sampled  # the table's rows only, not the whole domain
 
     def test_unconsumed_input_refutes(self):
         verdict = implements_on(parse_process("end * nil"), {1: 1}, 10)

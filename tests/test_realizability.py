@@ -85,6 +85,28 @@ class TestFunctionPole:
         pole = FunctionPole.of({0: 0})
         assert pole.member(parse_process("end * nil")).is_verified
 
+    def test_empty_table_rejected(self):
+        # a pole over no rows once verified every process, omega included
+        with pytest.raises(ValueError, match="^function pole table has no rows$"):
+            FunctionPole.of({})
+
+    @pytest.mark.parametrize("table, error, message", [
+        ((), ValueError, "function pole table has no rows"),
+        (((0, -1),), ValueError, "function pole table row 0: naturals required"),
+        (((1, 1), (2, -3)), ValueError, "function pole table row 2: naturals required"),
+        (((-1, 0),), ValueError, "function pole table row -1: naturals required"),
+        (((0, 0.5),), TypeError, "function pole table rows must be integers, got (0, 0.5)"),
+        (((1.0, 1),), TypeError, "function pole table rows must be integers, got (1.0, 1)"),
+        (((True, 1),), TypeError, "function pole table rows must be integers, got (True, 1)"),
+        (((0, False),), TypeError, "function pole table rows must be integers, got (0, False)"),
+        (((1, 1), (1, 2)), ValueError, "function pole table names input 1 twice"),
+        (((1, 1), (0, 0)), ValueError, "function pole table input 0 comes after 1"),
+    ], ids=["empty", "negative-output", "negative-later", "negative-input", "float-output",
+            "float-input", "bool-input", "bool-output", "duplicate", "out-of-order"])
+    def test_bad_table_rejected(self, table, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            FunctionPole(table)
+
 
 @st.composite
 def near_conforming(draw):
@@ -161,10 +183,10 @@ class TestTracePole:
         with pytest.raises(ValueError, match="unknown trace discipline"):
             TracePole("echo")
 
-    @pytest.mark.parametrize("max_input_len", [2.5, "3", None])
+    @pytest.mark.parametrize("max_input_len", [2.5, "3", None, True])
     def test_non_integer_max_input_len_rejected(self, max_input_len):
         # 2.5 built a pole whose `member` raised from `range`; "3" failed
-        # with a bare comparison error
+        # with a bare comparison error; True checked inputs up to one bit
         with pytest.raises(TypeError, match="^max_input_len must be an integer, got "):
             TracePole(COPY, max_input_len)
 
@@ -199,6 +221,22 @@ class TestUnionPole:
         assert union.member(grower).is_unknown
 
 
+@pytest.mark.parametrize("build", [
+    lambda fuel: FinitePole.of([], fuel),
+    lambda fuel: FunctionPole.of({0: 0}, fuel),
+    lambda fuel: TracePole(COPY, 2, fuel),
+], ids=["finite", "function", "trace"])
+@pytest.mark.parametrize("fuel, error, message", [
+    (-1, ValueError, "fuel must be non-negative"),
+    (2.5, TypeError, "fuel must be an integer, not float"),
+    (True, TypeError, "fuel must be an integer, not bool"),
+])
+def test_bad_pole_fuel_rejected(build, fuel, error, message):
+    # checked at construction, not only when a membership check runs
+    with pytest.raises(error, match=f"^{message}$"):
+        build(fuel)
+
+
 class TestRealizes:
     def test_empty_truth_value_vacuous(self):
         pole = finite_pole("end * nil")
@@ -225,6 +263,11 @@ class TestRealizes:
         tv = falsity_sample([])
         verdict = realizes(pole, IDENTITY, tv)
         assert verdict.is_verified and verdict.sampled
+
+    @pytest.mark.parametrize("flag", ["yes", 0, None])
+    def test_sample_flag_must_be_boolean(self, flag):
+        with pytest.raises(ValueError, match=f"^all_stacks must be true or false, got {flag!r}$"):
+            TruthValue((), flag)
 
 
 class TestConnectives:

@@ -6,12 +6,15 @@ equality, hash, repr, defaults and immutability.
 """
 
 import dataclasses
+import importlib
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import kamio
 from kamio.equivalence import Observable
 from kamio.machine import DEFAULT_FUEL, Action, ExecutionContext, RunResult
 from kamio.realizability import (
@@ -35,6 +38,12 @@ def test_import_generates_no_code():
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True, timeout=60).stdout
     assert out == "[]\n"
+
+
+@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(kamio.__path__)])
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"kamio.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
 P = Pair(END, EMPTY)
