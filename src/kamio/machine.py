@@ -30,12 +30,12 @@ are those of the substitution machine.  The loop runs over
 `range(fuel)`, whose index is the step count, so no step tests the
 budget, and only the loop says whether a rule applies: where it spends
 its fuel, `run` asks it for one more step, and `settle` leaves the chain
-to its exact loop.  It notes each visible step, and `run` builds its
-trace once, at the end.  A state where a chain stops short of TOP is
-read back to a process once, by `_read_back`, which emits closed terms
-as they are, without walking them.  Written bits are prepended, so the
-final output string is read verbatim as a most-significant-bit-first
-binary numeral.
+to its exact loop.  It notes each visible step as (index, action), a
+run's result keeps that list, and its TAU-padded trace is built only on
+demand.  A state where a chain stops short of TOP is read back to a
+process once, by `_read_back`, which emits closed terms as they are,
+without walking them.  Written bits are prepended, so the final output
+string is read verbatim as a most-significant-bit-first binary numeral.
 
 `lts_step` is the labeled transition system on processes: `_effect`'s
 visible transitions, a read's three from one call, and the silent step
@@ -110,30 +110,37 @@ class RunResult(_Record):
     """Outcome of a fuel-bounded run.
 
     outcome is "terminated" (reached TOP), "stuck" (no step applies), or
-    "fuel" (step budget exhausted).  For runs that take at least one step,
-    a "terminated" trace always ends with Action.E.
+    "fuel" (step budget exhausted).  `visible` is the loop's (index,
+    action) list of the visible steps among the `steps` taken; `trace`,
+    with a TAU for each silent step, is built from them on demand.  A
+    "terminated" run that takes a step ends its trace with Action.E.
     """
 
-    __slots__ = ("outcome", "final", "trace")
+    __slots__ = ("outcome", "final", "steps", "visible")
     outcome: str
     final: ExecutionContext
-    trace: tuple[Action, ...]
+    steps: int
+    visible: tuple[tuple[int, Action], ...]
 
-    def __init__(self, outcome: str, final: ExecutionContext, trace: tuple[Action, ...]):
+    def __init__(self, outcome: str, final: ExecutionContext, steps: int, visible: tuple):
         _set(self, "outcome", outcome)
         _set(self, "final", final)
-        _set(self, "trace", trace)
+        _set(self, "steps", steps)
+        _set(self, "visible", visible)
 
     @property
-    def steps(self) -> int:
-        return len(self.trace)
+    def trace(self) -> tuple[Action, ...]:
+        trace = [_TAU] * self.steps
+        for i, action in self.visible:
+            trace[i] = action
+        return tuple(trace)
 
     @property
     def terminated(self) -> bool:
         return self.outcome == "terminated"
 
     def visible_trace(self) -> tuple[Action, ...]:
-        return tuple(a for a in self.trace if a is not Action.TAU)
+        return tuple([a for _, a in self.visible])
 
     def to_json(self) -> dict:
         return {
@@ -529,32 +536,30 @@ def run(c: ExecutionContext, fuel: int = DEFAULT_FUEL) -> RunResult:
     with c's input.  Stops early at TOP ("terminated") or when no step
     applies ("stuck"); a run whose last allowed step lands on a stuck
     state is "stuck", not "fuel", as one more loop step tells.  The
-    trace is built once, at the end, from the step count and the visible
-    steps, and the final state is read back to a process unless the run
+    result keeps the loop's step count and visible steps as they are,
+    and the final state is read back to a process unless the run
     terminated.  A fuel that is not an integer raises TypeError, a
     negative one ValueError.
     """
     _check_bound(fuel)
     if c.process is TOP:
-        return RunResult("terminated", c, ())
+        return RunResult("terminated", c, 0, ())
     outcome, t, env, s, steps, visible, read = _iterate(c.process, fuel, c.input)
-    trace = [_TAU] * steps
-    for i, action in visible:
-        trace[i] = action
     written = "".join(["0" if action is _W0 else "1" for _, action in reversed(visible)
                        if action is _W0 or action is _W1])
     process = TOP if outcome == "terminated" else _read_back(t, env, s)
     if outcome == "fuel" and _iterate(process, 1, c.input[read:])[0] == "stuck":
         outcome = "stuck"
     return RunResult(outcome, ExecutionContext(process, c.input[read:], written + c.output),
-                     tuple(trace))
+                     steps, tuple(visible))
 
 
 def exec_step_labeled(c: ExecutionContext) -> tuple[Action, ExecutionContext] | None:
     """One execution step together with its action, or None if stuck:
     `run(c, 1)`."""
     result = run(c, 1)
-    return (result.trace[0], result.final) if result.trace else None
+    action = result.visible[0][1] if result.visible else _TAU
+    return (action, result.final) if result.steps else None
 
 
 def exec_step(c: ExecutionContext) -> ExecutionContext | None:

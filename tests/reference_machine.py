@@ -12,7 +12,10 @@ oracles.
   machine, and a `run` that builds an `ExecutionContext` on every step.
   Oracle for `kamio.machine.run`, the closure machine, at every step
   count, and for `kamio.machine.exec_step_labeled`.  `lts_step` takes
-  each transition from it; oracle for `kamio.machine.lts_step`.
+  each transition from it; oracle for `kamio.machine.lts_step`.  One
+  edit: the loop that was `run` is `run_trace`, which returns the trace
+  it keeps step by step, and `run` builds the record from that trace:
+  its length and its visible entries, the fields `RunResult` now has.
 - `trace_conforms` as it stood when it tested the read_all_then_write
   discipline clause by clause.  Oracle for
   `kamio.realizability.trace_conforms`.
@@ -150,8 +153,10 @@ def exec_step_labeled(c: ExecutionContext) -> tuple[Action, ExecutionContext] | 
     return Action.TAU, ExecutionContext(q, c.input, c.output)
 
 
-def run(c: ExecutionContext, fuel: int = DEFAULT_FUEL) -> RunResult:
-    """Iterate the execution relation at most `fuel` steps.
+def run_trace(c: ExecutionContext,
+              fuel: int = DEFAULT_FUEL) -> tuple[str, ExecutionContext, tuple[Action, ...]]:
+    """Iterate the execution relation at most `fuel` steps; return the
+    outcome, the final context and the trace, one action per step.
 
     Stops early at TOP ("terminated") or when no step applies ("stuck").
     """
@@ -160,17 +165,25 @@ def run(c: ExecutionContext, fuel: int = DEFAULT_FUEL) -> RunResult:
     trace: list[Action] = []
     for _ in range(fuel):
         if c.process is TOP:
-            return RunResult("terminated", c, tuple(trace))
+            return "terminated", c, tuple(trace)
         step = exec_step_labeled(c)
         if step is None:
-            return RunResult("stuck", c, tuple(trace))
+            return "stuck", c, tuple(trace)
         action, c = step
         trace.append(action)
     if c.process is TOP:
-        return RunResult("terminated", c, tuple(trace))
+        return "terminated", c, tuple(trace)
     if exec_step_labeled(c) is None:
-        return RunResult("stuck", c, tuple(trace))
-    return RunResult("fuel", c, tuple(trace))
+        return "stuck", c, tuple(trace)
+    return "fuel", c, tuple(trace)
+
+
+def run(c: ExecutionContext, fuel: int = DEFAULT_FUEL) -> RunResult:
+    """`run_trace` as a record: the trace's length is the step count, and
+    its non-TAU entries, with their indices, are the visible steps."""
+    outcome, c, trace = run_trace(c, fuel)
+    visible = tuple((i, a) for i, a in enumerate(trace) if a is not Action.TAU)
+    return RunResult(outcome, c, len(trace), visible)
 
 
 def lts_step(p: Process) -> tuple[tuple[Action, Process], ...]:

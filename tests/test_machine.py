@@ -606,7 +606,8 @@ def assert_same_stop(p, fuel, source):
     fewer steps.  The public results at that fuel still say "stuck"
     there: `run` matches the reference `run` given `source`, and
     without it `settle` matches the reference `settle` and
-    `settled_labels` the reference `observable`."""
+    `settled_labels` the reference `observable`; the trace `run` builds,
+    its step count and its visible trace are the reference trace's."""
     got, expected = _iterate(p, fuel, source), reference._iterate(p, fuel, source)
     outcome = expected[0]
     if outcome == "stuck" and expected[4] == fuel:
@@ -622,6 +623,9 @@ def assert_same_stop(p, fuel, source):
         got, expected = run(c, fuel), reference.run(c, fuel)
         assert got == expected, (pretty(p), fuel, source)
         assert pretty(got.final.process) == pretty(expected.final.process)
+        trace = reference.run_trace(c, fuel)[2]
+        assert got.trace == trace and got.steps == len(trace)
+        assert got.visible_trace() == tuple([a for a in trace if a is not Action.TAU])
         return
     got, expected = settle(p, fuel), reference.settle(p, fuel)
     assert got == expected, (pretty(p), fuel)

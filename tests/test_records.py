@@ -60,9 +60,9 @@ RECORDS = [
      ("refuted", (1, "a"), "fuel", True), ("unknown", (2,), "depth", False)),
     (ExecutionContext, ["process", ("input", ""), ("output", "")],
      (P, "01", "1"), (TOP, "10", "")),
-    (RunResult, ["outcome", "final", "trace"],
-     ("terminated", ExecutionContext(TOP), (Action.TAU, Action.E)),
-     ("stuck", ExecutionContext(P), ())),
+    (RunResult, ["outcome", "final", "steps", "visible"],
+     ("terminated", ExecutionContext(TOP), 2, ((1, Action.E),)),
+     ("stuck", ExecutionContext(P), 0, ())),
     (Observable, ["kind", ("entries", None)],
      ("menu", {Action.E: TOP}), ("silent", None)),
     (TruthValue, ["stacks", ("all_stacks", False)],
