@@ -166,7 +166,8 @@ def _cmd_verify_impl(args) -> int:
     table = _parse_table(_read(args.table))
     rows = [(n, table[n], implements_row(proc, n, table[n], args.fuel))
             for n in sorted(table)]
-    overall = Verdict.all_of(verdict for _, _, verdict in rows)
+    overall = Verdict.all_of((verdict for _, _, verdict in rows),
+                             sampled=True)  # table rows only, not all of dom(f)
     if args.output_format == "json":
         print(json.dumps({
             "rows": [{"input": n, "expected": m, "status": v.status}

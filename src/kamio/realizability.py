@@ -347,8 +347,10 @@ def reindex(f: Mapping, phi: Predicate) -> Predicate:
 
 class ContextEntry(_Record):
     """A context predicate together with, per index, the terms standing in
-    for its realizer set.  Realizers at an index the predicate does not
-    have raise ValueError: no entailment check would ever read them."""
+    for its realizer set.  Each index of the predicate needs one term at
+    least, since an empty stand-in leaves an entailment nothing to check
+    and so verifies it vacuously; realizers at an index the predicate
+    does not have are never read.  Either raises ValueError."""
 
     __slots__ = ("predicate", "realizers")
     predicate: Predicate
@@ -358,11 +360,14 @@ class ContextEntry(_Record):
         extra = [i for i in realizers if i not in predicate.mapping]
         if extra:
             raise ValueError(f"realizers name indices the predicate does not have: {extra!r}")
+        for index in predicate.mapping:
+            if not realizers.get(index):
+                raise ValueError(f"context entry has no realizers at index {index!r}")
         _set(self, "predicate", predicate)
         _set(self, "realizers", realizers)
 
     def realizers_at(self, index) -> RealizerList:
-        return self.realizers.get(index, RealizerList(()))
+        return self.realizers[index]
 
 
 class Sequent(_Record):
@@ -389,7 +394,10 @@ class Sequent(_Record):
 def check_entailment(pole: Pole, seq: Sequent, fuel: int | None = None) -> Verdict:
     """Check the candidate against every index, every tuple of context
     realizers, and every conclusion stack.  The first refutation in
-    enumeration order (indices, then tuples, then stacks) is reported."""
+    enumeration order (indices, then tuples, then stacks) is reported.  A
+    Verified is sampled when the sequent has a context, whose realizer
+    lists sample realizer sets, or a conclusion truth value that samples
+    all stacks (`all_stacks`)."""
     def parts() -> Iterator[Verdict]:
         for index in seq.conclusion.index_set:
             lists = [tuple(entry.realizers_at(index)) for entry in seq.context]
@@ -400,7 +408,8 @@ def check_entailment(pole: Pole, seq: Sequent, fuel: int | None = None) -> Verdi
                         stack = stack.push(u)
                     yield pole.member(Pair(seq.candidate, stack), fuel).at((index, combo, pi))
 
-    sampled = any(seq.conclusion(index).all_stacks for index in seq.conclusion.index_set)
+    sampled = bool(seq.context) or any(seq.conclusion(index).all_stacks
+                                       for index in seq.conclusion.index_set)
     return Verdict.all_of(parts(), sampled)
 
 
@@ -708,7 +717,7 @@ def run_scenario(scenario: Scenario) -> tuple[Verdict, dict]:
     elif any(v.is_unknown for _, v in report.candidates):
         verdict = Verdict.unknown("fuel")
     else:
-        verdict = Verdict.verified()
+        verdict = Verdict.verified(sampled=True)  # candidates and stacks are samples
     return verdict, {
         "kind": scenario.kind,
         "verdict": verdict_to_json(verdict),

@@ -221,7 +221,11 @@ class TestCompileAndVerify:
         table = files("id.tsv", "".join(f"{n}\t{n}\n" for n in range(9)))
         code, out, _ = run_cli(capsys, "verify-impl", out_path, "--table", table)
         assert code == 0
-        assert out.strip().endswith("verified")
+        assert out.strip().endswith("verified (sampled)")  # the table's rows, not all of N
+        code, out, _ = run_cli(capsys, "verify-impl", out_path, "--table", table,
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)["verdict"] == {"status": "verified", "sampled": True}
 
     def test_successor_from_prelude(self, files, capsys, tmp_path):
         lam = files("succ.lam", "S")
@@ -411,7 +415,7 @@ class TestRealize:
     def _entailment(self, files, context_indices):
         # the conclusion has rows at i and j; the context's realizer at j
         # refutes the candidate
-        terms = {"i": r"\u. \v. u", "j": "end"}
+        terms = {"i": r"\u. \v. u", "j": "end", "k": r"\u. u"}
         return files("rows.json", json.dumps({
             "kind": "entailment",
             "pole": {"kind": "finite", "seeds": [r"(\u. \v. u) * nil"], "fuel": 1000},
@@ -428,6 +432,17 @@ class TestRealize:
         code, out, err = run_cli(capsys, "realize", self._entailment(files, context_indices))
         assert (code, out) == (1, "")
         assert err == "kamio: error: all predicates in a sequent share one index set\n"
+
+    def test_context_index_without_realizers_exit_1(self, files, capsys):
+        # a context with nothing to enumerate verified any candidate
+        scenario = files("empty.json", json.dumps({
+            "kind": "entailment", "pole": {"kind": "finite", "seeds": ["end * nil"]},
+            "context": [{"predicate": [{"index": "i", "stacks": ["nil"]}], "realizers": []}],
+            "conclusion": [{"index": "i", "stacks": ["nil"]}], "candidate": r"\x. \y. y",
+        }))
+        code, out, err = run_cli(capsys, "realize", scenario)
+        assert (code, out) == (1, "")
+        assert err == "kamio: error: context entry has no realizers at index 'i'\n"
 
     def test_context_rows_in_any_order(self, files, capsys):
         code, out, _ = run_cli(capsys, "realize", self._entailment(files, ["i", "j"]))

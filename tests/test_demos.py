@@ -21,10 +21,10 @@ def tour(tmp_path, monkeypatch, capsys):
 
 
 REPORTS = {
-    "peirce.json": {"kind": "entailment", "verdict": {"status": "verified"}},
+    "peirce.json": {"kind": "entailment", "verdict": {"status": "verified", "sampled": True}},
     "consistency.json": {
         "kind": "consistency",
-        "verdict": {"status": "verified"},
+        "verdict": {"status": "verified", "sampled": True},
         "candidates": [
             {"term": term, "status": "witness_found", "witness": "nil"}
             for term in [r"\x. x", r"\x. \y. x", "cc"]],
@@ -51,7 +51,7 @@ def test_compile_then_verify(tour):
     assert code == 0
     code, out = tour("verify-impl", "double.kam", "--table", DEMOS / "double_table.tsv")
     assert code == 0
-    assert out.splitlines()[-1] == "verified"
+    assert out.splitlines()[-1] == "verified (sampled)"
 
 
 def test_decode(tour):

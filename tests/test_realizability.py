@@ -386,7 +386,7 @@ class TestCheckEntailment:
         good = Predicate.of({"i": TruthValue.of([EMPTY])})
         bad = Predicate.of({"j": TruthValue.of([EMPTY])})
         with pytest.raises(ValueError):
-            Sequent((ContextEntry(bad, {}),), good, IDENTITY)
+            Sequent((ContextEntry(bad, {"j": RealizerList.of([FST])}),), good, IDENTITY)
 
     def test_context_rows_in_any_order(self):
         pole = FinitePole.of([Pair(FST, EMPTY)], fuel=500)
@@ -405,6 +405,11 @@ class TestCheckEntailment:
         predicate = Predicate.of({"i": TruthValue.of([EMPTY])})
         with pytest.raises(ValueError, match=r"does not have: \['j'\]$"):
             ContextEntry(predicate, {"j": RealizerList.of([FST])})
+        # nor was an index with no realizers: it made every entailment over
+        # the entry vacuously Verified
+        for realizers in ({}, {"i": RealizerList.of([])}):
+            with pytest.raises(ValueError, match="^context entry has no realizers at index 'i'$"):
+                ContextEntry(predicate, realizers)
 
 
 class TestRuleRealizers:
@@ -755,7 +760,7 @@ class TestScenarioJson:
         payload = _entailment(
             conclusion=[{"index": "i", "stacks": ["nil"]}, {"index": "k", "stacks": ["nil"]}],
             context=[{"predicate": [{"index": i, "stacks": ["nil"]} for i in context_rows],
-                      "realizers": []}])
+                      "realizers": [{"index": i, "terms": [r"\u. u"]} for i in context_rows]}])
         with pytest.raises(ValueError, match="^all predicates in a sequent share one index set$"):
             scenario_from_json(payload)
 

@@ -76,7 +76,7 @@ RECORDS = [
      (COPY, 2, 5), (READ_ALL_THEN_WRITE, 3, 6)),
     (UnionPole, ["members"], ((FinitePole(frozenset()),),), ((),)),
     (ContextEntry, ["predicate", "realizers"], (AT_I, {"i": RealizerList((FST,))}),
-     (AT_I_FALSE, {})),
+     (AT_I_FALSE, {"i": RealizerList((IDENTITY,))})),
     (Sequent, ["context", "conclusion", "candidate"],
      ((ENTRY,), AT_I, IDENTITY), ((), AT_I_FALSE, FST)),
     (ConsistencyReport, ["candidates", "members"],
