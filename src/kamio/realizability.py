@@ -23,7 +23,8 @@ import json
 from typing import Any, Iterable, Iterator, Mapping
 
 from .machine import (
-    Action, DEFAULT_FUEL, ExecutionContext, _check_bound, implements_row, run, settle,
+    Action, DEFAULT_FUEL, ExecutionContext, _check_bound, _runs_on_inputs, implements_row, run,
+    settle,
 )
 from .syntax import (
     Abs, App, Pair, Process, Stack, Term, TOP, Var,
@@ -236,10 +237,15 @@ def trace_conforms(spec: str, p: Process, input_bits: str, fuel: int) -> Verdict
     if spec not in (COPY, READ_ALL_THEN_WRITE):
         raise ValueError(f"unknown trace discipline {spec!r}")
     result = run(ExecutionContext(p, input_bits, ""), fuel)
-    if result.outcome == "fuel":
+    return _conforms(spec, input_bits, result.outcome, result.visible_trace())
+
+
+def _conforms(spec: str, input_bits: str, outcome: str, visible: tuple[Action, ...]) -> Verdict:
+    """`trace_conforms`'s check of a run on input_bits that ended with
+    `outcome` after the visible actions `visible`."""
+    if outcome == "fuel":
         return Verdict.unknown("fuel", witness=input_bits)
-    visible = result.visible_trace()
-    if result.outcome == "stuck":
+    if outcome == "stuck":
         return Verdict.refuted((input_bits, visible))
     reads = [Action.R0 if bit == "0" else Action.R1 for bit in input_bits]
     writes = [Action.W0 if bit == "0" else Action.W1 for bit in input_bits]
@@ -254,7 +260,9 @@ def trace_conforms(spec: str, p: Process, input_bits: str, fuel: int) -> Verdict
 
 class TracePole(Pole, _Record):
     """Processes whose visible traces satisfy a discipline on every input
-    of bounded length."""
+    of at most `max_input_len` bits.  `member` takes the runs from one
+    walk over the tree of inputs, which holds at most one level of
+    paused runs (2**max_input_len); the fuel is a budget per input."""
 
     __slots__ = ("spec", "max_input_len", "fuel")
     spec: str
@@ -275,8 +283,9 @@ class TracePole(Pole, _Record):
 
     def member(self, p: Process, fuel: int | None = None) -> Verdict:
         budget = self.fuel if fuel is None else fuel
-        return Verdict.all_of((trace_conforms(self.spec, p, input_bits, budget)
-                               for input_bits in all_inputs(self.max_input_len)),
+        return Verdict.all_of((_conforms(self.spec, bits, outcome, visible)
+                               for bits, outcome, visible
+                               in _runs_on_inputs(p, self.max_input_len, budget)),
                               sampled=True)  # inputs up to max_input_len only
 
 
@@ -323,9 +332,11 @@ def implication(realizers_of_s: RealizerList, t: TruthValue) -> TruthValue:
     one call per arrow, into falsity bot (a falsity_sample) or into psi:
     top = bot => bot;  not phi = phi => bot;
     phi and psi = (phi => (psi => bot)) => bot;  phi or psi = (phi => bot) => psi.
+    The result is an explicit stack set, not a sample of all stacks, so
+    its `all_stacks` is False even when t is a falsity_sample.
     """
     stacks = [pi.push(u) for u in realizers_of_s for pi in t]
-    return TruthValue.of(stacks)  # explicit now, so the sample flag clears
+    return TruthValue.of(stacks)
 
 
 def forall_along(f: Mapping, theta: Predicate,

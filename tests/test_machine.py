@@ -477,9 +477,9 @@ def assert_read_back_matches_reference(p, bits, limit=62):
     read-back tail itself.  Returns how many such cells were met."""
     hits = 0
     for source in (None, bits):
-        last = _iterate(p, limit, source)[4]
+        last = _iterate(p.term, None, p.stack, limit, source)[4]
         for fuel in range(last + 2):
-            outcome, t, env, s = _iterate(p, fuel, source)[:4]
+            outcome, t, env, s = _iterate(p.term, None, p.stack, fuel, source)[:4]
             if outcome == "terminated":
                 continue
             got, expected = _read_back(t, env, s), reference._read_back(t, env, s)
@@ -608,7 +608,8 @@ def assert_same_stop(p, fuel, source):
     without it `settle` matches the reference `settle` and
     `settled_labels` the reference `observable`; the trace `run` builds,
     its step count and its visible trace are the reference trace's."""
-    got, expected = _iterate(p, fuel, source), reference._iterate(p, fuel, source)
+    got = _iterate(p.term, None, p.stack, fuel, source)
+    expected = reference._iterate(p, fuel, source)
     outcome = expected[0]
     if outcome == "stuck" and expected[4] == fuel:
         outcome = "fuel"

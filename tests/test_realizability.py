@@ -10,7 +10,9 @@ import reference_machine as reference
 from kamio.combinators import R as READER
 from kamio.combinators import F, S, W, Y, compile_function
 from kamio.equivalence import weak_bisim
-from kamio.machine import bin_nat, eval_step
+from kamio.machine import (
+    Action, ExecutionContext, _Captured, _resume, _runs_on_inputs, bin_nat, eval_step, run,
+)
 from kamio.realizability import (
     COPY, ContextEntry, FinitePole, FunctionPole, IDENTITY, Predicate,
     READ_ALL_THEN_WRITE, RealizerList, Sequent, TracePole, UnionPole,
@@ -20,9 +22,10 @@ from kamio.realizability import (
     TruthValue, weaken,
 )
 from kamio.syntax import (
-    Abs, App, CALLCC, EMPTY, END, Kont, NotProofLike, Pair, READ, WRITE0, WRITE1,
+    Abs, App, CALLCC, EMPTY, END, Kont, NotProofLike, Pair, READ, TOP, WRITE0, WRITE1,
     church_numeral, effect_constants, parse_process, parse_stack, parse_term, stack_of,
 )
+from kamio.verdict import Verdict
 
 FST = parse_term(r"\u. \v. u")
 COPY_PROCESS = Pair(Y, stack_of(parse_term(r"\x. read (write0 x) (write1 x) end")))
@@ -204,6 +207,84 @@ class TestTracePole:
         assert len(inputs) == 1 + 2 + 4 + 8
         assert inputs[0] == ""
         assert len(set(inputs)) == len(inputs)
+
+    @pytest.mark.parametrize("max_input_len", [0, 2])
+    @pytest.mark.parametrize("fuel, error", [(-1, ValueError), (1.5, TypeError), (True, TypeError)])
+    def test_bad_member_fuel_rejected_before_running(self, max_input_len, fuel, error):
+        # the fuel is checked as `run` checks it, even with one input only
+        pole = TracePole(COPY, max_input_len)
+        with pytest.raises(error, match="^fuel must be "):
+            pole.member(COPY_PROCESS, fuel)
+        with pytest.raises(error, match="^fuel must be "):
+            pole.member(TOP, fuel)
+
+    @settings(max_examples=150)
+    @given(st.one_of(gen.processes(), near_conforming().map(lambda run_on: run_on[0])),
+           st.sampled_from((COPY, READ_ALL_THEN_WRITE)), st.integers(0, 3), st.integers(0, 200))
+    def test_member_matches_reference_on_every_input(self, p, spec, max_input_len, fuel):
+        assert TracePole(spec, max_input_len).member(p, fuel) == Verdict.all_of(
+            (reference.trace_conforms(spec, p, bits, fuel) for bits in all_inputs(max_input_len)),
+            sampled=True)
+
+    def test_member_stops_at_the_first_refutation(self):
+        # a walk over all 2**41 - 1 inputs would not return
+        swap = Pair(Y, stack_of(parse_term(r"\x. read (write1 x) (write0 x) end")))
+        verdict = TracePole(COPY, 40).member(swap)
+        assert verdict.is_refuted and verdict.witness[0] == "0"
+
+
+def runs_one_by_one(p, max_input_len, fuel):
+    """What `_runs_on_inputs` yields, from one `run` per input."""
+    return [(bits, r.outcome, r.visible_trace()) for bits in all_inputs(max_input_len)
+            for r in [run(ExecutionContext(p, bits), fuel)]]
+
+
+# A copy loop that saves the stack with `cc` before each read and writes
+# through the saved continuation, so every paused read holds a `_Captured`.
+CC_COPY = Pair(Y, stack_of(parse_term(r"\x. cc (\k. read (k (write0 x)) (k (write1 x)) end)")))
+
+
+class TestRunsOnInputs:
+    """`machine._runs_on_inputs`, the one walk over the input tree behind
+    `TracePole.member`, yields what one `run` per input gives."""
+
+    @settings(max_examples=150)
+    @given(st.one_of(gen.processes(), near_conforming().map(lambda run_on: run_on[0])),
+           st.integers(0, 3), st.integers(0, 200))
+    def test_matches_one_run_per_input(self, p, max_input_len, fuel):
+        assert list(_runs_on_inputs(p, max_input_len, fuel)) == runs_one_by_one(
+            p, max_input_len, fuel)
+
+    @pytest.mark.parametrize("p", [COPY_PROCESS, CC_COPY], ids=["copy", "cc-copy"])
+    def test_every_fuel_up_to_the_longest_run(self, p):
+        # each input's budget counts from its own start, and a run cut
+        # at the read that pauses it is "fuel" on every longer input too
+        longest = run(ExecutionContext(p, "111"), 10_000)
+        assert longest.terminated
+        for fuel in range(longest.steps + 2):
+            assert list(_runs_on_inputs(p, 3, fuel)) == runs_one_by_one(p, 3, fuel)
+
+    def test_paused_continuation_resumed_for_both_bits(self):
+        outcome, actions, paused = _resume((CC_COPY.term, None, CC_COPY.stack, 10_000),
+                                           "", True, ())
+        assert (outcome, actions) == ("input", ())
+        t, env, _, _ = paused
+        assert t is READ
+        while env[0] != "k":
+            env = env[2]
+        assert env[1][0].__class__ is _Captured
+        for bit in "01":
+            assert _resume(paused, bit, True, ())[:2] == ("input", (
+                Action.R0 if bit == "0" else Action.R1, Action.W0 if bit == "0" else Action.W1))
+        assert _resume(paused, "", False, ())[:2] == ("terminated", (Action.REPS, Action.E))
+        assert TracePole(COPY, 3).member(CC_COPY) == Verdict.verified(sampled=True)
+
+    def test_top(self):
+        assert list(_runs_on_inputs(TOP, 2, 0)) == [
+            (bits, "terminated", ()) for bits in all_inputs(2)]
+        assert TracePole(COPY, 2).member(TOP) == Verdict.all_of(
+            (reference.trace_conforms(COPY, TOP, bits, 0) for bits in all_inputs(2)),
+            sampled=True)
 
 
 class TestUnionPole:
