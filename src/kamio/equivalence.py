@@ -1,25 +1,24 @@
 """Bounded weak bisimilarity and TOP-equivalence.
 
 Both are checked over the labeled transition system of the machine
-(`machine.lts_step`, re-exported here).  A process's observable is what
-it offers once `machine.settle` has followed its silent chain: one
-`lts_step` on the process that chain stops at.  Every silent step is a
-step of the closure machine, read back (`machine.eval_step`), so a deep
-term settles without recursion; `substitute` runs only in
-`beta_contract`, which no CLI path calls.  Silent steps are
-deterministic, and only a read head offers more than one labeled
-transition, so the bounded bisimulation check can compare unique
-successors per label instead of searching relations.  It walks the pairs
-from an explicit work list, so its depth bound is not limited by
-Python's recursion limit.  At its depth frontier it reads labels only
-(`machine.settled_labels`): a pair with no depth left is compared by its
-two label sets, and no settled process or successor is built for it.
+(`machine.lts_step`, re-exported here).  What a process offers once its
+silent chain is done comes from one function, `machine.settled_moves`,
+with nothing read back; `machine.successor` reads back one move's
+process.  `observable` is that answer as a menu, `weak_bisim` reads each
+pair's labels from it at every depth, and `top_equiv` asks it whether
+the residual of a run that spent its fuel is silent.  A deep term
+settles without recursion; `substitute` runs only in `beta_contract`,
+which no CLI path calls.  Silent steps are deterministic, and only a
+read head offers more than one labeled transition, so the bounded
+bisimulation check compares unique successors per label instead of
+searching relations, from an explicit work list, so its depth bound is
+not limited by Python's recursion limit.
 """
 
 from __future__ import annotations
 
 from .machine import (
-    Action, ExecutionContext, _check_bound, lts_step, run, settle, settled_labels,
+    Action, ExecutionContext, _check_bound, lts_step, run, settled_moves, successor,
 )
 from .syntax import (
     Abs, App, InvalidPosition, Position, Process,
@@ -62,14 +61,15 @@ class Observable(_Record):
 
 
 def observable(p: Process, fuel: int = DEFAULT_OBS_FUEL) -> Observable:
-    """Settle p silently (`machine.settle`); the process it stops at
-    offers labeled transitions (menu) or none (silent).  A silent cycle is
-    silent too, and spent fuel is unknown."""
-    reason, settled = settle(p, fuel)
-    if reason == "fuel":
+    """What p offers once settled (`machine.settled_moves`): a menu of
+    labeled transitions, each to its successor, or silent (stuck with no
+    transition, or a silent cycle), or unknown when the fuel runs out."""
+    moves = settled_moves(p, fuel)
+    if moves is None:
         return Observable("unknown")
-    transitions = lts_step(settled) if reason == "stuck" else ()
-    return Observable("menu", dict(transitions)) if transitions else Observable("silent")
+    if not moves:
+        return Observable("silent")
+    return Observable("menu", {label: successor(moves, k) for k, label in enumerate(moves[0])})
 
 
 def weak_bisim(p: Process, q: Process,
@@ -79,40 +79,38 @@ def weak_bisim(p: Process, q: Process,
     Verified means p and q match on all behaviors of at most `depth`
     visible actions (with silent settling bounded by `fuel`).  Refuted
     carries the first distinguishing action sequence met in preorder
-    (labels in `_LABEL_ORDER`).  Unknown says "fuel" if any observable ran
+    (labels in `_LABEL_ORDER`).  Unknown says "fuel" if any settling ran
     out of fuel, else "depth".  `explored` maps each pair to the most depth
     it was explored with; a pair met again with no more depth is skipped,
-    which also closes cycles.  A pair with no depth left is compared by
-    its two label sets alone (`machine.settled_labels`), by the same test
-    as the others.  A depth or fuel that is not an integer raises
+    which also closes cycles.  Each pair's labels come from
+    `machine.settled_moves`, and the successors of a pair with depth
+    left from `machine.successor`, so a pair with no depth left builds
+    no process.  A depth or fuel that is not an integer raises
     TypeError, a negative one ValueError.
     """
     _check_bound(depth, "depth")
     _check_bound(fuel)
     explored: dict[tuple[Process, Process], int] = {}
-    cut = None  # "fuel" if an observable ran out, else "depth" if a pair was cut off
+    cut = None  # "fuel" if a settling ran out, else "depth" if a pair was cut off
     work = [(p, q, depth, ())]
     while work:
         a, b, remaining, prefix = work.pop()
         if a == b or explored.get((a, b), -1) >= remaining:
             continue
         explored[a, b] = remaining
-        if remaining:
-            oa, ob = observable(a, fuel), observable(b, fuel)
-            labels_a = None if oa.kind == "unknown" else tuple(oa.entries or ())
-            labels_b = None if ob.kind == "unknown" else tuple(ob.entries or ())
-        else:
-            labels_a, labels_b = settled_labels(a, fuel), settled_labels(b, fuel)
-        if labels_a is None or labels_b is None:
+        moves_a, moves_b = settled_moves(a, fuel), settled_moves(b, fuel)
+        if moves_a is None or moves_b is None:
             cut = "fuel"
             continue
+        labels_a = moves_a[0] if moves_a else ()
+        labels_b = moves_b[0] if moves_b else ()
         # both in `lts_step`'s order, so equal label sets are equal tuples
         if labels_a != labels_b:
             label = min(set(labels_a) ^ set(labels_b), key=_LABEL_ORDER.index)
             return Verdict.refuted(prefix + (label,))
         if remaining:
-            work.extend((oa.entries[label], ob.entries[label], remaining - 1, prefix + (label,))
-                        for label in reversed(labels_a))
+            work.extend((successor(moves_a, k), successor(moves_b, k), remaining - 1,
+                         prefix + (labels_a[k],)) for k in reversed(range(len(labels_a))))
         elif labels_a:
             cut = cut or "depth"
     return Verdict.unknown(cut) if cut else Verdict.verified()
@@ -143,7 +141,7 @@ def _classify(c: ExecutionContext, fuel: int) -> tuple[str, tuple[str, str] | No
     if result.outcome == "stuck":
         return "never", None
     # Fuel ran out: the residual may still be provably silent (a cycle).
-    if observable(result.final.process, fuel).kind == "silent":
+    if settled_moves(result.final.process, fuel) == ():
         return "never", None
     return "unknown", None
 

@@ -13,42 +13,44 @@ read, write and end rules.  It gives a head's moves as one of four label
 tuples, the closures the moves continue with, and the rest of the stack
 they share, and builds nothing more: `run` loads only the closure of the
 branch its input selects, `lts_step` pairs each label with a successor,
-and `settled_labels` returns the label tuple as it is.
+and `settled_moves` returns all three as they are, for `successor` to
+read back one move at a time.
 
 One closure machine loop (Krivine, "A call-by-name lambda-calculus
-machine", HOSC 2007), `_iterate`, serves `run`, `settle`, `eval_step`,
-`exec_step_labeled` and the walk over inputs below.  Its state is a
-term, an environment and a stack of closures, so a pop binds a name
-instead of copying the body, and a loaded `Pair`'s stack is used as it
-is.  The push, pop, save and restore rules are written there once, in
+machine", HOSC 2007), `_iterate`, serves `run`, `settled_moves`,
+`eval_step`, `exec_step_labeled` and the walk over inputs below.  Its
+state is a term, an environment and a stack of closures, so a pop binds
+a name instead of copying the body, and a loaded `Pair`'s stack is used
+as it is.  The push, pop, save and restore rules are written there once, in
 place, with no helper call per step.
 At an instruction head `run`, which passes its input, takes the one
-`_effect` move that its next input bit selects, and `settle`, which
-passes none, stops.  Looking a variable head up is not a step (a
+`_effect` move that its next input bit selects, and `settled_moves`,
+which passes none, stops.  Looking a variable head up is not a step (a
 commutative transition in the sense of Accattoli, Barenbaum and Mazza,
 "Distilling abstract machines", ICFP 2014), so traces and step counts
 are those of the substitution machine.  The loop runs over
 `range(fuel)`, whose index is the step count, so no step tests the
 budget, and only the loop says whether a rule applies: where it spends
-its fuel, `run` asks it for one more step, and `settle` leaves the chain
-to its exact loop.  It notes each visible step as (index, action), a
-run's result keeps that list, and its TAU-padded trace is built only on
-demand.  A state where a chain stops short of TOP is read back to a
+its fuel, `run` asks it for one more step, and `settled_moves` leaves
+the chain to `settle`.  It notes each visible step as (index, action),
+a run's result keeps that list, and its TAU-padded trace is built only
+on demand.  A state where a chain stops short of TOP is read back to a
 process once, by `_read_back`, which emits closed terms as they are,
 without walking them.  Written bits are prepended, so the final output
 string is read verbatim as a most-significant-bit-first binary numeral.
 
 `lts_step` is the labeled transition system on processes: `_effect`'s
 visible transitions, a read's three from one call, and the silent step
-of `eval_step`, one step of the closure loop read back.  `settle`
-follows silent steps alone (for `equivalence.observable` and
-finite-pole membership).  With no targets it runs the closure loop and
-reads back only the state where the chain gets stuck; it follows
-`eval_step`, with a seen-set, only for a chain that spends its fuel and
-for a chain with targets.  `settled_labels` gives the labels `lts_step`
-offers where `settle` stops; for a chain that gets stuck within its
-fuel it reads nothing back and takes them from `_effect` on the closure
-state.  No path here copies a body through `substitute`.
+of `eval_step`, one step of the closure loop read back.
+`settled_moves` is what a process offers once its silent steps are
+done, the one answer behind `equivalence.observable`, `weak_bisim` and
+`top_equiv`: the closure loop runs without input, and where the chain
+gets stuck `_effect` gives the moves on the closure state, with nothing
+read back.  `settle` is the exact loop: it follows `eval_step` with a
+seen-set, for finite-pole membership, which passes its seeds as
+targets, and for a chain that spends its fuel in `settled_moves`, to
+tell a cycle, spent fuel and a chain stuck at its last step apart.  No
+path here copies a body through `substitute`.
 
 `_runs_on_inputs` gives a trace pole the runs on every input of at most
 n bits from one walk over the input tree: the loop pauses w's run at the
@@ -73,8 +75,8 @@ from .verdict import Verdict, _Record, _set
 
 __all__ = [
     "DEFAULT_FUEL", "Action", "ExecutionContext", "RunResult",
-    "eval_step", "settle", "settled_labels", "lts_step", "exec_step", "exec_step_labeled",
-    "run", "bin_nat", "nat_of_bin", "implements_row",
+    "eval_step", "settle", "settled_moves", "successor", "lts_step", "exec_step",
+    "exec_step_labeled", "run", "bin_nat", "nat_of_bin", "implements_row",
 ]
 
 DEFAULT_FUEL = 1_000_000
@@ -479,62 +481,22 @@ def eval_step(p: Process) -> Process | None:
 
 
 def settle(p: Process, fuel: int, targets: Container[Process] = ()) -> tuple[str, Process]:
-    """Follow p's silent chain for at most `fuel` steps; return why it
-    stopped and the process it stopped at.  The reason is "stop" (a
-    member of `targets`), "stuck" (no silent step applies), "cycle" (a
-    process repeats) or "fuel", checked in that order at each process.
-    A fuel that is not an integer raises TypeError, a negative one
-    ValueError.
-
-    With no targets the chain runs on closures: `_iterate` without input,
-    which stops at an instruction head, and builds no trace.  Silent
-    steps are deterministic, so a chain that gets stuck within its fuel
-    never repeated a process, and its read-back is, name for name, the
-    process `eval_step` reaches.  Only a chain that spends its fuel, and
-    every chain with targets, is followed again from p through
-    `eval_step` with a seen-set, which tells "stuck", "cycle" and "fuel"
-    apart where the fuel runs out."""
+    """Follow `eval_step` from p for at most `fuel` steps, with a
+    seen-set; return why it stopped and the process it stopped at.  The
+    reason is "stop" (a member of `targets`), "stuck" (no silent step
+    applies), "cycle" (a process repeats) or "fuel", checked in that
+    order at each process.  A fuel that is not an integer raises
+    TypeError, a negative one ValueError.  Finite-pole membership passes
+    its seeds as targets; `settled_moves` comes here only for a chain
+    that spends its fuel on closures."""
     _check_bound(fuel)
-    if not targets and p.__class__ is Pair:
-        outcome, t, env, s = _iterate(p.term, None, p.stack, fuel, None)[:4]
-        if outcome == "stuck":
-            return "stuck", _read_back(t, env, s)
-    return _follow(p, fuel, targets)
-
-
-def settled_labels(p: Process, fuel: int) -> tuple[Action, ...] | None:
-    """The labels of the transitions `lts_step` offers at the process
-    where `settle(p, fuel)` stops, in `lts_step`'s order: () when that
-    process is silent (stuck with no transition, or on a silent cycle),
-    None when the fuel runs out.  A fuel that is not an integer raises
-    TypeError, a negative one ValueError.
-
-    A chain that gets stuck within its fuel is not read back: the labels
-    are `_effect`'s label tuple, as it is, on the closure state it
-    stopped at, which has the head and the stack length of its
-    read-back.  Any other chain (TOP, a spent fuel, a cycle) is followed
-    by `settle`'s exact loop, and its process is read by `lts_step`."""
-    _check_bound(fuel)
-    if p.__class__ is Pair:
-        outcome, t, _, s = _iterate(p.term, None, p.stack, fuel, None)[:4]
-        if outcome == "stuck":
-            effect = _effect(t, s)
-            return () if effect is None else effect[0]
-    reason, settled = _follow(p, fuel, ())
-    if reason == "fuel":
-        return None
-    return tuple([action for action, _ in lts_step(settled)]) if reason == "stuck" else ()
-
-
-def _follow(p: Process, fuel: int, targets: Container[Process]) -> tuple[str, Process]:
-    """`settle`'s exact loop: follow `eval_step` from p with a seen-set."""
     seen: set[Process] = set()
     current = p
     while True:
         if targets and current in targets:
             return "stop", current
-        successor = eval_step(current)
-        if successor is None:
+        q = eval_step(current)
+        if q is None:
             return "stuck", current
         size = len(seen)
         seen.add(current)  # one hash per step: an unchanged size is a repeat
@@ -543,7 +505,41 @@ def _follow(p: Process, fuel: int, targets: Container[Process]) -> tuple[str, Pr
         if fuel <= 0:
             return "fuel", current
         fuel -= 1
-        current = successor
+        current = q
+
+
+def settled_moves(p: Process, fuel: int) -> tuple | None:
+    """What p offers once its silent chain of at most `fuel` steps is
+    done: `_effect`'s (labels, closures, rest), labels in `lts_step`'s
+    order, where the chain gets stuck; () if the settled process is
+    silent (stuck with no move, TOP, or on a silent cycle); None if the
+    fuel runs out.  `successor` reads a move's process back.  A fuel
+    that is not an integer raises TypeError, a negative one ValueError.
+
+    The chain runs on closures, `_iterate` without input, and nothing is
+    read back.  Silent steps are deterministic, so a chain stuck within
+    its fuel never repeated a state; only one that spends its fuel goes
+    to `settle`, which tells a cycle, spent fuel and a chain stuck at
+    its last step apart."""
+    _check_bound(fuel)
+    if p is TOP:
+        return ()
+    outcome, t, _, s = _iterate(p.term, None, p.stack, fuel, None)[:4]
+    if outcome == "fuel":
+        reason, p = settle(p, fuel)
+        if reason != "stuck":
+            return None if reason == "fuel" else ()
+        t, s = p.term, p.stack
+    return _effect(t, s) or ()
+
+
+def successor(moves: tuple, k: int) -> Process:
+    """The process that move k of `settled_moves`'s (labels, closures,
+    rest) continues with: its closure on the rest, read back, or TOP
+    after end."""
+    _, closures, rest = moves
+    closure = closures[k]
+    return TOP if closure is None else _read_back(closure[0], closure[1], rest)
 
 
 def run(c: ExecutionContext, fuel: int = DEFAULT_FUEL) -> RunResult:

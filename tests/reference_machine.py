@@ -42,12 +42,14 @@ oracles.
   `Stack.__hash__`.
 - `observable` and the finite pole's membership loop (`finite_member`)
   as each followed the silent chain by hand, with its own seen-set,
-  cycle rule and fuel count.  Oracles for `kamio.equivalence.observable`
-  and `kamio.realizability.FinitePole.member`, which now share
+  cycle rule and fuel count.  Oracles for `kamio.equivalence.observable`,
+  now `kamio.machine.settled_moves` with a `successor` per move, and for
+  `kamio.realizability.FinitePole.member`, which follows
   `kamio.machine.settle`.
 - `settle` as it stood when it followed `eval_step` on every chain, with
   a seen-set of the processes met.  Oracle for `kamio.machine.settle`,
-  which now settles a chain with no targets on closures.
+  which is that exact loop again after a time when it settled a chain
+  with no targets on closures.
 - `_read_back` as it stood when it pushed a work item for every
   subterm and every closure, closed ones included.  Oracle for
   `kamio.machine._read_back`, which emits closed terms and closures
@@ -57,8 +59,8 @@ oracles.
   `_pop` helper that `_effect` popped through.  Oracle for
   `kamio.machine._iterate`, compared at every fuel, with one outcome
   mapped: where no rule applies after `fuel` steps, this loop says
-  "stuck" and `kamio.machine._iterate` says "fuel" (`run`, `settle` and
-  `settled_labels` still say "stuck" there).  That `_effect`
+  "stuck" and `kamio.machine._iterate` says "fuel" (`run` and
+  `settled_moves` still say "stuck" there).  That `_effect`
   built an (action, closure, rest) triple for every move, a read's
   three included; oracle for `kamio.machine._effect`, which returns one
   label tuple and one tuple of closures.

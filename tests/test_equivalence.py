@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import gen
 import reference_machine as reference
 from kamio.equivalence import (
-    beta_contract, beta_redexes, lts_step, observable, top_equiv, weak_bisim,
+    _classify, beta_contract, beta_redexes, lts_step, observable, top_equiv, weak_bisim,
 )
 from kamio.machine import Action, ExecutionContext, eval_step, run
 from kamio.syntax import (
@@ -191,8 +191,8 @@ class TestWeakBisim:
 def _agrees_with_reference(p, q):
     """Same verdict and witness as the recursive search at every depth up to
     6; where the search that ignores the depth left decides, the same
-    decision.  Small fuels put the frontier's stuck-or-fuel boundary
-    (`machine.settled_labels`) within reach of short silent chains."""
+    decision.  Small fuels put the stuck-or-fuel boundary of
+    `machine.settled_moves` within reach of short silent chains."""
     for fuel in (0, 1, 2, 3, 300):
         for depth in range(7):
             verdict = weak_bisim(p, q, depth, fuel)
@@ -321,6 +321,21 @@ class TestTopEquiv:
         verdict = top_equiv(ExecutionContext(growing, "", ""),
                             ExecutionContext(parse_process("end * nil"), "", ""), 200)
         assert verdict.is_unknown
+
+    @given(st.one_of(gen.contexts(), gen.silent_loops().map(ExecutionContext)),
+           st.integers(0, 40))
+    def test_classify_matches_reference(self, c, fuel):
+        # a run that spends its fuel never reaches TOP if the reference
+        # observable finds its residual silent
+        result = reference.run(c, fuel)
+        if result.outcome == "terminated":
+            expected = "top", (result.final.input, result.final.output)
+        elif (result.outcome == "stuck"
+              or reference.observable(result.final.process, fuel).kind == "silent"):
+            expected = "never", None
+        else:
+            expected = "unknown", None
+        assert _classify(c, fuel) == expected
 
     @given(gen.contexts(), st.integers(1, 50))
     def test_run_prefix_is_top_equivalent(self, c, steps):

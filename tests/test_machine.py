@@ -12,7 +12,7 @@ from kamio.machine import (
     DEFAULT_FUEL, Action, ExecutionContext, _ENDS, _READS, _WRITES0, _WRITES1, _Captured,
     _effect, _iterate, _read_back, bin_nat,
     eval_step, exec_step, exec_step_labeled, lts_step, nat_of_bin, run, settle,
-    settled_labels,
+    settled_moves, successor,
 )
 from kamio.realizability import FinitePole, FunctionPole
 from kamio.syntax import (
@@ -75,7 +75,7 @@ class TestEvalStep:
         assert pole.member(parse_process("#2000 * end :: end :: nil"), 100_000).is_verified
 
     def test_deep_settle_cycle(self):
-        # the closure pass spends its fuel; the exact loop finds the cycle
+        # the exact loop reads back each step with no recursion and finds the cycle
         w = parse_term(r"\x. x x")
         reason, q = settle(parse_process(r"#2000 * (\x. x x) :: (\x. x x) :: nil"), 100_000)
         assert (reason, q.term, len(q.stack)) == ("cycle", App(w, w), 1999)
@@ -91,6 +91,12 @@ class TestEvalStep:
             assert all(action is not Action.TAU for action, _ in transitions)
         else:
             assert transitions == ((Action.TAU, q),)
+
+
+def settled_labels(moves):
+    """The labels of a `settled_moves` answer: None stays None, and a
+    silent process has none."""
+    return None if moves is None else moves[0] if moves else ()
 
 
 def _silent_chain(p, limit=62):
@@ -126,7 +132,7 @@ class TestSettle:
     def test_negative_fuel_rejected(self):
         p = parse_process(r"(\x. x) end * nil")
         for check in (lambda: settle(p, -1), lambda: observable(p, -1),
-                      lambda: settled_labels(p, -1), lambda: FinitePole.of([p]).member(p, -1),
+                      lambda: settled_moves(p, -1), lambda: FinitePole.of([p]).member(p, -1),
                       lambda: run(ExecutionContext(p), -1)):
             with pytest.raises(ValueError, match="^fuel must be non-negative$"):
                 check()
@@ -136,7 +142,7 @@ class TestSettle:
         # a fuel of True ran one step
         p = parse_process(OMEGA)
         for check in (lambda: settle(p, 2.5), lambda: settle(p, 2.5, {TOP}),
-                      lambda: observable(p, 2.5), lambda: settled_labels(p, 2.5),
+                      lambda: observable(p, 2.5), lambda: settled_moves(p, 2.5),
                       lambda: FinitePole.of([p]).member(p, 2.5),
                       lambda: run(ExecutionContext(p), 2.5), lambda: run(ExecutionContext(p), "3"),
                       lambda: run(ExecutionContext(p), True), lambda: settle(p, True)):
@@ -156,6 +162,9 @@ class TestSettle:
         for f in sorted(f for f in fuels if 0 <= f <= 60):
             got, expected = observable(p, f), reference.observable(p, f)
             assert (got.kind, got.entries) == (expected.kind, expected.entries)
+            # each successor is read back on its own: equal name for name
+            for label, q in (got.entries or {}).items():
+                assert pretty(q) == pretty(expected.entries[label])
             got, expected = FinitePole(seeds, f).member(p), reference.finite_member(seeds, p, f)
             assert got == expected
             assert str(got.witness) == str(expected.witness)
@@ -181,8 +190,10 @@ class TestSettle:
 
 
 class TestSettledLabels:
-    """`settled_labels(p, fuel)` is None where `observable(p, fuel)` is
-    unknown, and the menu's labels in order otherwise (none if silent)."""
+    """The labels a settled process offers: `settled_moves(p, fuel)` is
+    None where the reference `observable(p, fuel)` is unknown, and
+    otherwise holds the menu's labels in order (none if silent), each
+    with a `successor` equal to the menu's, name for name."""
 
     @given(st.one_of(gen.processes(), gen.silent_loops()))
     def test_matches_observable_at_every_fuel(self, p):
@@ -203,23 +214,31 @@ class TestSettledLabels:
         "cc * nil",  # cc or a continuation on nil
         "kont{end :: nil} * nil",
         r"cc (\k. k) * nil",
+        r"cc (\k. read k k k) * end :: nil",  # read successors holding a saved stack
     ])
     def test_matches_observable_on_fixed_chains(self, text):
         self._check_every_fuel(parse_process(text), 40)
 
     def test_frontier_cases(self):
         p = parse_process(r"(\x. read x x x) end * nil")  # stuck after five steps
-        assert settled_labels(p, 4) is None
-        assert settled_labels(p, 5) == (Action.R0, Action.R1, Action.REPS)
-        assert settled_labels(parse_process(OMEGA), 2) == ()
-        assert settled_labels(TOP, 0) == ()
+        assert settled_moves(p, 4) is None
+        moves = settled_moves(p, 5)
+        assert moves[0] == (Action.R0, Action.R1, Action.REPS)
+        assert [successor(moves, k) for k in range(3)] == [parse_process("end * nil")] * 3
+        assert successor(settled_moves(parse_process("end * nil"), 0), 0) is TOP
+        assert settled_moves(parse_process(OMEGA), 2) == ()
+        assert settled_moves(TOP, 0) == ()
 
     @staticmethod
     def _check_every_fuel(p, last):
         for fuel in range(last + 1):
-            ob = observable(p, fuel)
-            expected = None if ob.kind == "unknown" else tuple(ob.entries or ())
-            assert settled_labels(p, fuel) == expected, fuel
+            moves, ob = settled_moves(p, fuel), reference.observable(p, fuel)
+            entries = ob.entries or {}
+            expected = None if ob.kind == "unknown" else tuple(entries)
+            assert settled_labels(moves) == expected, fuel
+            for k, label in enumerate(entries):
+                q = successor(moves, k)
+                assert q == entries[label] and pretty(q) == pretty(entries[label]), fuel
 
 
 class TestExecStep:
@@ -605,8 +624,8 @@ def assert_same_stop(p, fuel, source):
     `fuel` steps, `_iterate` says "fuel", and it says "stuck" only after
     fewer steps.  The public results at that fuel still say "stuck"
     there: `run` matches the reference `run` given `source`, and
-    without it `settle` matches the reference `settle` and
-    `settled_labels` the reference `observable`; the trace `run` builds,
+    without it `settle` matches the reference `settle` and the labels
+    of `settled_moves` the reference `observable`; the trace `run` builds,
     its step count and its visible trace are the reference trace's."""
     got = _iterate(p.term, None, p.stack, fuel, source)
     expected = reference._iterate(p, fuel, source)
@@ -632,7 +651,8 @@ def assert_same_stop(p, fuel, source):
     assert got == expected, (pretty(p), fuel)
     assert pretty(got[1]) == pretty(expected[1])
     ob = reference.observable(p, fuel)
-    assert settled_labels(p, fuel) == (None if ob.kind == "unknown" else tuple(ob.entries or ()))
+    assert settled_labels(settled_moves(p, fuel)) == \
+        (None if ob.kind == "unknown" else tuple(ob.entries or ()))
 
 
 ITERATE_EDGE_CASES = [
@@ -655,7 +675,7 @@ ITERATE_EDGE_CASES = [
 class TestIterate:
     """`_iterate`, a loop over `range(fuel)` with no stuck test after it,
     against the loop it replaced, and `run`, `settle` and
-    `settled_labels`, which say "stuck" at the budget's end, against
+    `settled_moves`, which say "stuck" at the budget's end, against
     their oracles."""
 
     @given(st.one_of(gen.processes(), gen.silent_loops()), st.text("01", max_size=4))

@@ -374,6 +374,14 @@ class TestDeepTerms:
         assert subterm_at(replaced, path[:-1]).fun.name == "f"
         assert effect_constants(replaced) == {"end"}
 
+    @pytest.mark.xfail(raises=RecursionError, strict=True,
+                       reason="substitute still recurses once per node")
+    def test_substitute_on_a_deep_application_spine(self):
+        body, expected = Var("x"), CALLCC
+        for _ in range(3000):
+            body, expected = App(body, END), App(expected, END)
+        assert substitute(body, "x", CALLCC) == expected
+
 
 class TestIdentity:
     @settings(max_examples=300)
