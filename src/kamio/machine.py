@@ -522,15 +522,28 @@ def settled_moves(p: Process, fuel: int) -> tuple | None:
     to `settle`, which tells a cycle, spent fuel and a chain stuck at
     its last step apart."""
     _check_bound(fuel)
-    if p is TOP:
-        return ()
-    outcome, t, _, s = _iterate(p.term, None, p.stack, fuel, None)[:4]
+    return () if p is TOP else _settled(p.term, None, p.stack, fuel)
+
+
+def _settled_successor(moves: tuple, k: int, fuel: int) -> tuple | None:
+    """`settled_moves(successor(moves, k), fuel)`, run from move k's
+    closure state, so that only a chain that spends its fuel reads the
+    successor back, for `settle`.  The fuel is not checked."""
+    _, closures, rest = moves
+    closure = closures[k]
+    return () if closure is None else _settled(closure[0], closure[1], rest, fuel)
+
+
+def _settled(t: Term, env, s, fuel: int) -> tuple | None:
+    """`settled_moves` of the process the closure state (t, env, s)
+    stands for."""
+    outcome, u, _, rest = _iterate(t, env, s, fuel, None)[:4]
     if outcome == "fuel":
-        reason, p = settle(p, fuel)
+        reason, p = settle(_read_back(t, env, s), fuel)
         if reason != "stuck":
             return None if reason == "fuel" else ()
-        t, s = p.term, p.stack
-    return _effect(t, s) or ()
+        u, rest = p.term, p.stack
+    return _effect(u, rest) or ()
 
 
 def successor(moves: tuple, k: int) -> Process:

@@ -6,8 +6,9 @@ import hypothesis.strategies as st
 
 import gen
 import reference_machine as reference
+from kamio import equivalence, machine
 from kamio.equivalence import (
-    _classify, beta_contract, beta_redexes, lts_step, observable, top_equiv, weak_bisim,
+    Observable, _classify, beta_contract, beta_redexes, lts_step, observable, top_equiv, weak_bisim,
 )
 from kamio.machine import Action, ExecutionContext, eval_step, run
 from kamio.syntax import (
@@ -28,6 +29,21 @@ SHARED_TAIL_CHANGED = ("read (write0 (write0 (write0 (write0 (write1 end)))))"
 WRITE_CHAIN = r"(\x. \y. write0 (x x (\z. y))) (\x. \y. write0 (x x (\z. y))) (\u. u) * nil"
 WRITE_CHAIN_SLOWER = (r"(\x. \y. write0 (x x (\z. \w. y)))"
                       r" (\x. \y. write0 (x x (\z. \w. y))) (\u. u) * nil")
+GROWING = r"(\x. x x x) (\x. x x x)"
+READ_MENU = "read * end :: cc :: write0 :: write1 :: nil"
+
+
+def _count_read_backs(monkeypatch) -> list:
+    """Count `machine._read_back` calls from now on: one per process read back."""
+    calls = []
+    real = machine._read_back
+
+    def counting(*state):
+        calls.append(state)
+        return real(*state)
+
+    monkeypatch.setattr(machine, "_read_back", counting)
+    return calls
 
 
 class TestLtsStep:
@@ -98,6 +114,35 @@ class TestObservable:
         assert ob.kind == "menu"
         assert ob.entries == {Action.E: TOP}
 
+    def test_labels_read_nothing_back(self, monkeypatch):
+        p = parse_process(READ_MENU)
+        calls = _count_read_backs(monkeypatch)
+        entries = observable(p, 10).entries
+        assert list(entries) == [Action.R0, Action.R1, Action.REPS]
+        assert len(entries) == 3
+        assert Action.R1 in entries and Action.W0 not in entries
+        assert calls == []
+
+    def test_lookup_reads_back_once(self, monkeypatch):
+        p = parse_process(READ_MENU)
+        entries = observable(p, 10).entries
+        calls = _count_read_backs(monkeypatch)
+        first = entries[Action.R1]
+        assert entries[Action.R1] is first
+        assert first == parse_process("cc * write1 :: nil")
+        assert len(calls) == 1
+        with pytest.raises(KeyError):
+            entries[Action.W0]
+        assert entries.get(Action.W0) is None and len(calls) == 1
+
+    def test_equals_a_menu_built_from_a_dict(self):
+        p = parse_process(READ_MENU)
+        built = Observable("menu", dict(lts_step(p)))
+        assert observable(p, 10) == built and built == observable(p, 10)
+        assert repr(observable(p, 10)) == repr(built)
+        assert "cc" in repr(observable(p, 10))  # the successors are shown
+        assert observable(p, 10) != Observable("menu", {Action.R0: TOP})
+
 
 class TestWeakBisim:
     def test_reflexivity_at_any_bounds(self):
@@ -159,6 +204,39 @@ class TestWeakBisim:
         q = parse_process(rf"read ((\y. y) ({growing})) (write0 ((\y. y) (write0 end))) end * nil")
         assert weak_bisim(p, q, 1, 100) == Verdict.unknown("fuel")
         assert weak_bisim(p, q, 2, 100) == Verdict.unknown("fuel")
+
+    def test_fuel_at_the_frontier_of_equal_sides_keeps_a_depth_cut(self):
+        # r0 cuts on depth first; the r1 sides are alpha-equal and spend their fuel
+        p = parse_process(f"read (write0 end) ({GROWING}) end * nil")
+        q = parse_process(r"read (write0 (write0 end)) ((\y. y y y) (\y. y y y)) end * nil")
+        assert weak_bisim(p, q, 1, 300) == Verdict.unknown("depth")
+        _agrees_with_reference(p, q)
+
+    def test_pair_explored_with_depth_left_is_skipped_at_the_frontier(self):
+        # each side writes and returns to itself, so the root pair comes
+        # back at the frontier before anything is cut
+        p = parse_process(r"(\x. write0 (x x)) (\x. write0 (x x)) * nil")
+        q = parse_process(r"(\x. \y. write0 (x x y)) (\x. \y. write0 (x x y)) end * nil")
+        assert weak_bisim(p, q, 1, 300) == Verdict.verified()
+        _agrees_with_reference(p, q)
+
+    def test_frontier_refutation_after_a_fuel_cut(self):
+        p = parse_process(f"read ({GROWING}) (write0 end) end * nil")
+        q = parse_process(f"read ((\\y. y) ({GROWING})) (write1 end) end * nil")
+        assert weak_bisim(p, q, 1, 300) == Verdict.refuted((Action.R1, Action.W0))
+        _agrees_with_reference(p, q)
+
+    def test_refutation_reads_back_two_processes_per_popped_pair(self, monkeypatch):
+        p = parse_process("read (read (write0 end) end end) end end * nil")
+        q = parse_process("read (read (write1 end) end end) end end * nil")
+        settled = []
+        real = equivalence.settled_moves
+        monkeypatch.setattr(equivalence, "settled_moves",
+                            lambda x, fuel: settled.append(x) or real(x, fuel))
+        calls = _count_read_backs(monkeypatch)
+        assert weak_bisim(p, q, 6, 100) == Verdict.refuted((Action.R0, Action.R0, Action.W0))
+        # two `settled_moves` calls per popped pair; the root needs no read-back
+        assert len(calls) == len(settled) - 2 == 4
 
     def test_deep_search_does_not_overflow(self):
         p, q = parse_process(WRITE_CHAIN), parse_process(WRITE_CHAIN_SLOWER)
