@@ -39,6 +39,14 @@ process once, by `_read_back`, which emits closed terms as they are,
 without walking them.  Written bits are prepended, so the final output
 string is read verbatim as a most-significant-bit-first binary numeral.
 
+Within one call, the execution relation replays a thunk, a variable
+bound to an application, in the manner of Sestoft's update markers
+("Deriving a lazy abstract machine", JFP 1997): the closure the thunk's
+silent evaluation reached, and in how many steps, is recorded, and its
+next entry takes both at once, so step counts, traces and states stay
+those of call-by-name.  Saves, restores and visible steps read more
+than the thunk, so they cancel the evaluations under way.
+
 `lts_step` is the labeled transition system on processes: `_effect`'s
 visible transitions, a read's three from one call, and the silent step
 of `eval_step`, one step of the closure loop read back.
@@ -367,7 +375,24 @@ def _read_back(t: Term, env, s) -> Pair:
 # What `_iterate` reads on every step, unpacked into locals at once: a
 # local reads faster than a global, and one unpack costs less per call
 # than a load of each.
-_LOOP_GLOBALS = Var, App, Abs, Kont, _Captured, CALLCC, tuple, _READS, _effect
+_LOOP_GLOBALS = Var, App, Abs, Kont, _Captured, CALLCC, tuple, list, _READS, _effect
+
+
+def _unmarked(s, marks: int):
+    """The closure stack s without its `marks` thunk marks (see
+    `_iterate`): the cells above the deepest mark are copied, those
+    below it are kept."""
+    above = []
+    while marks:
+        if s.__class__ is list:
+            s = s[2]
+            marks -= 1
+        else:
+            above.append(s[0])
+            s = s[1]
+    for top in reversed(above):
+        s = top, s
+    return s
 
 
 def _iterate(t: Term, env, s, fuel: int, source: str | None, pause: bool = False) -> tuple:
@@ -394,69 +419,105 @@ def _iterate(t: Term, env, s, fuel: int, source: str | None, pause: bool = False
     whose index is the step count, so no step tests the budget, and no
     code after it tests a rule: "fuel" says nothing of whether the state
     it stopped at can step.  `visible` lists (index, action) for each
-    visible step, so a silent step appends nothing."""
-    Var_, App_, Abs_, Kont_, Captured_, CALLCC_, tuple_, READS_, effect_ = _LOOP_GLOBALS
+    visible step, so a silent step appends nothing.
+
+    The execution relation replays thunks.  A variable head bound to an
+    application closure c pushes a mark [c, index, s] on its stack s,
+    unless a mark is on top (a tail call: the outer mark stands for
+    both).  Until an abstraction head meets the mark, the steps pop only
+    what they pushed, so they and the closure they reach depend on c
+    alone: both are recorded, and the next entry of c takes them in one
+    jump if the budget holds them, so step counts and traces stay
+    call-by-name's.  Save, restore, visible steps and every return drop
+    all marks first, so no segment with an effect is recorded and no
+    continuation, `_effect` call or returned state sees a mark.  The
+    record lives for one call, and only given `source`: the evaluation
+    relation's chains are short, and there it cost more than it saved."""
+    Var_, App_, Abs_, Kont_, Captured_, CALLCC_, tuple_, list_, READS_, effect_ = _LOOP_GLOBALS
     read = 0
     size = 0 if source is None else len(source)
     visible: list[tuple[int, Action]] = []
-    for i in range(fuel):
-        cls = t.__class__
-        if cls is Var_:
-            name = t.name
-            while env[0] != name:
-                env = env[2]
-            t, env = env[1]
+    memo = None if source is None else {}
+    marks = begin = 0
+    while True:
+        for i in range(begin, fuel):
             cls = t.__class__
-        if cls is App_:
-            arg = t.arg
-            if arg.__class__ is Var_:
-                name, e = arg.name, env
-                while e[0] != name:
-                    e = e[2]
-                s = e[1], s
-            else:
-                s = (arg, env), s
-            t = t.fun
-        elif cls is Abs_:
-            if s.__class__ is tuple_:
-                top, s = s
-            elif s.head is None:
-                return "stuck", t, env, s, i, visible, read
-            else:
-                top, s = (s.head, None), s.tail
-            env = (t.param, top, env)
-            t = t.body
-        elif cls is Kont_ or cls is Captured_ or t is CALLCC_:
-            if s.__class__ is tuple_:
-                top, rest = s
-            elif s.head is None:
-                return "stuck", t, env, s, i, visible, read
-            else:
-                top, rest = (s.head, None), s.tail
-            # restore a continuation's stack, or save the rest (cc)
-            s = t.stack if t is not CALLCC_ else ((Captured_(rest), None), rest)
-            t, env = top
-        else:
-            moves = None if source is None else effect_(t, s)
-            if moves is None:
-                return "stuck", t, env, s, i, visible, read
-            labels, closures, rest = moves
-            k = 0
-            if labels is READS_:
-                if read < size:
-                    k = source[read] == "1"  # False or True: branch 0 or 1
-                    read += 1
-                elif pause:
-                    return "input", t, env, s, i, visible, read
+            if cls is Var_:
+                name = t.name
+                while env[0] != name:
+                    env = env[2]
+                t, env = c = env[1]
+                cls = t.__class__
+                if memo is not None and cls is App_:  # entering a thunk
+                    done = memo.get(id(c))
+                    if done is not None and i + done[0] <= fuel:
+                        begin, t, env, _ = done
+                        begin += i
+                        break
+                    if s.__class__ is not list_:
+                        s = [c, i, s]
+                        marks += 1
+            if cls is App_:
+                arg = t.arg
+                if arg.__class__ is Var_:
+                    name, e = arg.name, env
+                    while e[0] != name:
+                        e = e[2]
+                    s = e[1], s
                 else:
-                    k = 2
-            visible.append((i, labels[k]))
-            top = closures[k]
-            if top is None:
-                return "terminated", t, env, rest, i + 1, visible, read
-            t, env = top
-            s = rest
-    return "fuel", t, env, s, fuel, visible, read
+                    s = (arg, env), s
+                t = t.fun
+            elif cls is Abs_:
+                if s.__class__ is not tuple_:
+                    if s.__class__ is list_:  # a thunk's value: record it
+                        c, start, s = s
+                        memo[id(c)] = i - start, t, env, c  # holding c keeps id(c) unused
+                        marks -= 1
+                    if s.__class__ is not tuple_:
+                        if s.head is None:
+                            return "stuck", t, env, s, i, visible, read
+                        s = (s.head, None), s.tail
+                top, s = s
+                env = (t.param, top, env)
+                t = t.body
+            else:
+                if marks:  # a save, restore or visible step ends the thunks under way
+                    s = _unmarked(s, marks)
+                    marks = 0
+                if cls is Kont_ or cls is Captured_ or t is CALLCC_:
+                    if s.__class__ is tuple_:
+                        top, rest = s
+                    elif s.head is None:
+                        return "stuck", t, env, s, i, visible, read
+                    else:
+                        top, rest = (s.head, None), s.tail
+                    # restore a continuation's stack, or save the rest (cc)
+                    s = t.stack if t is not CALLCC_ else ((Captured_(rest), None), rest)
+                    t, env = top
+                    continue
+                moves = None if source is None else effect_(t, s)
+                if moves is None:
+                    return "stuck", t, env, s, i, visible, read
+                labels, closures, rest = moves
+                k = 0
+                if labels is READS_:
+                    if read < size:
+                        k = source[read] == "1"  # False or True: branch 0 or 1
+                        read += 1
+                    elif pause:
+                        return "input", t, env, s, i, visible, read
+                    else:
+                        k = 2
+                visible.append((i, labels[k]))
+                top = closures[k]
+                if top is None:
+                    return "terminated", t, env, rest, i + 1, visible, read
+                t, env = top
+                s = rest
+        else:
+            if marks:
+                s = _unmarked(s, marks)
+            return "fuel", t, env, s, fuel, visible, read
 
 
 def _check_bound(value: int, name: str = "fuel") -> None:

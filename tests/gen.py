@@ -207,6 +207,16 @@ def random_context(rng: random.Random, size: int = 12) -> ExecutionContext:
                             random_bits(rng), random_bits(rng))
 
 
+def assert_no_mark(s) -> None:
+    """Closure stack s, as `machine._iterate` returns it, is a chain of
+    (closure, rest) cells over a `Stack`: it holds none of the marks the
+    loop keeps while it evaluates a thunk."""
+    while s.__class__ is tuple:
+        closure, s = s
+        assert closure.__class__ is tuple and len(closure) == 2, closure
+    assert s.__class__ is Stack, s
+
+
 def matching_clauses(c: ExecutionContext) -> list[Action]:
     """The labels of the seven execution clauses whose side conditions
     hold on c, each clause tested on its own, for overlap checking."""

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -6,11 +7,14 @@ import hypothesis.strategies as st
 
 import gen
 import reference_machine as reference
-from kamio.combinators import B, H, S, W, Y, compile_function, decode_numeral
+from kamio.combinators import (
+    B, C, H, PRELUDE_SOURCE, S, W, Y, compile_function, decode_numeral, prelude_definitions,
+    resolve_names,
+)
 from kamio.equivalence import observable
 from kamio.machine import (
-    DEFAULT_FUEL, Action, ExecutionContext, _ENDS, _READS, _WRITES0, _WRITES1, _Captured,
-    _effect, _iterate, _read_back, bin_nat,
+    DEFAULT_FUEL, Action, ExecutionContext, RunResult, _ENDS, _READS, _WRITES0, _WRITES1,
+    _Captured, _effect, _iterate, _read_back, bin_nat,
     eval_step, exec_step, exec_step_labeled, lts_step, nat_of_bin, run, settle,
     settled_moves, successor,
 )
@@ -629,6 +633,8 @@ def assert_same_stop(p, fuel, source):
     its step count and its visible trace are the reference trace's."""
     got = _iterate(p.term, None, p.stack, fuel, source)
     expected = reference._iterate(p, fuel, source)
+    if got[0] != "terminated":
+        gen.assert_no_mark(got[3])
     outcome = expected[0]
     if outcome == "stuck" and expected[4] == fuel:
         outcome = "fuel"
@@ -672,11 +678,56 @@ ITERATE_EDGE_CASES = [
 ]
 
 
+# A variable bound to an application (a thunk) whose evaluation reads a
+# bit, writes a bit, runs `cc` or restores a continuation before it
+# reaches its value, and which is entered again: that evaluation may not
+# be replayed.
+THUNK_EFFECT_CASES = [
+    pytest.param(r"(\x. x (x end)) (read (\y. y) (\y. y) (\y. y)) * nil", "01", id="reads"),
+    pytest.param(r"(\x. x (x end)) (write0 (\y. y)) * nil", "", id="writes"),
+    pytest.param(r"(\x. x (x end)) (cc (\k. k (\y. y))) * nil", "", id="saves"),
+    pytest.param(r"(\x. x (x end)) ((\y. y) kont{nil}) * nil", "", id="restores"),
+]
+
+DOUBLE = parse_term(resolve_names(r"\n. n (\m. S (S m)) #0", prelude_definitions(PRELUDE_SOURCE)))
+
+
+def assert_run_matches_reference_at_every_fuel(c, names):
+    """`run(c, k)` is the reference run at fuel k, for every k up to the
+    steps of c's run plus one, and with `names` its final process prints
+    as the reference's.  The reference is walked once, by
+    `reference.exec_step_labeled`: its run at fuel k stops at the k-th
+    context of the walk, or at the last, and says "fuel" before the
+    walk's last step.  So each fuel costs one `run`, not a reference
+    run too: `assert_iterate_matches_reference` took 5 to 15 s on each
+    of these runs of 900 to 1,900 steps."""
+    contexts, actions = [c], []
+    while contexts[-1].process is not TOP:
+        step = reference.exec_step_labeled(contexts[-1])
+        if step is None:
+            break
+        actions.append(step[0])
+        contexts.append(step[1])
+    n = len(actions)
+    end = "terminated" if contexts[n].process is TOP else "stuck"
+    visible = tuple((i, a) for i, a in enumerate(actions) if a is not Action.TAU)
+    assert reference.run(c, n) == RunResult(end, contexts[n], n, visible)
+    for k in range(n + 2):
+        last = min(k, n)
+        expected = RunResult(end if k >= n else "fuel", contexts[last], last,
+                             tuple((i, a) for i, a in visible if i < last))
+        got = run(c, k)
+        assert got == expected, (pretty(c.process), c.input, k)
+        if names:
+            assert pretty(got.final.process) == pretty(expected.final.process)
+
+
 class TestIterate:
     """`_iterate`, a loop over `range(fuel)` with no stuck test after it,
     against the loop it replaced, and `run`, `settle` and
     `settled_moves`, which say "stuck" at the budget's end, against
-    their oracles."""
+    their oracles.  Compiled programs enter thunks again and again, so
+    there `_iterate` replays evaluations it has recorded."""
 
     @given(st.one_of(gen.processes(), gen.silent_loops()), st.text("01", max_size=4))
     def test_matches_reference_at_every_fuel(self, p, bits):
@@ -699,11 +750,43 @@ class TestIterate:
         # reads one of four bits, writes its complement and ends
         pytest.param(parse_process("read (write1 end) (write0 end) end * nil"), "0110",
                      id="reads-one-of-four"),
+        pytest.param(compile_function(B), "11", id="B-bin3"),
     ])
     def test_matches_reference_on_compiled_programs(self, program, bits):
         assert_iterate_matches_reference(program, bits, DEFAULT_FUEL)
         c = ExecutionContext(program, bits)
         assert run(c) == reference.run(c)
+
+    @pytest.mark.parametrize("program, n", [
+        pytest.param(compile_function(t), n, id=f"{name}-bin{n}")
+        for name, t in (("B", B), ("C", C), ("double", DOUBLE)) for n in (3, 4, 5)])
+    def test_replayed_runs_match_reference_at_every_fuel(self, program, n):
+        # some replays end exactly at the budget and some would overrun it
+        assert_run_matches_reference_at_every_fuel(ExecutionContext(program, bin_nat(n)),
+                                                   names=n == 3)
+
+    @pytest.mark.parametrize("text, bits", THUNK_EFFECT_CASES)
+    def test_thunk_evaluations_with_effects_match_reference(self, text, bits):
+        for source in {"", "0", "1", bits}:
+            assert_iterate_matches_reference(parse_process(text), source)
+
+    def test_tail_called_thunks_keep_memory_flat(self):
+        # each entry of a thunk here is the tail call of the one before,
+        # so the first entry's mark stands for all of them
+        c = ExecutionContext(Pair(Y, stack_of(parse_term(r"\x. x"))))
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = run(c, 200_000)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert (result.outcome, result.steps) == ("fuel", 200_000)
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("text", [t for t in ITERATE_EDGE_CASES if t != OMEGA])
     def test_fuel_above_maxsize(self, text):

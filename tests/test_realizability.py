@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 import gen
 import reference_machine as reference
 from kamio.combinators import R as READER
-from kamio.combinators import F, S, W, Y, compile_function
+from kamio.combinators import B, F, S, W, Y, compile_function
 from kamio.equivalence import weak_bisim
 from kamio.machine import (
     Action, ExecutionContext, _Captured, _resume, _runs_on_inputs, bin_nat, eval_step, run,
@@ -279,6 +279,23 @@ class TestRunsOnInputs:
         assert _resume(paused, "", False, ())[:2] == ("terminated", (Action.REPS, Action.E))
         assert TracePole(COPY, 3).member(CC_COPY) == Verdict.verified(sampled=True)
 
+    def test_compiled_program(self):
+        # the reader enters thunks between its reads, so each paused read
+        # had marks to drop first
+        p = compile_function(B)
+        longest = run(ExecutionContext(p, "111"), 100_000)
+        assert longest.terminated
+        for fuel in (0, 1, 40, longest.steps // 2, longest.steps - 1, longest.steps, 100_000):
+            assert list(_runs_on_inputs(p, 3, fuel)) == runs_one_by_one(p, 3, fuel)
+        work, paused = [("", (p.term, None, p.stack, 100_000))], 0
+        while work:
+            bits, state = work.pop()
+            gen.assert_no_mark(state[2])
+            paused += 1
+            if len(bits) < 3:
+                work += [(bits + bit, _resume(state, bit, True, ())[2]) for bit in "01"]
+        assert paused == 15
+
     def test_top(self):
         assert list(_runs_on_inputs(TOP, 2, 0)) == [
             (bits, "terminated", ()) for bits in all_inputs(2)]
@@ -428,6 +445,55 @@ class TestConnectives:
         psi = TruthValue.of([EMPTY])
         out = implication(RealizerList.of([END]), psi)
         assert out.stacks == (stack_of(END),)
+
+
+STACK_POOL = (EMPTY, stack_of(END), stack_of(CALLCC), stack_of(FST, END))
+
+
+@st.composite
+def predicates(draw, indices):
+    """A predicate on `indices` whose rows are drawn from four stacks."""
+    return Predicate.of({i: TruthValue.of(draw(st.lists(st.sampled_from(STACK_POOL), max_size=4)),
+                                          draw(st.booleans()))
+                         for i in indices})
+
+
+@st.composite
+def composable_maps(draw):
+    """Finite maps f: K -> J and g: J -> I, with the three index sets."""
+    i_set = [f"i{n}" for n in range(draw(st.integers(1, 3)))]
+    j_set = [f"j{n}" for n in range(draw(st.integers(1, 4)))]
+    k_set = [f"k{n}" for n in range(draw(st.integers(0, 5)))]
+    f = {k: draw(st.sampled_from(j_set)) for k in k_set}
+    g = {j: draw(st.sampled_from(i_set)) for j in j_set}
+    return f, g, k_set, j_set, i_set
+
+
+def as_stack_sets(phi):
+    """phi's rows compared as sets of stacks, with their sample flags."""
+    return {i: (frozenset(phi(i).stacks), phi(i).all_stacks) for i in phi.index_set}
+
+
+class TestFunctoriality:
+    """Reindexing and universal quantification are functors: an identity
+    map gives the predicate back, and a composite map gives what the two
+    maps give one after the other, on random finite maps and predicates."""
+
+    @given(composable_maps(), st.data())
+    def test_reindex(self, maps, data):
+        f, g, k_set, _, i_set = maps
+        phi = data.draw(predicates(i_set))
+        assert as_stack_sets(reindex({i: i for i in i_set}, phi)) == as_stack_sets(phi)
+        assert as_stack_sets(reindex({k: g[f[k]] for k in k_set}, phi)) == \
+            as_stack_sets(reindex(f, reindex(g, phi)))
+
+    @given(composable_maps(), st.data())
+    def test_forall_along(self, maps, data):
+        f, g, k_set, j_set, i_set = maps
+        theta = data.draw(predicates(k_set))
+        assert as_stack_sets(forall_along({k: k for k in k_set}, theta)) == as_stack_sets(theta)
+        assert as_stack_sets(forall_along({k: g[f[k]] for k in k_set}, theta, i_set)) == \
+            as_stack_sets(forall_along(g, forall_along(f, theta, j_set), i_set))
 
 
 def simple_sequent(pole_seed, context_lists, conclusion_stacks, candidate):
