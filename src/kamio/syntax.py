@@ -10,10 +10,12 @@ one, and `str` and `repr` print through `pretty`.  Each term and stack
 node gets its hash when it is built, from its children's hashes and
 never from names, so alpha-equivalent values hash alike; a pair hashes
 on demand.  The tokenizer returns each token as a plain string, and a
-token's offset is worked out only when a `ParseError` is raised.
-Parsing, equality and printing walk explicit work lists or
-frame stacks, so nesting depth does not limit them; `substitute` still
-recurses, and only `equivalence.beta_contract` calls it.
+token's offset is worked out only when a `ParseError` is raised.  A
+parse shares one `Var` per name and one numeral per `#n`.  Parsing,
+equality and printing walk explicit work lists or frame stacks, so
+nesting depth does not limit them, and `==` is linear in binder depth;
+`substitute` still recurses, and only `equivalence.beta_contract` calls
+it.
 
 The concrete grammar (comments run from ``--`` to end of line)::
 
@@ -280,70 +282,86 @@ TOP = _Top()
 # Alpha-equivalence
 
 
-_NO_ENV: dict[str, int] = {}
-
-
 def _same(x, y) -> bool:
     """x and y (two terms, two stacks, or two pairs) are equal up to the
     names of bound variables.
 
-    One walk over node pairs from an explicit work list.  Each side has a
-    map from a bound name to the depth of its binder; depths grow in
-    lockstep, so shadowed names never collide.  Stack entries are closed
-    and are compared with empty maps, as is any pair of closed terms, where
-    one shared node is equal to itself.  Hashes leave names out, so the
-    first pair of nodes whose hashes differ settles the answer.  Two
-    pairs are checked on the hashes of both heads and both stacks before
-    either part is walked: a `Pair` stores no hash, and two pairs often
-    hold equal heads, built apart, over stacks that differ.  A pair
-    of nodes compared with empty maps is compared once: values share
-    nodes (`cc` saves a stack that it also keeps as the tail), and
-    walking every path would take time exponential in the sharing."""
-    work = [(x, y, _NO_ENV, _NO_ENV, 0)]
+    One walk over node pairs from an explicit work list.  Each side has
+    one map from a bound name to the depth of its binder, set in place at
+    a pair of binders and put back by an item pushed under their bodies,
+    so the walk is linear in binder depth; depths grow in lockstep, so
+    shadowed names never collide.  Stack entries are closed and are
+    compared at depth 0, as is any pair of closed terms, where one shared
+    node is equal to itself.  Hashes leave names out, so the first pair
+    of nodes whose hashes differ settles the answer.  Two pairs are
+    checked on the hashes of both heads and both stacks before either
+    part is walked: a `Pair` stores no hash, and two pairs often hold
+    equal heads, built apart, over stacks that differ.  A pair of nodes
+    compared at depth 0 is compared once: values share nodes (`cc` saves
+    a stack that it also keeps as the tail), and walking every path would
+    take time exponential in the sharing."""
+    work = [(x, y, 0)]
     pop, push = work.pop, work.append
+    ma: dict[str, int] = {}
+    mb: dict[str, int] = {}
     done: set[tuple[int, int]] = set()
     while work:
-        a, b, ea, eb, depth = pop()
+        a, b, depth = pop()
         cls = a.__class__
         if cls is not b.__class__:
-            return False
+            if b is not None:
+                return False
+            pa, oa, pb, ob = a  # two binders' bodies are done: put their names back
+            if oa is None:
+                del ma[pa]
+            else:
+                ma[pa] = oa
+            if ob is None:
+                del mb[pb]
+            else:
+                mb[pb] = ob
+            continue
         if cls is Pair:
             if a.term._hash != b.term._hash or a.stack._hash != b.stack._hash:
                 return False
-            push((a.stack, b.stack, _NO_ENV, _NO_ENV, 0))
-            push((a.term, b.term, _NO_ENV, _NO_ENV, 0))
+            push((a.stack, b.stack, 0))
+            push((a.term, b.term, 0))
             continue
-        if ea is not eb and not a.fvs and not b.fvs:
-            ea = eb = _NO_ENV
-        if a is b and ea is eb:
+        if depth and not a.fvs and not b.fvs:
+            depth = 0
+        if a is b and not depth:
             continue
         if a._hash != b._hash:
             return False
-        if ea is _NO_ENV and eb is _NO_ENV:
+        if not depth:
             size = len(done)
             done.add((id(a), id(b)))  # one hash: an unchanged size is a repeat
             if len(done) == size:
                 continue
         if cls is App:
-            push((a.arg, b.arg, ea, eb, depth))
-            push((a.fun, b.fun, ea, eb, depth))
+            push((a.arg, b.arg, depth))
+            push((a.fun, b.fun, depth))
         elif cls is Var:
-            da = ea.get(a.name)
-            db = eb.get(b.name)
+            da = ma.get(a.name)
+            db = mb.get(b.name)
             if da != db or (da is None and a.name != b.name):
                 return False
         elif cls is Abs:
-            push((a.body, b.body, {**ea, a.param: depth}, {**eb, b.param: depth}, depth + 1))
+            pa, pb = a.param, b.param
+            if work:  # the work under the bodies needs the names as they were
+                push(((pa, ma.get(pa), pb, mb.get(pb)), None, 0))
+            ma[pa] = mb[pb] = depth
+            push((a.body, b.body, depth + 1))
         elif cls is Const:
             if a.kind != b.kind:
                 return False
         elif cls is Kont:
-            push((a.stack, b.stack, _NO_ENV, _NO_ENV, 0))
+            push((a.stack, b.stack, 0))
         elif a._len != b._len:  # two stacks
             return False
         elif a._len:
-            push((a.tail, b.tail, _NO_ENV, _NO_ENV, 0))
-            push((a.head, b.head, _NO_ENV, _NO_ENV, 0))
+            push((a.tail, b.tail, 0))
+            push((a.head, b.head, 0))
     return True
 
 
@@ -559,11 +577,9 @@ def _fail(text: str, tokens: list[str], pos: int, message: str, expected: tuple[
                  f"{message}, found {tokens[pos] or 'end of input'!r}", expected)
 
 
-def _expect(text: str, tokens: list[str], pos: int, value: str) -> int:
-    """The position after tokens[pos], which must be the punctuation `value`."""
-    if tokens[pos] != value:
-        _fail(text, tokens, pos, f"expected {value!r}", (value,))
-    return pos + 1
+def _expect(text: str, tokens: list[str], pos: int, value: str):
+    """Raise the error for tokens[pos], which is not the punctuation `value`."""
+    _fail(text, tokens, pos, f"expected {value!r}", (value,))
 
 
 def _finish(text: str, tokens: list[str], pos: int, result):
@@ -571,6 +587,12 @@ def _finish(text: str, tokens: list[str], pos: int, result):
         raise _error(text, _offset(text, pos), f"unexpected trailing input {tokens[pos]!r}",
                      ("end of input",))
     return result
+
+
+# The tokens that start no argument after an atom, but for numbers:
+# `_TOKEN_RE`'s punctuation other than '(' and '#', end of input, and the
+# reserved words that are no term.
+_NO_ARGUMENT = frozenset((")", "{", "}", "::", "*", ".", "\\", "", "nil", "TOP"))
 
 
 def _parse(text: str, goal: str):
@@ -587,7 +609,8 @@ def _parse(text: str, goal: str):
     application.  `entries` is the list of the stack being read, or None
     while a term is read outside any stack.  A token is a plain string,
     so its kind is read from the string, and its offset is found only
-    for an error."""
+    for an error.  Terms are immutable, so a parse shares one `Var` per
+    name and one numeral per `#n`."""
     tokens = _tokenize(text)
     if goal in ("process", "any") and tokens[0] == "TOP":
         return _finish(text, tokens, 1, TOP)
@@ -597,78 +620,98 @@ def _parse(text: str, goal: str):
     binders: list[str] = []
     app = None  # the application read so far in the innermost term
     head = None  # a process's term, once its '*' is read
+    names: dict[str, Var] = {}  # each variable name met so far, to its one Var
+    numerals: dict[str, Term] = {}  # the digits of each `#n` read so far, to its numeral
     # `_tokenize` has rejected every non-ASCII character outside comments,
     # so on a token `isidentifier` and `isdigit` hold exactly for the
     # identifiers and the numbers of `_TOKEN_RE`.
     while True:
         value = tokens[pos]
-        if app is None and not binders and entries is not None and value == "nil":
+        while value == "\\":  # only where a term starts: '\' starts no argument
+            name = tokens[pos + 1]
+            if name not in names:
+                if not name.isidentifier():
+                    _fail(text, tokens, pos + 1, "expected a variable name", ("identifier",))
+                if name in RESERVED:
+                    raise _error(text, _offset(text, pos + 1),
+                                 f"reserved word {name!r} cannot be a variable name",
+                                 ("identifier",))
+                names[name] = Var(name)
+            binders.append(name)
+            if tokens[pos + 2] != ".":
+                _expect(text, tokens, pos + 2, ".")
+            pos += 3
+            value = tokens[pos]
+        t = names.get(value)
+        if t is not None:
+            pos += 1
+        elif value == "(":
+            pos += 1
+            frames.append((")", entries, binders, app))
+            entries, binders, app = None, [], None
+            continue
+        elif value == "#":
+            digits = tokens[pos + 1]
+            t = numerals.get(digits)
+            if t is None:
+                if not digits.isdigit():
+                    _fail(text, tokens, pos + 1, "expected a number after '#'", ("natural number",))
+                t = numerals[digits] = church_numeral(int(digits))
+            pos += 2
+        elif value in _KEYWORD_TERMS:
+            t = _KEYWORD_TERMS[value]
+            pos += 1
+        elif value.isidentifier() and value not in RESERVED:
+            t = names[value] = Var(value)
+            pos += 1
+        elif value == "nil" and not binders and entries is not None:
             pos += 1
             stack = stack_of(*entries)
             if not frames:
                 return _finish(text, tokens, pos, stack if head is None else Pair(head, stack))
             closer, entries, binders, app = frames.pop()
-            pos = _expect(text, tokens, pos, closer)
+            if tokens[pos] != closer:
+                _expect(text, tokens, pos, closer)
+            pos += 1
             t = Kont(stack)
+        elif value == "kont":
+            if tokens[pos + 1] != "{":
+                _expect(text, tokens, pos + 1, "{")
+            pos += 2
+            frames.append(("}", entries, binders, app))
+            entries, binders, app = [], [], None
+            continue
+        elif value == "nil" or value == "TOP":
+            raise _error(text, _offset(text, pos), f"reserved word {value!r} is not a term",
+                         (_ATOM_STARTERS,))
         else:
-            if app is None:
-                while value == "\\":
-                    value = tokens[pos + 1]
-                    if not value.isidentifier():
-                        _fail(text, tokens, pos + 1, "expected a variable name", ("identifier",))
-                    if value in RESERVED:
-                        raise _error(text, _offset(text, pos + 1),
-                                     f"reserved word {value!r} cannot be a variable name",
-                                     ("identifier",))
-                    binders.append(value)
-                    pos = _expect(text, tokens, pos + 2, ".")
-                    value = tokens[pos]
-            if value.isidentifier() and value not in RESERVED:
-                t = Var(value)
-                pos += 1
-            elif value in _KEYWORD_TERMS:
-                t = _KEYWORD_TERMS[value]
-                pos += 1
-            elif value == "kont":
-                pos = _expect(text, tokens, pos + 1, "{")
-                frames.append(("}", entries, binders, app))
-                entries, binders, app = [], [], None
-                continue
-            elif value == "(":
-                pos += 1
-                frames.append((")", entries, binders, app))
-                entries, binders, app = None, [], None
-                continue
-            elif value == "#":
-                if not tokens[pos + 1].isdigit():
-                    _fail(text, tokens, pos + 1, "expected a number after '#'", ("natural number",))
-                t = church_numeral(int(tokens[pos + 1]))
-                pos += 2
-            elif value == "nil" or value == "TOP":
-                raise _error(text, _offset(text, pos), f"reserved word {value!r} is not a term",
-                             (_ATOM_STARTERS,))
-            else:
-                _fail(text, tokens, pos, "expected a term", (_ATOM_STARTERS,))
+            _fail(text, tokens, pos, "expected a term", (_ATOM_STARTERS,))
         while True:  # t is an atom: apply to it, then close each term that ends here
             app = t if app is None else App(app, t)
             value = tokens[pos]
-            if value.isidentifier() and value != "nil" and value != "TOP" or value in ("(", "#"):
+            if value not in _NO_ARGUMENT and not value.isdigit():
                 break
             t = app
             while binders:
                 t = Abs(binders.pop(), t)
             app = None
             if entries is not None:
-                pos = _expect(text, tokens, pos, "::")
+                if value != "::":
+                    _expect(text, tokens, pos, "::")
+                pos += 1
                 entries.append(t)
                 break
             if frames:
                 closer, entries, binders, app = frames.pop()
-                pos = _expect(text, tokens, pos, closer)
+                if value != closer:
+                    _expect(text, tokens, pos, closer)
+                pos += 1
                 continue
             if goal == "term" or goal == "any" and value != "*":
                 return _finish(text, tokens, pos, t)
-            pos = _expect(text, tokens, pos, "*")
+            if value != "*":
+                _expect(text, tokens, pos, "*")
+            pos += 1
             head, entries = t, []
             break
 

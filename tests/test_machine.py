@@ -611,26 +611,62 @@ class TestClosureMachine:
         assert result.final.process == Pair(Abs("x", body), stack_of(END))
 
 
+def reference_walk(c, fuel):
+    """The reference's run of c at `fuel`, walked once by
+    `reference.exec_step_labeled`: (contexts, actions, outcome), with at
+    most `fuel` actions.  `walked_run` reads its run at any fuel up to
+    `fuel` off the walk, so a check at every fuel costs one reference
+    walk, not one reference run per fuel."""
+    contexts, actions = [c], []
+    while len(actions) < fuel and contexts[-1].process is not TOP:
+        step = reference.exec_step_labeled(contexts[-1])
+        if step is None:
+            break
+        actions.append(step[0])
+        contexts.append(step[1])
+    outcome = ("terminated" if contexts[-1].process is TOP
+               else "stuck" if reference.exec_step_labeled(contexts[-1]) is None else "fuel")
+    walk = contexts, actions, outcome
+    assert walked_run(walk, fuel)[0] == reference.run(c, fuel)
+    return walk
+
+
+def walked_run(walk, fuel):
+    """(`reference.run(c, fuel)`, `reference.run_trace(c, fuel)`'s trace)
+    for the walk of c: the run stops at the walk's context number `fuel`,
+    or at its last, and says "fuel" before the walk's last step."""
+    contexts, actions, outcome = walk
+    n = len(actions)
+    assert fuel <= n or outcome != "fuel", "the walk stops short of this fuel"
+    trace = tuple(actions[:fuel])
+    visible = tuple((i, a) for i, a in enumerate(trace) if a is not Action.TAU)
+    return RunResult(outcome if fuel >= n else "fuel", contexts[len(trace)], len(trace),
+                     visible), trace
+
+
 def assert_iterate_matches_reference(p, bits, limit=200):
     """At every fuel from 0 to the steps of p's chain (at most `limit`)
-    plus one, with `bits` as input and without input, `assert_same_stop`."""
+    plus one, with `bits` as input and without input, `assert_same_stop`,
+    with the reference's runs on `bits` taken from one walk."""
     for source in (None, bits):
         last = reference._iterate(p, limit, source)[4]
+        walk = None if source is None else reference_walk(ExecutionContext(p, source), last + 1)
         for fuel in range(last + 2):
-            assert_same_stop(p, fuel, source)
+            assert_same_stop(p, fuel, source, walk)
 
 
-def assert_same_stop(p, fuel, source):
+def assert_same_stop(p, fuel, source, walk=None):
     """`_iterate` stops where the loop it replaced stops
     (`reference._iterate`): the same outcome, steps, visible steps and
     bits read, and a state that reads back to the same process, name for
     name.  One outcome is mapped: where the reference is stuck after
     `fuel` steps, `_iterate` says "fuel", and it says "stuck" only after
     fewer steps.  The public results at that fuel still say "stuck"
-    there: `run` matches the reference `run` given `source`, and
-    without it `settle` matches the reference `settle` and the labels
-    of `settled_moves` the reference `observable`; the trace `run` builds,
-    its step count and its visible trace are the reference trace's."""
+    there: `run` matches the reference `run` given `source`, read off
+    `walk` (walked here if None), and without it `settle` matches the
+    reference `settle` and the labels of `settled_moves` the reference
+    `observable`; the trace `run` builds, its step count and its visible
+    trace are the reference trace's."""
     got = _iterate(p.term, None, p.stack, fuel, source)
     expected = reference._iterate(p, fuel, source)
     if got[0] != "terminated":
@@ -646,10 +682,10 @@ def assert_same_stop(p, fuel, source):
         assert pretty(got) == pretty(expected)
     if source is not None:
         c = ExecutionContext(p, source)
-        got, expected = run(c, fuel), reference.run(c, fuel)
+        expected, trace = walked_run(walk or reference_walk(c, fuel), fuel)
+        got = run(c, fuel)
         assert got == expected, (pretty(p), fuel, source)
         assert pretty(got.final.process) == pretty(expected.final.process)
-        trace = reference.run_trace(c, fuel)[2]
         assert got.trace == trace and got.steps == len(trace)
         assert got.visible_trace() == tuple([a for a in trace if a is not Action.TAU])
         return
@@ -695,27 +731,13 @@ DOUBLE = parse_term(resolve_names(r"\n. n (\m. S (S m)) #0", prelude_definitions
 def assert_run_matches_reference_at_every_fuel(c, names):
     """`run(c, k)` is the reference run at fuel k, for every k up to the
     steps of c's run plus one, and with `names` its final process prints
-    as the reference's.  The reference is walked once, by
-    `reference.exec_step_labeled`: its run at fuel k stops at the k-th
-    context of the walk, or at the last, and says "fuel" before the
-    walk's last step.  So each fuel costs one `run`, not a reference
-    run too: `assert_iterate_matches_reference` took 5 to 15 s on each
-    of these runs of 900 to 1,900 steps."""
-    contexts, actions = [c], []
-    while contexts[-1].process is not TOP:
-        step = reference.exec_step_labeled(contexts[-1])
-        if step is None:
-            break
-        actions.append(step[0])
-        contexts.append(step[1])
-    n = len(actions)
-    end = "terminated" if contexts[n].process is TOP else "stuck"
-    visible = tuple((i, a) for i, a in enumerate(actions) if a is not Action.TAU)
-    assert reference.run(c, n) == RunResult(end, contexts[n], n, visible)
-    for k in range(n + 2):
-        last = min(k, n)
-        expected = RunResult(end if k >= n else "fuel", contexts[last], last,
-                             tuple((i, a) for i, a in visible if i < last))
+    as the reference's.  The reference is walked once (`reference_walk`),
+    so each fuel costs one `run`, not a reference run too: a reference
+    run per fuel took 5 to 15 s on each of these runs of 900 to 1,900
+    steps."""
+    walk = reference_walk(c, DEFAULT_FUEL)
+    for k in range(len(walk[1]) + 2):
+        expected = walked_run(walk, k)[0]
         got = run(c, k)
         assert got == expected, (pretty(c.process), c.input, k)
         if names:

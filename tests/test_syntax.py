@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 
 import hypothesis.strategies as st
@@ -131,6 +132,37 @@ class TestParseTerm:
         with pytest.raises(ParseError) as info:
             parse_term(text)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("goal, text, message", [
+        ("term", "x 5", "1:3: unexpected trailing input '5' (expected end of input)"),
+        ("term", "x {", "1:3: unexpected trailing input '{' (expected end of input)"),
+        ("term", "x .", "1:3: unexpected trailing input '.' (expected end of input)"),
+        ("term", "#x", "1:2: expected a number after '#', found 'x' (expected natural number)"),
+        ("term", "x nil", "1:3: unexpected trailing input 'nil' (expected end of input)"),
+        ("term", "x TOP", "1:3: unexpected trailing input 'TOP' (expected end of input)"),
+        ("term", "kont x", "1:6: expected '{', found 'x' (expected {)"),
+        ("term", "\\nil. x",
+         "1:2: reserved word 'nil' cannot be a variable name (expected identifier)"),
+        ("stack", "end 5 :: nil", "1:5: expected '::', found '5' (expected ::)"),
+        ("process", "end . nil", "1:5: expected '*', found '.' (expected *)"),
+        ("term", "(end 5)", "1:6: expected ')', found '5' (expected ))"),
+        ("term", "kont{end :: nil x", "1:17: expected '}', found 'x' (expected })"),
+    ], ids=["number-after-atom", "brace-after-atom", "dot-after-atom", "hash-name",
+            "nil-after-atom", "top-after-atom", "kont-without-brace", "nil-binder",
+            "number-in-stack", "dot-after-head", "number-in-parens", "name-after-kont-stack"])
+    def test_messages_after_an_atom(self, goal, text, message):
+        with pytest.raises(ParseError) as info:
+            _parse(text, goal)
+        assert str(info.value) == message
+
+    def test_one_node_per_name_and_numeral(self):
+        t = parse_term(r"(\x. x (\y. x y) y) #2 #2")
+        body = t.fun.fun.body
+        x, inner, y = body.fun.fun, body.fun.arg.body, body.arg
+        assert x is inner.fun and y is inner.arg
+        for numeral in (t.fun.arg, t.arg):
+            assert numeral == church_numeral(2)
+            assert pretty(numeral) == pretty(church_numeral(2))
 
 
 def parse_outcome(parse, *args):
@@ -403,6 +435,9 @@ class TestIdentity:
         assert inner != parse_term(r"\x. \y. x")
         assert parse_term(r"\x. \y. x y") != parse_term(r"\x. \y. y x")
         assert parse_term(r"\x. (\x. x) x") == parse_term(r"\y. (\x. x) y")
+        # a binder's name is unbound again, or bound as before, after its body
+        assert parse_term(r"(\z. z) z") == parse_term(r"(\w. w) z")
+        assert parse_term(r"\x. (\y. \x. x) x") == parse_term(r"\a. (\b. \c. c) a")
 
     def test_constants_compare_by_kind(self):
         assert Const("end") == END
@@ -507,6 +542,19 @@ class TestDeepIdentity:
         shadowed = lambda_chain(["x"] * DEEP, "x")
         assert shadowed == lambda_chain([f"c{i}" for i in range(DEEP)], f"c{DEEP - 1}")
         assert shadowed != lambda_chain(["y"] + ["x"] * (DEEP - 1), "y")
+
+    def test_long_lambda_chains_compare_in_linear_time(self):
+        # a walk that copies each side's binder map at every binder is
+        # quadratic in the depth: it took about 40 s here
+        left, right = [f"a{i}" for i in range(40_000)], [f"b{i}" for i in range(40_000)]
+        a, variant = lambda_chain(left, "a0"), lambda_chain(right, "b0")
+        # free innermost variables: equal hashes, so only the walk tells them apart
+        free_z, free_w = lambda_chain(left, "z"), lambda_chain(right, "w")
+        assert hash(free_z) == hash(free_w)
+        start = time.perf_counter()
+        assert a == variant
+        assert free_z != free_w
+        assert time.perf_counter() - start < 2
 
     def test_nested_continuations(self):
         a, b = nested_kont(DEEP, END), nested_kont(DEEP, END)
