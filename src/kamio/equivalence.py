@@ -171,13 +171,13 @@ def weak_bisim(p: Process, q: Process,
 def beta_redexes(host: Process) -> list[Position]:
     """Positions of all beta-redexes in host, in preorder left to right."""
     return [pos for pos, sub in subterms(host)
-            if sub.__class__ is App and sub.fun.__class__ is Abs]
+            if type(sub) is App and type(sub.fun) is Abs]
 
 
 def beta_contract(host: Process, at: Position) -> Process:
     """Contract the single beta-redex addressed by `at`."""
     redex = subterm_at(host, at)
-    if not (redex.__class__ is App and redex.fun.__class__ is Abs):
+    if not (type(redex) is App and type(redex.fun) is Abs):
         raise InvalidPosition(f"position {at!r} does not address a beta-redex")
     lam = redex.fun
     contracted = substitute(lam.body, lam.param, redex.arg)

@@ -215,7 +215,7 @@ def _effect(t: Term, s) -> tuple | None:
     if t is END:
         return _ENDS, (None,), None
     if t is WRITE0 or t is WRITE1:
-        if s.__class__ is not tuple:
+        if type(s) is not tuple:
             if s.head is None:
                 return None
             s = (s.head, None), s.tail
@@ -223,17 +223,17 @@ def _effect(t: Term, s) -> tuple | None:
         return (_WRITES0 if t is WRITE0 else _WRITES1), (top,), s
     if t is not READ:
         return None
-    if s.__class__ is not tuple:
+    if type(s) is not tuple:
         if s.head is None:
             return None
         s = (s.head, None), s.tail
     first, s = s
-    if s.__class__ is not tuple:
+    if type(s) is not tuple:
         if s.head is None:
             return None
         s = (s.head, None), s.tail
     second, s = s
-    if s.__class__ is not tuple:
+    if type(s) is not tuple:
         if s.head is None:
             return None
         s = (s.head, None), s.tail
@@ -253,7 +253,7 @@ def lts_step(p: Process) -> tuple[tuple[Action, Process], ...]:
     comprehension over `zip(labels, closures)` made a read head's call
     about 1.3x slower.  The silent one is `eval_step`'s.
     """
-    if p.__class__ is not Pair:
+    if type(p) is not Pair:
         return ()
     effect = _effect(p.term, p.stack)
     if effect is None:
@@ -294,7 +294,7 @@ def _read_back(t: Term, env, s) -> Pair:
     out: list = []
     work: list = [(_STACK, s)]
     pop, push = work.pop, work.append
-    if t.__class__ is not _Captured and (env is None or not t.fvs):
+    if type(t) is not _Captured and (env is None or not t.fvs):
         out.append(t)
     else:
         push((_CLOSURE, (t, env)))
@@ -305,7 +305,7 @@ def _read_back(t: Term, env, s) -> Pair:
             _, u, e = item
         elif tag is _CLOSURE or tag is _STACK:
             x = item[1]
-            if x.__class__ is Stack:
+            if type(x) is Stack:
                 out.append(x)
                 continue
             u, e = x  # an open closure (term, environment) or a cell (closure, rest)
@@ -316,12 +316,12 @@ def _read_back(t: Term, env, s) -> Pair:
             if tag is _STACK:  # a (closure, rest) cell
                 push((_CONS,))
                 push((_STACK, e))
-                if u[0].__class__ is not _Captured and (u[1] is None or not u[0].fvs):
+                if type(u[0]) is not _Captured and (u[1] is None or not u[0].fvs):
                     out.append(u[0])
                 else:
                     push((_CLOSURE, u))
                 continue
-            if u.__class__ is _Captured:
+            if type(u) is _Captured:
                 push((_KONT,))
                 push((_STACK, u.stack))
                 continue
@@ -342,7 +342,7 @@ def _read_back(t: Term, env, s) -> Pair:
                 memo[id(item[1])] = out[-1]
             continue
         # u, whose free variables are bound in e, is read back now
-        cls = u.__class__
+        cls = type(u)
         if cls is Var:
             name = u.name
             while e[0] != name:
@@ -350,7 +350,7 @@ def _read_back(t: Term, env, s) -> Pair:
             c = e[1]
             if c is None:  # bound inside the term being read back
                 out.append(u)
-            elif c[0].__class__ is not _Captured and (c[1] is None or not c[0].fvs):
+            elif type(c[0]) is not _Captured and (c[1] is None or not c[0].fvs):
                 out.append(c[0])
             else:
                 push((_CLOSURE, c))
@@ -384,7 +384,7 @@ def _unmarked(s, marks: int):
     below it are kept."""
     above = []
     while marks:
-        if s.__class__ is list:
+        if type(s) is list:
             s = s[2]
             marks -= 1
         else:
@@ -441,25 +441,26 @@ def _iterate(t: Term, env, s, fuel: int, source: str | None, pause: bool = False
     marks = begin = 0
     while True:
         for i in range(begin, fuel):
-            cls = t.__class__
+            # CPython 3.11 specializes type(t) (5.1 ns), not a load of the class attribute (11.6 ns)
+            cls = type(t)
             if cls is Var_:
                 name = t.name
                 while env[0] != name:
                     env = env[2]
                 t, env = c = env[1]
-                cls = t.__class__
+                cls = type(t)
                 if memo is not None and cls is App_:  # entering a thunk
                     done = memo.get(id(c))
                     if done is not None and i + done[0] <= fuel:
                         begin, t, env, _ = done
                         begin += i
                         break
-                    if s.__class__ is not list_:
+                    if type(s) is not list_:
                         s = [c, i, s]
                         marks += 1
             if cls is App_:
                 arg = t.arg
-                if arg.__class__ is Var_:
+                if type(arg) is Var_:
                     name, e = arg.name, env
                     while e[0] != name:
                         e = e[2]
@@ -468,12 +469,12 @@ def _iterate(t: Term, env, s, fuel: int, source: str | None, pause: bool = False
                     s = (arg, env), s
                 t = t.fun
             elif cls is Abs_:
-                if s.__class__ is not tuple_:
-                    if s.__class__ is list_:  # a thunk's value: record it
+                if type(s) is not tuple_:
+                    if type(s) is list_:  # a thunk's value: record it
                         c, start, s = s
                         memo[id(c)] = i - start, t, env, c  # holding c keeps id(c) unused
                         marks -= 1
-                    if s.__class__ is not tuple_:
+                    if type(s) is not tuple_:
                         if s.head is None:
                             return "stuck", t, env, s, i, visible, read
                         s = (s.head, None), s.tail
@@ -485,7 +486,7 @@ def _iterate(t: Term, env, s, fuel: int, source: str | None, pause: bool = False
                     s = _unmarked(s, marks)
                     marks = 0
                 if cls is Kont_ or cls is Captured_ or t is CALLCC_:
-                    if s.__class__ is tuple_:
+                    if type(s) is tuple_:
                         top, rest = s
                     elif s.head is None:
                         return "stuck", t, env, s, i, visible, read
@@ -523,7 +524,7 @@ def _iterate(t: Term, env, s, fuel: int, source: str | None, pause: bool = False
 def _check_bound(value: int, name: str = "fuel") -> None:
     """Reject, before any step, a bound (a fuel, or `weak_bisim`'s depth)
     that is not an int (TypeError; a bool is not one) or is negative (ValueError)."""
-    if value.__class__ is not int:
+    if type(value) is not int:
         raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
     if value < 0:
         raise ValueError(f"{name} must be non-negative")
@@ -535,7 +536,7 @@ def eval_step(p: Process) -> Process | None:
     of `_iterate` without input, read back, which is name for name the
     substitution machine's step.  `lts_step` and `settle`'s exact loop
     take their silent steps from it."""
-    if p.__class__ is not Pair:
+    if type(p) is not Pair:
         return None
     _, t, env, s, steps = _iterate(p.term, None, p.stack, 1, None)[:5]
     return _read_back(t, env, s) if steps else None

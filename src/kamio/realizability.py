@@ -63,7 +63,7 @@ class TruthValue(_Record):
     all_stacks: bool
 
     def __init__(self, stacks: tuple[Stack, ...], all_stacks: bool = False):
-        if all_stacks.__class__ is not bool:
+        if type(all_stacks) is not bool:
             raise ValueError(f"all_stacks must be true or false, got {all_stacks!r}")
         _set(self, "stacks", stacks)
         _set(self, "all_stacks", all_stacks)
@@ -195,7 +195,7 @@ class FunctionPole(Pole, _Record):
             raise ValueError("function pole table has no rows")
         previous = -1
         for n, m in table:
-            if n.__class__ is not int or m.__class__ is not int:
+            if type(n) is not int or type(m) is not int:
                 raise TypeError(f"function pole table rows must be integers, got {(n, m)!r}")
             if n < 0 or m < 0:
                 raise ValueError(f"function pole table row {n}: naturals required")
@@ -273,7 +273,7 @@ class TracePole(Pole, _Record):
         _check_bound(fuel)
         if spec not in (COPY, READ_ALL_THEN_WRITE):
             raise ValueError(f"unknown trace discipline {spec!r}")
-        if max_input_len.__class__ is not int:
+        if type(max_input_len) is not int:
             raise TypeError(f"max_input_len must be an integer, got {max_input_len!r}")
         if max_input_len < 0:
             raise ValueError(f"max_input_len must be non-negative, got {max_input_len}")
@@ -535,7 +535,7 @@ def _integer(value, name: str) -> int:
     """The integer a scenario gives for `name`: a JSON number with no
     fractional part.  Anything else raises ValueError, since `int` would
     truncate a fraction and read a boolean or a string as a number."""
-    if value.__class__ is int or (value.__class__ is float and value.is_integer()):
+    if type(value) is int or (type(value) is float and value.is_integer()):
         return int(value)
     raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
 

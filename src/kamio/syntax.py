@@ -307,8 +307,8 @@ def _same(x, y) -> bool:
     done: set[tuple[int, int]] = set()
     while work:
         a, b, depth = pop()
-        cls = a.__class__
-        if cls is not b.__class__:
+        cls = type(a)
+        if cls is not type(b):
             if b is not None:
                 return False
             pa, oa, pb, ob = a  # two binders' bodies are done: put their names back
@@ -383,7 +383,7 @@ def substitute(body: Term, name: str, arg: Term) -> Term:
     """Replace free occurrences of `name` in `body` by `arg`, avoiding capture."""
     if name not in body.fvs:
         return body
-    cls = body.__class__
+    cls = type(body)
     if cls is Var:
         return arg  # body.name == name, else fvs check above would fail
     if cls is App:
@@ -401,7 +401,7 @@ def effect_constants(x: Term | Stack | Process) -> frozenset[str]:
     """The instruction constants (read/write0/write1/end) occurring in x,
     including inside saved continuation stacks."""
     return frozenset(t.kind for _, t in subterms(x)
-                     if t.__class__ is Const and t is not CALLCC)
+                     if type(t) is Const and t is not CALLCC)
 
 
 def is_proof_like(t: Term) -> bool:
@@ -447,7 +447,7 @@ Position = tuple
 
 def _children(x) -> list[tuple]:
     """The (selector, child) pairs of x, left to right."""
-    cls = x.__class__
+    cls = type(x)
     if cls is App:
         return [("fun", x.fun), ("arg", x.arg)]
     if cls is Abs:
@@ -463,7 +463,7 @@ def _children(x) -> list[tuple]:
 
 def _with_child(host, step, new: Term):
     """host with the child that `step`, one of its selectors, replaced by new."""
-    cls = host.__class__
+    cls = type(host)
     if cls is App:
         return App(new, host.arg) if step == "fun" else App(host.fun, new)
     if cls is Abs:
@@ -743,7 +743,7 @@ def pretty(x: Term | Stack | Process) -> str:
     push = work.append
     while work:
         item = work.pop()
-        cls = item.__class__
+        cls = type(item)
         if cls is str:
             out.append(item)
         elif cls is Var:
@@ -758,12 +758,12 @@ def pretty(x: Term | Stack | Process) -> str:
             while cls is App:
                 parts.append(item.arg)
                 item = item.fun
-                cls = item.__class__
+                cls = type(item)
             parts.append(item)
             for i, part in enumerate(parts):
                 if i:
                     push(" ")
-                if part.__class__ in (Abs, App):
+                if type(part) in (Abs, App):
                     work += (")", part, "(")
                 else:
                     push(part)

@@ -33,7 +33,7 @@ class _Record:
         return tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
+        if type(other) is not type(self):
             return NotImplemented
         return self._values() == other._values()
 
@@ -42,7 +42,7 @@ class _Record:
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
+        return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

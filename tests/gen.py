@@ -217,6 +217,41 @@ def assert_no_mark(s) -> None:
     assert s.__class__ is Stack, s
 
 
+def same_names(x, y) -> bool:
+    """x and y (terms, stacks or processes) are equal name for name: the
+    same node classes, binder and variable names, constants and stack
+    entries, `Kont` stacks compared the same way.  It is at least as
+    strict as equal `pretty` output and stops at the first difference."""
+    work = [(x, y)]
+    while work:
+        a, b = work.pop()
+        if a is b:
+            continue
+        cls = type(a)
+        if cls is not type(b):
+            return False
+        if cls is Var:
+            if a.name != b.name:
+                return False
+        elif cls is Abs:
+            if a.param != b.param:
+                return False
+            work.append((a.body, b.body))
+        elif cls is App:
+            work += ((a.arg, b.arg), (a.fun, b.fun))
+        elif cls is Kont:
+            work.append((a.stack, b.stack))
+        elif cls is Stack:
+            if len(a) != len(b):
+                return False
+            work += zip(a, b)
+        elif cls is Pair:
+            work += ((a.stack, b.stack), (a.term, b.term))
+        else:  # a Const other than b, or TOP against another TOP
+            return False
+    return True
+
+
 def matching_clauses(c: ExecutionContext) -> list[Action]:
     """The labels of the seven execution clauses whose side conditions
     hold on c, each clause tested on its own, for overlap checking."""

@@ -1,5 +1,7 @@
 import json
+import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,8 @@ from kamio.combinators import R as READER
 from kamio.combinators import B, F, S, W, Y, compile_function
 from kamio.equivalence import weak_bisim
 from kamio.machine import (
-    Action, ExecutionContext, _Captured, _resume, _runs_on_inputs, bin_nat, eval_step, run,
+    Action, ExecutionContext, _Captured, _resume, _runs_on_inputs, bin_nat, eval_step,
+    nat_of_bin, run,
 )
 from kamio.realizability import (
     COPY, ContextEntry, FinitePole, FunctionPole, IDENTITY, Predicate,
@@ -317,6 +320,83 @@ class TestUnionPole:
         grower = parse_process(r"(\x. x x x) (\x. x x x) * nil")
         union = UnionPole((finite_pole("end * nil", fuel=1),))
         assert union.member(grower).is_unknown
+
+
+SWAP_PROCESS = Pair(Y, stack_of(parse_term(r"\x. read (write1 x) (write0 x) end")))
+ECHO = Pair(READER, stack_of(F, W, church_numeral(0)))
+
+
+def random_function_pole(rng):
+    """A function pole whose rows are those of a compiled function's own
+    runs, one of them sometimes off by one, and processes to test in it."""
+    member = compile_function(rng.choice((IDENTITY, S, B)))
+    rows = {n: nat_of_bin(run(ExecutionContext(member, bin_nat(n)), 10**5).final.output)
+            for n in rng.sample(range(4), rng.randrange(1, 3))}
+    if rng.random() < 0.3:
+        rows[rng.choice(list(rows))] += 1
+    return FunctionPole.of(rows), [member, compile_function(rng.choice((IDENTITY, S, B)))]
+
+
+def random_trace_pole(rng):
+    return (TracePole(rng.choice((COPY, READ_ALL_THEN_WRITE)), rng.randrange(4)),
+            [COPY_PROCESS, CC_COPY, SWAP_PROCESS, ECHO])
+
+
+def random_union_pole(rng):
+    (function_pole, some), (trace_pole, others) = random_function_pole(rng), random_trace_pole(rng)
+    return UnionPole((function_pole, trace_pole)), some + others
+
+
+def decided_from(pole, q, most):
+    """The least fuel at which the pole decides q, or `most` if it does
+    not decide q below it (a run's outcome does not change past its end)."""
+    low, high = 0, most
+    while low < high:
+        middle = (low + high) // 2
+        if pole.member(q, middle).is_unknown:
+            low = middle + 1
+        else:
+            high = middle
+    return low
+
+
+class TestSaturation:
+    """Every kind of pole, and what it refutes, is closed under
+    predecessors of effect-free evaluation: where eval_step(p) == q, p at
+    fuel F + 1 gets q's verdict at fuel F.  The budget is per row and per
+    input, and the silent step reads no input, so F + 1 is exact; the
+    thunk replay keeps step counts, so it does not change this.  q is a
+    member or non-member, or a state a few silent steps on from one; p is
+    q with END pushed under a binder (a pop) or with its top entry
+    applied (a push), as in `TestFinitePole::test_saturation`.  F is
+    random, or one below or at the least fuel that decides q."""
+
+    @pytest.mark.parametrize("build, seed, most", [
+        (random_function_pole, 1, 2000),
+        (random_trace_pole, 2, 400),
+        (random_union_pole, 3, 2000),
+    ], ids=["function", "trace", "union"])
+    def test_predecessors_keep_the_verdict(self, build, seed, most):
+        rng = random.Random(seed)
+        statuses = Counter()
+        for _ in range(100):
+            pole, members = build(rng)
+            q = rng.choice(members) if rng.random() < 0.75 else gen.random_process(rng)
+            for _ in range(rng.randrange(6)):
+                q = eval_step(q) or q
+            if not isinstance(q, Pair):
+                continue
+            decided = decided_from(pole, q, most)
+            fuel = rng.choice((rng.randrange(most), max(decided - 1, 0), decided))
+            expected = pole.member(q, fuel).status
+            predecessors = [Pair(Abs("w", q.term), q.stack.push(END))]
+            if not q.stack.is_empty:
+                predecessors.append(Pair(App(q.term, q.stack.head), q.stack.tail))
+            for p in predecessors:
+                assert eval_step(p) == q
+                assert pole.member(p, fuel + 1).status == expected, (p, fuel)
+            statuses[expected] += 1
+        assert statuses["verified"] >= 10 and statuses["refuted"] >= 10, statuses
 
 
 @pytest.mark.parametrize("build", [

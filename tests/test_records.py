@@ -8,6 +8,7 @@ equality, hash, repr, defaults and immutability.
 import dataclasses
 import importlib
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +45,17 @@ def test_import_generates_no_code():
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"kamio.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_class_tests_call_type():
+    # CPython 3.11 specializes the call type(x) but not a load of x's
+    # class attribute, and the closure loop tests a class on every step.
+    found = [f"src/kamio/{path.name}:{number}: {line.strip()}"
+             for path in sorted((SRC / "kamio").glob("*.py"))
+             for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if re.search(r"\.__class__", line)]
+    assert not found, ("write type(x), not the class attribute (see the CHANGES.md entry "
+                       "that made every class test call type):\n" + "\n".join(found))
 
 
 P = Pair(END, EMPTY)

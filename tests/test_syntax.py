@@ -429,6 +429,15 @@ class TestIdentity:
                 assert hash(x) == hash(y)
                 assert reference.alpha_hash(x) == reference.alpha_hash(y)
 
+    @settings(max_examples=300)
+    @given(VALUES, st.integers(0, 2**32 - 1))
+    def test_same_names_is_equal_printing(self, x, seed):
+        # the differential machine tests compare read-backs with gen.same_names
+        rng = random.Random(seed)
+        mutant = gen.mutate(rng, x)
+        for y in (x, gen.alpha_rename(rng, x), mutant, gen.alpha_rename(rng, mutant)):
+            assert gen.same_names(x, y) is gen.same_names(y, x) is (pretty(x) == pretty(y))
+
     def test_shadowed_binders(self):
         inner = parse_term(r"\x. \x. x")
         assert inner == parse_term(r"\y. \x. x") == parse_term(r"\x. \y. y")
