@@ -8,36 +8,34 @@ parameter), save (`cc` captures the stack as a continuation) and restore
 head position step visibly: `read` continues with its first, second or
 third argument as the next input bit is 0, 1 or used up; `write0` and
 `write1` write a bit and continue with their argument; `end` discards
-the stack and terminates at TOP.  `_effect` is the one home of these
-read, write and end rules.  It gives a head's moves as one of four label
-tuples, the closures the moves continue with, and the rest of the stack
-they share, and builds nothing more: `run` loads only the closure of the
-branch its input selects, `lts_step` pairs each label with a successor,
-and `settled_moves` returns all three as they are, for `successor` to
-read back one move at a time.
+the stack and terminates at TOP.
 
 One closure machine loop (Krivine, "A call-by-name lambda-calculus
-machine", HOSC 2007), `_iterate`, serves `run`, `settled_moves`,
-`eval_step`, `exec_step_labeled` and the walk over inputs below.  Its
-state is a term, an environment and a stack of closures, so a pop binds
-a name instead of copying the body, and a loaded `Pair`'s stack is used
-as it is.  The push, pop, save and restore rules are written there once, in
-place, with no helper call per step.
-At an instruction head `run`, which passes its input, takes the one
-`_effect` move that its next input bit selects, and `settled_moves`,
-which passes none, stops.  Looking a variable head up is not a step (a
-commutative transition in the sense of Accattoli, Barenbaum and Mazza,
-"Distilling abstract machines", ICFP 2014), so traces and step counts
-are those of the substitution machine.  The loop runs over
-`range(fuel)`, whose index is the step count, so no step tests the
-budget, and only the loop says whether a rule applies: where it spends
-its fuel, `run` asks it for one more step, and `settled_moves` leaves
-the chain to `settle`.  It notes each visible step as (index, action),
-a run's result keeps that list, and its TAU-padded trace is built only
-on demand.  A state where a chain stops short of TOP is read back to a
-process once, by `_read_back`, which emits closed terms as they are,
-without walking them.  Written bits are prepended, so the final output
-string is read verbatim as a most-significant-bit-first binary numeral.
+machine", HOSC 2007), `_iterate`, serves `run`, `lts_step`,
+`settled_moves`, `eval_step`, `exec_step_labeled` and the walk over
+inputs below.  Its state is a term, an environment and a stack of
+closures, so a pop binds a name instead of copying the body, and a
+loaded `Pair`'s stack is used as it is.  It holds every rule, each
+written once, in place, with no helper call per step: push, pop, save,
+restore, read, write and end.  At an instruction head `run`, which
+passes its input, loads only the closure of the branch its next input
+bit selects.  Without input the loop stops there and gives back what its
+moves are made of, building none: one of four label tuples, the closures
+the moves continue with, and the rest of the stack they share, for
+`successor` to read back one move at a time.  Looking a variable head up
+is not a step (a commutative transition in the sense of Accattoli,
+Barenbaum and Mazza, "Distilling abstract machines", ICFP 2014), so
+traces and step counts are those of the substitution machine.  The loop
+runs over `range(fuel)`, whose index is the step count, so no step tests
+the budget, and only the loop says whether a rule applies: where it
+spends its fuel, `run` asks it for one more step, and `settled_moves`
+leaves the chain to `settle`.  It notes each visible step as (index,
+action), a run's result keeps that list, and its TAU-padded trace is
+built only on demand.  A state where a chain stops short of TOP is read
+back to a process once, by `_read_back`, which emits closed terms as
+they are, without walking them.  Written bits are prepended, so the
+final output string is read verbatim as a most-significant-bit-first
+binary numeral.
 
 Within one call, the execution relation replays a thunk, a variable
 bound to an application, in the manner of Sestoft's update markers
@@ -47,18 +45,17 @@ next entry takes both at once, so step counts, traces and states stay
 those of call-by-name.  Saves, restores and visible steps read more
 than the thunk, so they cancel the evaluations under way.
 
-`lts_step` is the labeled transition system on processes: `_effect`'s
-visible transitions, a read's three from one call, and the silent step
-of `eval_step`, one step of the closure loop read back.
-`settled_moves` is what a process offers once its silent steps are
-done, the one answer behind `equivalence.observable`, `weak_bisim` and
-`top_equiv`: the closure loop runs without input, and where the chain
-gets stuck `_effect` gives the moves on the closure state, with nothing
-read back.  `settle` is the exact loop: it follows `eval_step` with a
-seen-set, for finite-pole membership, which passes its seeds as
-targets, and for a chain that spends its fuel in `settled_moves`, to
-tell a cycle, spent fuel and a chain stuck at its last step apart.  No
-path here copies a body through `substitute`.
+`lts_step` is the labeled transition system on processes, from one step
+of the closure loop without input: the moves at an instruction head, a
+read's three at once, or the silent step read back.  `settled_moves` is
+what a process offers once its silent steps are done, the one answer
+behind `equivalence.observable`, `weak_bisim` and `top_equiv`: the moves
+the closure loop gives back where the chain stops, with nothing read
+back.  `settle` is the exact loop: it follows `eval_step` with a
+seen-set, for finite-pole membership, which passes its seeds as targets,
+and for a chain that spends its fuel in `settled_moves`, to tell a
+cycle, spent fuel and a chain stuck at its last step apart.  No path
+here copies a body through `substitute`.
 
 `_runs_on_inputs` gives a trace pole the runs on every input of at most
 n bits from one walk over the input tree: the loop pauses w's run at the
@@ -195,74 +192,30 @@ class _Captured:
         self.stack = stack
 
 
-# The label tuples `_effect` returns, one per instruction: the branches
-# of a read in the order R0, R1, REPS, or the one move of a write or end.
+# The labels of an instruction's moves in `_iterate`: a read's branches
+# in the order R0, R1, REPS, or the one move of a write or end.
 _READS, _WRITES0, _WRITES1, _ENDS = (_R0, _R1, _REPS), (_W0,), (_W1,), (_E,)
 
 
-def _effect(t: Term, s) -> tuple | None:
-    """The visible transitions of head t on closure stack s, as
-    (labels, closures, rest): `labels` is `_READS`, `_WRITES0`,
-    `_WRITES1` or `_ENDS`, and the move labelled `labels[k]` continues
-    with closure `closures[k]` on `rest`.  A read has three closures,
-    its first three entries, on one rest; a write has one, its top; end
-    has the one closure None and the rest None, since it leaves TOP.
-    None if t is no instruction or lacks its arguments.  Each entry is
-    popped in place: a `Stack` cell is first turned into a (closure,
-    rest) cell.  No move is built here, so a read returns one tuple of
-    closures, not a triple per branch, and a caller builds only the
-    moves it takes."""
-    if t is END:
-        return _ENDS, (None,), None
-    if t is WRITE0 or t is WRITE1:
-        if type(s) is not tuple:
-            if s.head is None:
-                return None
-            s = (s.head, None), s.tail
-        top, s = s
-        return (_WRITES0 if t is WRITE0 else _WRITES1), (top,), s
-    if t is not READ:
-        return None
-    if type(s) is not tuple:
-        if s.head is None:
-            return None
-        s = (s.head, None), s.tail
-    first, s = s
-    if type(s) is not tuple:
-        if s.head is None:
-            return None
-        s = (s.head, None), s.tail
-    second, s = s
-    if type(s) is not tuple:
-        if s.head is None:
-            return None
-        s = (s.head, None), s.tail
-    third, s = s
-    return _READS, (first, second, third), s
-
-
 def lts_step(p: Process) -> tuple[tuple[Action, Process], ...]:
-    """All transitions of p, as (action, successor) pairs.
-
-    A read head with at least three stack entries offers exactly the
-    three read branches, in the order R0, R1, REPS; every other head
-    offers at most one transition.  The visible ones come from one
-    `_effect` call on p's own stack, whose entries are closed: each label
-    is paired with a `Pair` of its closure's term and the rest of the
-    stack (TOP after end).  The pairs are written out by arity, since a
-    comprehension over `zip(labels, closures)` made a read head's call
-    about 1.3x slower.  The silent one is `eval_step`'s.
+    """All transitions of p, as (action, successor) pairs, from one step
+    of `_iterate` without input.  A read head with at least three stack
+    entries offers exactly the three read branches, in the order R0, R1,
+    REPS; every other head offers at most one transition.  A move goes
+    to a `Pair` of its closure's term, closed as p's stack entries are,
+    on the rest of the stack (TOP after end); a silent step is read back.
+    The pairs are written out by arity, since a comprehension over
+    `zip(labels, closures)` made a read head's call about 1.3x slower.
     """
     if type(p) is not Pair:
         return ()
-    effect = _effect(p.term, p.stack)
-    if effect is None:
-        q = eval_step(p)
-        return () if q is None else ((_TAU, q),)
-    labels, closures, rest = effect
+    outcome, t, env, s, steps, moves, _ = _iterate(p.term, None, p.stack, 1, None)
+    if outcome != "moves":
+        return ((_TAU, _read_back(t, env, s)),) if steps else ()
+    labels, closures, rest = moves
     if rest is None:  # end
         return ((labels[0], TOP),)
-    if labels is not _READS:  # a write
+    if len(labels) == 1:  # a write
         return ((labels[0], Pair(closures[0][0], rest)),)
     (r0, r1, reps), (first, second, third) = labels, closures
     return (r0, Pair(first[0], rest)), (r1, Pair(second[0], rest)), (reps, Pair(third[0], rest))
@@ -375,7 +328,7 @@ def _read_back(t: Term, env, s) -> Pair:
 # What `_iterate` reads on every step, unpacked into locals at once: a
 # local reads faster than a global, and one unpack costs less per call
 # than a load of each.
-_LOOP_GLOBALS = Var, App, Abs, Kont, _Captured, CALLCC, tuple, list, _READS, _effect
+_LOOP_GLOBALS = Var, App, Abs, Kont, _Captured, CALLCC, tuple, list
 
 
 def _unmarked(s, marks: int):
@@ -403,23 +356,28 @@ def _iterate(t: Term, env, s, fuel: int, source: str | None, pause: bool = False
     Push, pop, save and restore each take one silent step, and a
     variable head is replaced by the closure it is bound to without one;
     a pushed variable pushes the closure it names, so no chain of
-    indirections builds up.  A silent step calls no helper: both
-    lookups and the pop of the closure stack are written in place.
-    Given `source`, the input bits, this is the execution relation: an
-    instruction head takes `_effect`'s step, and a read takes the branch
-    whose index the next unread bit selects, 0 or 1, or 2 when the input
-    is used up (`read` counts the bits read); only the closure of that
-    branch is loaded.  Given None it is the evaluation relation, which
-    stops at an instruction head.  With `pause` set, the loop stops at a
-    read that finds the input used up, its stack not popped, to go on
-    later with more input or none; only that branch tests the flag.
-    outcome is "terminated" (end was taken), "stuck" (a rule failed) or
+    indirections builds up.  A silent step calls no helper: both lookups
+    and the pop of the closure stack are written in place, and so are
+    the read, write and end rules, which pop three arguments, one or
+    none (an instruction that lacks one is stuck).  Given `source`, the
+    input bits, this is the execution relation: a read takes its first
+    or second argument as the next unread bit is 0 or 1, or its third
+    when the input is used up (`read` counts the bits read), and loads
+    only that closure.  Given None it is the evaluation relation, which
+    stops at an instruction head with its arguments, unpopped, and gives
+    back in the `visible` slot its moves (labels, closures, rest):
+    `labels` is `_READS`, `_WRITES0`, `_WRITES1` or `_ENDS`, and move
+    `labels[k]` goes on with `closures[k]` on `rest` (None and None
+    after end).  With `pause` set, the loop stops at a read that finds
+    the input used up, its stack not popped, to go on later with more
+    input or none; only that branch tests the flag.  outcome is
+    "terminated" (end was taken), "stuck" (a rule failed), "moves" or
     "input" (paused at such a read), each after fewer than `fuel` steps,
-    or "fuel" (`fuel` steps were taken).  The loop runs over `range(fuel)`,
-    whose index is the step count, so no step tests the budget, and no
-    code after it tests a rule: "fuel" says nothing of whether the state
-    it stopped at can step.  `visible` lists (index, action) for each
-    visible step, so a silent step appends nothing.
+    or "fuel" (`fuel` steps were taken).  The loop runs over
+    `range(fuel)`, whose index is the step count, so no step tests the
+    budget, and no code after it tests a rule: "fuel" says nothing of
+    whether the state it stopped at can step.  `visible` lists (index,
+    action) for each visible step, so a silent step appends nothing.
 
     The execution relation replays thunks.  A variable head bound to an
     application closure c pushes a mark [c, index, s] on its stack s,
@@ -430,10 +388,10 @@ def _iterate(t: Term, env, s, fuel: int, source: str | None, pause: bool = False
     jump if the budget holds them, so step counts and traces stay
     call-by-name's.  Save, restore, visible steps and every return drop
     all marks first, so no segment with an effect is recorded and no
-    continuation, `_effect` call or returned state sees a mark.  The
+    continuation, visible rule or returned state sees a mark.  The
     record lives for one call, and only given `source`: the evaluation
     relation's chains are short, and there it cost more than it saved."""
-    Var_, App_, Abs_, Kont_, Captured_, CALLCC_, tuple_, list_, READS_, effect_ = _LOOP_GLOBALS
+    Var_, App_, Abs_, Kont_, Captured_, CALLCC_, tuple_, list_ = _LOOP_GLOBALS
     read = 0
     size = 0 if source is None else len(source)
     visible: list[tuple[int, Action]] = []
@@ -496,25 +454,60 @@ def _iterate(t: Term, env, s, fuel: int, source: str | None, pause: bool = False
                     s = t.stack if t is not CALLCC_ else ((Captured_(rest), None), rest)
                     t, env = top
                     continue
-                moves = None if source is None else effect_(t, s)
-                if moves is None:
-                    return "stuck", t, env, s, i, visible, read
-                labels, closures, rest = moves
-                k = 0
-                if labels is READS_:
+                if t is READ:
+                    if type(s) is tuple_:
+                        first, rest = s
+                    elif s.head is None:
+                        return "stuck", t, env, s, i, visible, read
+                    else:
+                        first, rest = (s.head, None), s.tail
+                    if type(rest) is tuple_:
+                        second, rest = rest
+                    elif rest.head is None:
+                        return "stuck", t, env, s, i, visible, read
+                    else:
+                        second, rest = (rest.head, None), rest.tail
+                    if type(rest) is tuple_:
+                        third, rest = rest
+                    elif rest.head is None:
+                        return "stuck", t, env, s, i, visible, read
+                    else:
+                        third, rest = (rest.head, None), rest.tail
+                    if source is None:
+                        return "moves", t, env, s, i, (_READS, (first, second, third), rest), read
                     if read < size:
-                        k = source[read] == "1"  # False or True: branch 0 or 1
+                        if source[read] == "0":
+                            visible.append((i, _R0))
+                            t, env = first
+                        else:
+                            visible.append((i, _R1))
+                            t, env = second
                         read += 1
                     elif pause:
                         return "input", t, env, s, i, visible, read
                     else:
-                        k = 2
-                visible.append((i, labels[k]))
-                top = closures[k]
-                if top is None:
-                    return "terminated", t, env, rest, i + 1, visible, read
-                t, env = top
-                s = rest
+                        visible.append((i, _REPS))
+                        t, env = third
+                    s = rest
+                elif t is WRITE0 or t is WRITE1:
+                    if type(s) is tuple_:
+                        top, rest = s
+                    elif s.head is None:
+                        return "stuck", t, env, s, i, visible, read
+                    else:
+                        top, rest = (s.head, None), s.tail
+                    labels = _WRITES0 if t is WRITE0 else _WRITES1
+                    if source is None:
+                        return "moves", t, env, s, i, (labels, (top,), rest), read
+                    visible.append((i, labels[0]))
+                    (t, env), s = top, rest
+                elif t is END:
+                    if source is None:
+                        return "moves", t, env, s, i, (_ENDS, (None,), None), read
+                    visible.append((i, _E))
+                    return "terminated", t, env, None, i + 1, visible, read
+                else:
+                    return "stuck", t, env, s, i, visible, read
         else:
             if marks:
                 s = _unmarked(s, marks)
@@ -534,8 +527,8 @@ def eval_step(p: Process) -> Process | None:
     """The unique effect-free successor of p, or None if no rule applies
     (an instruction head steps only in the execution relation): one step
     of `_iterate` without input, read back, which is name for name the
-    substitution machine's step.  `lts_step` and `settle`'s exact loop
-    take their silent steps from it."""
+    substitution machine's step, as `lts_step` takes it.  `settle`'s
+    exact loop takes its silent steps from it."""
     if type(p) is not Pair:
         return None
     _, t, env, s, steps = _iterate(p.term, None, p.stack, 1, None)[:5]
@@ -572,11 +565,12 @@ def settle(p: Process, fuel: int, targets: Container[Process] = ()) -> tuple[str
 
 def settled_moves(p: Process, fuel: int) -> tuple | None:
     """What p offers once its silent chain of at most `fuel` steps is
-    done: `_effect`'s (labels, closures, rest), labels in `lts_step`'s
-    order, where the chain gets stuck; () if the settled process is
-    silent (stuck with no move, TOP, or on a silent cycle); None if the
-    fuel runs out.  `successor` reads a move's process back.  A fuel
-    that is not an integer raises TypeError, a negative one ValueError.
+    done: the (labels, closures, rest) that `_iterate` gives back, labels
+    in `lts_step`'s order, where the chain stops at an instruction head
+    that has its arguments; () if the settled process is silent (stuck
+    with no move, TOP, or on a silent cycle); None if the fuel runs out.
+    `successor` reads a move's process back.  A fuel that is not an
+    integer raises TypeError, a negative one ValueError.
 
     The chain runs on closures, `_iterate` without input, and nothing is
     read back.  Silent steps are deterministic, so a chain stuck within
@@ -599,13 +593,13 @@ def _settled_successor(moves: tuple, k: int, fuel: int) -> tuple | None:
 def _settled(t: Term, env, s, fuel: int) -> tuple | None:
     """`settled_moves` of the process the closure state (t, env, s)
     stands for."""
-    outcome, u, _, rest = _iterate(t, env, s, fuel, None)[:4]
+    outcome, _, _, _, _, moves, _ = _iterate(t, env, s, fuel, None)
     if outcome == "fuel":
         reason, p = settle(_read_back(t, env, s), fuel)
         if reason != "stuck":
             return None if reason == "fuel" else ()
-        u, rest = p.term, p.stack
-    return _effect(u, rest) or ()
+        outcome, _, _, _, _, moves, _ = _iterate(p.term, None, p.stack, 1, None)
+    return moves if outcome == "moves" else ()
 
 
 def successor(moves: tuple, k: int) -> Process:

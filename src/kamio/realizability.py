@@ -240,21 +240,27 @@ def trace_conforms(spec: str, p: Process, input_bits: str, fuel: int) -> Verdict
     return _conforms(spec, input_bits, result.outcome, result.visible_trace())
 
 
+# Each bit's read and write, and two members (an Enum lookup is slow).
+_READ_OF, _WRITE_OF = {"0": Action.R0, "1": Action.R1}, {"0": Action.W0, "1": Action.W1}
+_REPS, _E = Action.REPS, Action.E
+
+
 def _conforms(spec: str, input_bits: str, outcome: str, visible: tuple[Action, ...]) -> Verdict:
-    """`trace_conforms`'s check of a run on input_bits that ended with
-    `outcome` after the visible actions `visible`."""
+    """`trace_conforms`'s check, position by position, of a run on
+    input_bits that ended with `outcome` after the actions `visible`."""
     if outcome == "fuel":
         return Verdict.unknown("fuel", witness=input_bits)
-    if outcome == "stuck":
-        return Verdict.refuted((input_bits, visible))
-    reads = [Action.R0 if bit == "0" else Action.R1 for bit in input_bits]
-    writes = [Action.W0 if bit == "0" else Action.W1 for bit in input_bits]
-    if spec == COPY:
-        expected = [a for pair in zip(reads, writes) for a in pair] + [Action.REPS]
-    else:
-        probes = max(1, len(visible) - 2 * len(input_bits) - 1)
-        expected = reads + [Action.REPS] * probes + writes[::-1]
-    ok = visible == tuple(expected + [Action.E])
+    n, last = len(input_bits), len(visible) - 1
+    if outcome == "stuck" or last < 0 or visible[last] is not _E:
+        ok = False
+    elif spec == COPY:  # each bit read, then written; one probe of the used-up input
+        ok = last == 2 * n + 1 and visible[2 * n] is _REPS and all(
+            visible[2 * i] is _READ_OF[bit] and visible[2 * i + 1] is _WRITE_OF[bit]
+            for i, bit in enumerate(input_bits))
+    else:  # the bits read; one probe or more; the bits written, last to first
+        ok = last > 2 * n and visible[n:last - n].count(_REPS) == last - 2 * n and all(
+            visible[i] is _READ_OF[bit] and visible[last - 1 - i] is _WRITE_OF[bit]
+            for i, bit in enumerate(input_bits))
     return Verdict.verified() if ok else Verdict.refuted((input_bits, visible))
 
 

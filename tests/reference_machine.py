@@ -19,6 +19,10 @@ oracles.
 - `trace_conforms` as it stood when it tested the read_all_then_write
   discipline clause by clause.  Oracle for
   `kamio.realizability.trace_conforms`.
+- `_conforms`, a trace pole's check of one run, as it stood when it
+  built the reads, the writes and the whole expected trace for every
+  input.  Oracle for `kamio.realizability._conforms`, which compares
+  the trace with the discipline position by position.
 - The recursive printer.  Oracle for `kamio.syntax.pretty`.
 - The recursive-descent parser `_Parser`, with `parse_term`,
   `parse_stack` and `parse_process` over it, and `parse_term_or_process`,
@@ -57,13 +61,16 @@ oracles.
 - The closure loop `_iterate` as it stood when it counted its fuel down
   and tested it at each rule, with the `_effect` it called and the
   `_pop` helper that `_effect` popped through.  Oracle for
-  `kamio.machine._iterate`, compared at every fuel, with one outcome
+  `kamio.machine._iterate`, compared at every fuel, with two outcomes
   mapped: where no rule applies after `fuel` steps, this loop says
   "stuck" and `kamio.machine._iterate` says "fuel" (`run` and
-  `settled_moves` still say "stuck" there).  That `_effect`
-  built an (action, closure, rest) triple for every move, a read's
-  three included; oracle for `kamio.machine._effect`, which returns one
-  label tuple and one tuple of closures.
+  `settled_moves` still say "stuck" there), and where, without input,
+  this loop is stuck at an instruction head that has its arguments,
+  `kamio.machine._iterate` says "moves" and gives them back.  That
+  `_effect` built an (action, closure, rest) triple for every move, a
+  read's three included; oracle for those moves, which
+  `kamio.machine._iterate`, now the home of the read, write and end
+  rules too, gives as one label tuple and one tuple of closures.
 - The recursive `weak_bisim`.  Oracle for `kamio.equivalence.weak_bisim`.
   One edit: `visited` maps each pair to the depth left when it was
   explored, and a pair met again with more depth than that is explored
@@ -239,6 +246,24 @@ def trace_conforms(spec: str, p: Process, input_bits: str, fuel: int) -> Verdict
               and result.final.output == input_bits)
     else:
         raise ValueError(f"unknown trace discipline {spec!r}")
+    return Verdict.verified() if ok else Verdict.refuted((input_bits, visible))
+
+
+def _conforms(spec: str, input_bits: str, outcome: str, visible: tuple[Action, ...]) -> Verdict:
+    """`trace_conforms`'s check of a run on input_bits that ended with
+    `outcome` after the visible actions `visible`."""
+    if outcome == "fuel":
+        return Verdict.unknown("fuel", witness=input_bits)
+    if outcome == "stuck":
+        return Verdict.refuted((input_bits, visible))
+    reads = [Action.R0 if bit == "0" else Action.R1 for bit in input_bits]
+    writes = [Action.W0 if bit == "0" else Action.W1 for bit in input_bits]
+    if spec == COPY:
+        expected = [a for pair in zip(reads, writes) for a in pair] + [Action.REPS]
+    else:
+        probes = max(1, len(visible) - 2 * len(input_bits) - 1)
+        expected = reads + [Action.REPS] * probes + writes[::-1]
+    ok = visible == tuple(expected + [Action.E])
     return Verdict.verified() if ok else Verdict.refuted((input_bits, visible))
 
 

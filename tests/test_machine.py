@@ -1,5 +1,7 @@
+import ast
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -7,6 +9,7 @@ import hypothesis.strategies as st
 
 import gen
 import reference_machine as reference
+from kamio import machine
 from kamio.combinators import (
     B, C, H, PRELUDE_SOURCE, S, W, Y, compile_function, decode_numeral, prelude_definitions,
     resolve_names,
@@ -14,7 +17,7 @@ from kamio.combinators import (
 from kamio.equivalence import observable
 from kamio.machine import (
     DEFAULT_FUEL, Action, ExecutionContext, RunResult, _ENDS, _READS, _WRITES0, _WRITES1,
-    _Captured, _effect, _iterate, _read_back, bin_nat,
+    _Captured, _iterate, _read_back, bin_nat,
     eval_step, exec_step, exec_step_labeled, lts_step, nat_of_bin, run, settle,
     settled_moves, successor,
 )
@@ -659,14 +662,18 @@ def assert_same_stop(p, fuel, source, walk=None):
     """`_iterate` stops where the loop it replaced stops
     (`reference._iterate`): the same outcome, steps, visible steps and
     bits read, and a state that reads back to the same process, name for
-    name.  One outcome is mapped: where the reference is stuck after
+    name.  Two outcomes are mapped: where the reference is stuck after
     `fuel` steps, `_iterate` says "fuel", and it says "stuck" only after
-    fewer steps.  The public results at that fuel still say "stuck"
-    there: `run` matches the reference `run` given `source`, read off
-    `walk` (walked here if None), and without it `settle` matches the
-    reference `settle` and the labels of `settled_moves` the reference
-    `observable`; the trace `run` builds, its step count and its visible
-    trace are the reference trace's."""
+    fewer steps; where the reference, without input, is stuck at an
+    instruction head that has its arguments, `_iterate` says "moves",
+    with the reference `_effect`'s moves in the visible slot
+    (`assert_same_moves`), and the state it stopped at unpopped.  The
+    public results at that fuel still say "stuck" there: `run` matches
+    the reference `run` given `source`, read off `walk` (walked here if
+    None), and without it `settle` matches the reference `settle` and
+    the labels of `settled_moves` the reference `observable`; the trace
+    `run` builds, its step count and its visible trace are the reference
+    trace's."""
     got = _iterate(p.term, None, p.stack, fuel, source)
     expected = reference._iterate(p, fuel, source)
     if got[0] != "terminated":
@@ -674,8 +681,13 @@ def assert_same_stop(p, fuel, source, walk=None):
     outcome = expected[0]
     if outcome == "stuck" and expected[4] == fuel:
         outcome = "fuel"
+    elif outcome == "stuck" and source is None and reference._effect(expected[1], expected[3]):
+        outcome = "moves"
+    if got[0] == "moves":
+        assert_same_moves(got[5], got[1], got[3])
+        got = (*got[:5], [], got[6])  # the evaluation relation notes no visible step
     assert (got[0], *got[4:]) == (outcome, *expected[4:]), (pretty(p), fuel, source)
-    assert got[0] != "stuck" or got[4] < fuel
+    assert got[0] not in ("stuck", "moves") or got[4] < fuel
     if expected[0] != "terminated":
         got, expected = _read_back(*got[1:4]), _read_back(*expected[1:4])
         assert got == expected
@@ -697,6 +709,22 @@ def assert_same_stop(p, fuel, source, walk=None):
         (None if ob.kind == "unknown" else tuple(ob.entries or ()))
 
 
+def assert_same_moves(moves, t, s):
+    """`moves`, the (labels, closures, rest) that `_iterate` gives back
+    where it stops at head t on closure stack s, are the reference
+    `_effect`'s (action, closure, rest) triples on that state: one of the
+    four label tuples, each closure equal, and the rest the very object
+    the reference pops to."""
+    expected = reference._effect(t, s)
+    labels, closures, rest = moves
+    assert any(labels is c for c in (_READS, _WRITES0, _WRITES1, _ENDS))
+    assert len(labels) == len(closures) == len(expected) > 0
+    for action, closure, (ref_action, ref_closure, ref_rest) in zip(labels, closures, expected):
+        assert action is ref_action
+        assert closure == ref_closure
+        assert rest is ref_rest
+
+
 ITERATE_EDGE_CASES = [
     r"(\x. x) read * end :: end :: nil",  # a variable head that resolves to read, two entries
     r"(\x. x end end) read * nil",  # the same on pushed closures
@@ -705,10 +733,28 @@ ITERATE_EDGE_CASES = [
     "kont{end :: nil} * nil",
     r"cc (\k. k) * nil",  # a saved continuation on the empty stack
     r"cc (\k. k end) * nil",  # a saved continuation restored
-    "read end end end * nil",  # an instruction head: stuck with no input source
+    "read end end end * nil",  # an instruction head: moves with no input source
+    # reads with 0 to 3 entries, split between closure cells (pushed
+    # arguments) and a `Stack` tail: one that lacks an entry is stuck,
+    # paused or not
+    "read * nil",
+    "read * end :: nil",
+    "read end * nil",
+    "read * end :: end :: nil",
+    "read end * end :: nil",
+    "read end end * nil",
+    "read end end * end :: nil",
+    "read * end :: end :: end :: nil",
+    # writes and ends on an empty stack, on closure cells and on a
+    # `Stack`; end discards the stack in one counted step
     "write1 * nil",
+    "write0 * nil",
+    "write0 end * nil",
+    "write1 * end :: nil",
     "end * nil",
     "end * end :: nil",
+    "end end * nil",
+    r"end * (\x. x) :: end :: nil",
     r"\x. x * nil",
     OMEGA,
 ]
@@ -726,6 +772,30 @@ THUNK_EFFECT_CASES = [
 ]
 
 DOUBLE = parse_term(resolve_names(r"\n. n (\m. S (S m)) #0", prelude_definitions(PRELUDE_SOURCE)))
+
+
+def assert_pause_matches_reference(p, fuel):
+    """With `pause` set and no input, `_iterate` stops as "input" at the
+    first read that has its three entries, where the reference takes
+    its first REPS step, with the visible steps before it and that read
+    unpopped.  A run that takes no REPS step within `fuel` stops where
+    the reference stops, as `assert_same_stop` maps it: a read that
+    lacks an entry is "stuck", not "input"."""
+    got = _iterate(p.term, None, p.stack, fuel, "", True)
+    expected = reference._iterate(p, fuel, "")
+    first = next((i for i, action in expected[5] if action is Action.REPS), None)
+    if first is None:
+        outcome = expected[0]
+        if outcome == "stuck" and expected[4] == fuel:
+            outcome = "fuel"
+    else:
+        expected = reference._iterate(p, first, "")
+        outcome = "input"
+        assert got[1] is READ
+    assert (got[0], *got[4:]) == (outcome, *expected[4:]), (pretty(p), fuel)
+    if outcome != "terminated":
+        gen.assert_no_mark(got[3])
+        assert _read_back(*got[1:4]) == _read_back(*expected[1:4])
 
 
 def assert_run_matches_reference_at_every_fuel(c, names):
@@ -763,8 +833,11 @@ class TestIterate:
 
     @pytest.mark.parametrize("text", ITERATE_EDGE_CASES)
     def test_matches_reference_on_edge_cases(self, text):
+        p = parse_process(text)
         for bits in ("", "0", "1"):
-            assert_iterate_matches_reference(parse_process(text), bits, 40)
+            assert_iterate_matches_reference(p, bits, 40)
+        for fuel in range(reference._iterate(p, 40, "")[4] + 2):
+            assert_pause_matches_reference(p, fuel)
 
     @pytest.mark.parametrize("program, bits", COMPILED_PROGRAMS + [
         pytest.param(COPY_LOOP, "0000", id="copy-all-zero"),
@@ -841,23 +914,40 @@ def closure_stacks():
 
 
 class TestEffect:
-    """`_effect`, which returns one label tuple and one tuple of
-    closures, against the `_effect` that built an (action, closure,
-    rest) triple for every move."""
+    """The read, write and end rules, now in `_iterate`'s instruction
+    branch: one step without input gives a head's moves back, one label
+    tuple and one tuple of closures, against the `_effect` that built an
+    (action, closure, rest) triple for every move."""
 
     @pytest.mark.parametrize("head", [END, WRITE0, WRITE1, READ, parse_term(r"\x. x")],
                              ids=pretty)
     def test_matches_reference(self, head):
         for s in closure_stacks():
-            got, expected = _effect(head, s), reference._effect(head, s)
-            if got is None:
+            got, expected = _iterate(head, None, s, 1, None), reference._effect(head, s)
+            if got[0] != "moves":
                 assert expected == ()
                 continue
-            labels, closures, rest = got
-            assert any(labels is c for c in (_READS, _WRITES0, _WRITES1, _ENDS))
-            assert len(labels) == len(closures) == len(expected)
-            for action, closure, (ref_action, ref_closure, ref_rest) in zip(
-                    labels, closures, expected):
-                assert action is ref_action
-                assert closure == ref_closure
-                assert rest is ref_rest
+            _, t, env, stopped, steps, moves, read = got
+            assert (t, env, steps, read) == (head, None, 0, 0)
+            assert stopped is s  # the state it stopped at, unpopped
+            assert_same_moves(moves, head, s)
+
+
+# The instructions and the label tuples of their moves: what only the
+# read, write and end rules read.
+RULE_NAMES = {"READ", "WRITE0", "WRITE1", "END", "_READS", "_WRITES0", "_WRITES1", "_ENDS"}
+
+
+def test_visible_rules_live_in_iterate():
+    # the read, write and end rules are written once, in `_iterate`: no
+    # other code in the module reads an instruction or a label tuple
+    tree = ast.parse(Path(machine.__file__).read_text(encoding="utf-8"))
+    homes = {id(node) for home in tree.body for node in ast.walk(home)
+             if isinstance(home, ast.FunctionDef) and home.name == "_iterate"
+             or isinstance(home, ast.Assign) and ast.unparse(home.targets[0]) == "_LOOP_GLOBALS"}
+    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Name)
+             and isinstance(node.ctx, ast.Load) and node.id in RULE_NAMES]
+    found = [f"src/kamio/machine.py:{node.lineno}: {node.id}"
+             for node in reads if id(node) not in homes]
+    assert not found, "a visible rule outside `_iterate`:\n" + "\n".join(found)
+    assert {node.id for node in reads} == RULE_NAMES

@@ -19,7 +19,7 @@ from kamio.machine import (
 from kamio.realizability import (
     COPY, ContextEntry, FinitePole, FunctionPole, IDENTITY, Predicate,
     READ_ALL_THEN_WRITE, RealizerList, Sequent, TracePole, UnionPole,
-    all_inputs, check_entailment, consistency_probe, contract, exchange,
+    _conforms, all_inputs, check_entailment, consistency_probe, contract, exchange,
     falsity_sample, forall_along, implication, modus_ponens, pole_from_json,
     realizes, reindex, run_scenario, scenario_from_json, trace_conforms,
     TruthValue, weaken,
@@ -247,6 +247,56 @@ def runs_one_by_one(p, max_input_len, fuel):
 CC_COPY = Pair(Y, stack_of(parse_term(r"\x. cc (\k. read (k (write0 x)) (k (write1 x)) end)")))
 
 
+VISIBLE = (Action.R0, Action.R1, Action.REPS, Action.W0, Action.W1, Action.E)
+
+
+@st.composite
+def visible_traces(draw):
+    """A visible trace: any actions, or the trace one discipline expects
+    on an input of at most 6 bits, with up to three actions inserted,
+    deleted or replaced."""
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(st.sampled_from(VISIBLE), max_size=16)))
+    bits = draw(st.text("01", max_size=6))
+    read = {"0": Action.R0, "1": Action.R1}
+    write = {"0": Action.W0, "1": Action.W1}
+    if draw(st.sampled_from((COPY, READ_ALL_THEN_WRITE))) == COPY:
+        trace = [a for bit in bits for a in (read[bit], write[bit])] + [Action.REPS]
+    else:
+        trace = ([read[bit] for bit in bits] + [Action.REPS] * draw(st.integers(1, 3))
+                 + [write[bit] for bit in reversed(bits)])
+    trace.append(Action.E)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(trace)))
+        trace[i:i + draw(st.integers(0, 1))] = draw(st.lists(st.sampled_from(VISIBLE),
+                                                             max_size=1))
+    return tuple(trace)
+
+
+class TestConforms:
+    """`_conforms`, which compares a trace with the discipline position
+    by position, against the `_conforms` that built the expected trace
+    for every input."""
+
+    @given(visible_traces())
+    def test_matches_reference_on_every_input(self, visible):
+        for spec in (COPY, READ_ALL_THEN_WRITE):
+            for bits in all_inputs(6):
+                for outcome in ("terminated", "stuck", "fuel"):
+                    assert (_conforms(spec, bits, outcome, visible)
+                            == reference._conforms(spec, bits, outcome, visible)), (spec, bits)
+
+    def test_conforming_traces_verified(self):
+        for bits in all_inputs(6):
+            reads = [Action.R0 if bit == "0" else Action.R1 for bit in bits]
+            writes = [Action.W0 if bit == "0" else Action.W1 for bit in bits]
+            copy = tuple(a for pair in zip(reads, writes) for a in pair) + (Action.REPS, Action.E)
+            assert _conforms(COPY, bits, "terminated", copy).is_verified
+            for probes in (1, 2):
+                trace = tuple(reads + [Action.REPS] * probes + writes[::-1] + [Action.E])
+                assert _conforms(READ_ALL_THEN_WRITE, bits, "terminated", trace).is_verified
+
+
 class TestRunsOnInputs:
     """`machine._runs_on_inputs`, the one walk over the input tree behind
     `TracePole.member`, yields what one `run` per input gives."""
@@ -265,6 +315,15 @@ class TestRunsOnInputs:
         longest = run(ExecutionContext(p, "111"), 10_000)
         assert longest.terminated
         for fuel in range(longest.steps + 2):
+            assert list(_runs_on_inputs(p, 3, fuel)) == runs_one_by_one(p, 3, fuel)
+
+    @pytest.mark.parametrize("text", [
+        "read end end * nil", "read * end :: nil", "read end end end * nil",
+        "read end end * end :: nil", "write0 * nil", "end end * nil"])
+    def test_visible_edge_cases_at_every_fuel(self, text):
+        # a read that lacks an entry is stuck on every input, paused or not
+        p = parse_process(text)
+        for fuel in range(run(ExecutionContext(p, "111"), 100).steps + 2):
             assert list(_runs_on_inputs(p, 3, fuel)) == runs_one_by_one(p, 3, fuel)
 
     def test_paused_continuation_resumed_for_both_bits(self):
