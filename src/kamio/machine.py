@@ -12,8 +12,8 @@ the stack and terminates at TOP.
 
 One closure machine loop (Krivine, "A call-by-name lambda-calculus
 machine", HOSC 2007), `_iterate`, serves `run`, `lts_step`,
-`settled_moves`, `eval_step`, `exec_step_labeled` and the walk over
-inputs below.  Its state is a term, an environment and a stack of
+`settled_moves` and the walk over inputs below, whose results the
+other steps read.  Its state is a term, an environment and a stack of
 closures, so a pop binds a name instead of copying the body, and a
 loaded `Pair`'s stack is used as it is.  It holds every rule, each
 written once, in place, with no helper call per step: push, pop, save,
@@ -46,16 +46,17 @@ those of call-by-name.  Saves, restores and visible steps read more
 than the thunk, so they cancel the evaluations under way.
 
 `lts_step` is the labeled transition system on processes, from one step
-of the closure loop without input: the moves at an instruction head, a
-read's three at once, or the silent step read back.  `settled_moves` is
-what a process offers once its silent steps are done, the one answer
-behind `equivalence.observable`, `weak_bisim` and `top_equiv`: the moves
-the closure loop gives back where the chain stops, with nothing read
-back.  `settle` is the exact loop: it follows `eval_step` with a
-seen-set, for finite-pole membership, which passes its seeds as targets,
-and for a chain that spends its fuel in `settled_moves`, to tell a
-cycle, spent fuel and a chain stuck at its last step apart.  No path
-here copies a body through `substitute`.
+of the closure loop without input: the moves at an instruction head,
+each built by `successor`, or the silent step read back.  `eval_step` is
+its silent move, and `exec_step_labeled` reads `run(c, 1)`.
+`settled_moves` is what a process offers once its silent steps are
+done, the one answer behind `equivalence.observable`, `weak_bisim` and
+`top_equiv`: the moves the closure loop gives back where the chain
+stops, with nothing read back.  `settle` is the exact loop: it follows
+`eval_step` with a seen-set, for finite-pole membership, which passes
+its seeds as targets, and for a chain that spends its fuel in
+`settled_moves`, to tell a cycle, spent fuel and a chain stuck at its
+last step apart.  No path here copies a body through `substitute`.
 
 `_runs_on_inputs` gives a trace pole the runs on every input of at most
 n bits from one walk over the input tree: the loop pauses w's run at the
@@ -201,24 +202,14 @@ def lts_step(p: Process) -> tuple[tuple[Action, Process], ...]:
     """All transitions of p, as (action, successor) pairs, from one step
     of `_iterate` without input.  A read head with at least three stack
     entries offers exactly the three read branches, in the order R0, R1,
-    REPS; every other head offers at most one transition.  A move goes
-    to a `Pair` of its closure's term, closed as p's stack entries are,
-    on the rest of the stack (TOP after end); a silent step is read back.
-    The pairs are written out by arity, since a comprehension over
-    `zip(labels, closures)` made a read head's call about 1.3x slower.
-    """
+    REPS; every other head offers at most one transition.  A visible
+    move goes where `successor` says; a silent step is read back."""
     if type(p) is not Pair:
         return ()
     outcome, t, env, s, steps, moves, _ = _iterate(p.term, None, p.stack, 1, None)
     if outcome != "moves":
         return ((_TAU, _read_back(t, env, s)),) if steps else ()
-    labels, closures, rest = moves
-    if rest is None:  # end
-        return ((labels[0], TOP),)
-    if len(labels) == 1:  # a write
-        return ((labels[0], Pair(closures[0][0], rest)),)
-    (r0, r1, reps), (first, second, third) = labels, closures
-    return (r0, Pair(first[0], rest)), (r1, Pair(second[0], rest)), (reps, Pair(third[0], rest))
+    return tuple([(label, successor(moves, k)) for k, label in enumerate(moves[0])])
 
 
 # Read-back work items; see `_read_back`.
@@ -525,14 +516,10 @@ def _check_bound(value: int, name: str = "fuel") -> None:
 
 def eval_step(p: Process) -> Process | None:
     """The unique effect-free successor of p, or None if no rule applies
-    (an instruction head steps only in the execution relation): one step
-    of `_iterate` without input, read back, which is name for name the
-    substitution machine's step, as `lts_step` takes it.  `settle`'s
-    exact loop takes its silent steps from it."""
-    if type(p) is not Pair:
-        return None
-    _, t, env, s, steps = _iterate(p.term, None, p.stack, 1, None)[:5]
-    return _read_back(t, env, s) if steps else None
+    (an instruction head steps only in the execution relation): the TAU
+    move of `lts_step`, the substitution machine's step, name for name."""
+    transitions = lts_step(p)
+    return transitions[0][1] if transitions and transitions[0][0] is _TAU else None
 
 
 def settle(p: Process, fuel: int, targets: Container[Process] = ()) -> tuple[str, Process]:
@@ -688,18 +675,11 @@ def _resume(state: tuple, source: str, pause: bool, actions: tuple) -> tuple:
 
 def exec_step_labeled(c: ExecutionContext) -> tuple[Action, ExecutionContext] | None:
     """One execution step together with its action, or None if stuck:
-    what `run(c, 1)` gives, from one `_iterate` step on c's input, read
-    back only when the step was taken."""
-    p = c.process
-    if p is TOP:
+    `run(c, 1)`'s one action, TAU if it is silent, and its final context."""
+    result = run(c, 1)
+    if not result.steps:
         return None
-    outcome, t, env, s, steps, visible, read = _iterate(p.term, None, p.stack, 1, c.input)
-    if not steps:
-        return None
-    action = visible[0][1] if visible else _TAU
-    output = ("0" if action is _W0 else "1" if action is _W1 else "") + c.output
-    process = TOP if outcome == "terminated" else _read_back(t, env, s)
-    return action, ExecutionContext(process, c.input[read:], output)
+    return (result.visible[0][1] if result.visible else _TAU), result.final
 
 
 def exec_step(c: ExecutionContext) -> ExecutionContext | None:

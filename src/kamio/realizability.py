@@ -576,7 +576,7 @@ def pole_from_json(obj: dict, fuel: int | None = None) -> Pole:
     the pole kind's default; a union hands its budget to its members.
     Only what needs the JSON text is checked here: that each number is an
     integer, and each table key a `_decimal`; the pole checks the rest."""
-    budget = obj.get("fuel", fuel)
+    budget = _fuel(obj["fuel"]) if "fuel" in obj else fuel
     kw = {} if budget is None else {"fuel": _fuel(budget)}
     kind = obj.get("kind")
     if kind == "finite":

@@ -4,14 +4,15 @@ oracles.
 - `eval_step` as it stood when it was the substitution machine, with
   its own push, pop, save and restore rules on processes and a pop that
   copies the body through `substitute`; its docstring is kept too.
-  Oracle for `kamio.machine.eval_step`, now one step of the closure loop
-  read back.  Every oracle here that takes a silent step takes it with
+  Oracle for `kamio.machine.eval_step`, now `lts_step`'s silent move,
+  one step of the closure loop read back.  Every oracle here that takes a silent step takes it with
   this copy, never with the code under test.
 - The execution relation as it stood before it was rewritten on top of
   `lts_step`: hand-written read/write/end rules on the substitution
   machine, and a `run` that builds an `ExecutionContext` on every step.
   Oracle for `kamio.machine.run`, the closure machine, at every step
-  count, and for `kamio.machine.exec_step_labeled`.  `lts_step` takes
+  count, and for `kamio.machine.exec_step_labeled`, now read off
+  `run(c, 1)`.  `lts_step` takes
   each transition from it; oracle for `kamio.machine.lts_step`.  One
   edit: the loop that was `run` is `run_trace`, which returns the trace
   it keeps step by step, and `run` builds the record from that trace:

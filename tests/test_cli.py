@@ -105,6 +105,12 @@ class TestRun:
         code, _, _ = run_cli(capsys, "run", path)
         assert code == 2
 
+    def test_input_not_bits_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "run", str(DEMOS / "copy.kam"), "--prelude",
+                                 "--input", "012")
+        assert (code, out) == (1, "")
+        assert err == "kamio: error: input/output must contain only bits: '012'\n"
+
     def test_deep_numeral_fuel_exit_3(self, files, capsys):
         path = files("n.kam", "#2000 * end :: end :: nil")
         code, out, err = run_cli(capsys, "run", path, "--fuel", "1")
@@ -311,6 +317,14 @@ class TestCompileAndVerify:
         code, _, _ = run_cli(capsys, "verify-impl", out_path, "--table", table)
         assert code == 1
 
+    def test_three_cell_table_line_exit_1(self, files, capsys, tmp_path):
+        out_path = str(tmp_path / "id.kam")
+        run_cli(capsys, "compile-fn", files("id.lam", r"\x. x"), "-o", out_path)
+        table = files("three.tsv", "0\t0\n1\t2\t3\n")
+        code, out, err = run_cli(capsys, "verify-impl", out_path, "--table", table)
+        assert (code, out) == (1, "")
+        assert err == "kamio: error: table line 2: expected `n<TAB>m`, got '1\\t2\\t3'\n"
+
     @pytest.mark.parametrize("rows, message", [
         ("1_0\t20\n", 'table line 1: cell must be an integer, got "1_0"'),
         ("\u0663\t6\n", 'table line 1: cell must be an integer, got "\\u0663"'),
@@ -491,6 +505,20 @@ class TestRealize:
         assert code == 3
         code, _, _ = run_cli(capsys, "realize", scenario)
         assert code == 0
+
+    @pytest.mark.parametrize("pole", [
+        {"kind": "finite", "seeds": ["end * nil"]},
+        {"kind": "union", "members": [{"kind": "finite", "seeds": ["end * nil"]}]},
+    ], ids=["finite", "union"])
+    def test_null_pole_fuel_exit_1(self, files, capsys, pole):
+        # a null was read as no key: the pole took its kind's default budget
+        # and verified, where the scenario's fuel of 3 runs out
+        code, _, _ = run_cli(capsys, "realize", self._slow(files, pole, fuel=3))
+        assert code == 3
+        null = self._slow(files, dict(pole, fuel=None), fuel=3)
+        code, out, err = run_cli(capsys, "realize", null)
+        assert (code, out) == (1, "")
+        assert err == "kamio: error: fuel must be an integer, got null\n"
 
     LOOP = r"(\x. x x x) (\x. x x x)"  # grows on every cycle, so fuel runs out
 
@@ -693,6 +721,11 @@ class TestRealize:
         code, out, err = run_cli(capsys, "realize", scenario)
         assert (code, out) == (1, "")
         assert err == "kamio: error: malformed scenario: truth_value.stacks must be a list\n"
+
+    def test_array_scenario_exit_1(self, files, capsys):
+        code, out, err = run_cli(capsys, "realize", files("array.json", "[1, 2]"))
+        assert (code, out) == (1, "")
+        assert err == "kamio: error: scenario must be a JSON object\n"
 
     def test_deep_json_exit_1(self, files, capsys):
         scenario = files("deep.json", "[" * 100_000)

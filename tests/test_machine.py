@@ -342,6 +342,14 @@ class TestBin:
         with pytest.raises(ValueError):
             nat_of_bin("01")
 
+    def test_errors(self):
+        with pytest.raises(ValueError, match="^bin_nat is defined for naturals only$"):
+            bin_nat(-1)
+        with pytest.raises(ValueError, match="^not a bit string: '2'$"):
+            nat_of_bin("2")
+        with pytest.raises(ValueError, match="^input/output must contain only bits: '012'$"):
+            ExecutionContext(parse_process("end * nil"), "012")
+
 
 def implements_on(p, table, fuel):
     """Does p implement the table?  Verified covers only its rows."""
@@ -951,3 +959,14 @@ def test_visible_rules_live_in_iterate():
              for node in reads if id(node) not in homes]
     assert not found, "a visible rule outside `_iterate`:\n" + "\n".join(found)
     assert {node.id for node in reads} == RULE_NAMES
+
+
+def test_iterate_has_four_callers():
+    # one step has one home: `eval_step` is `lts_step`'s silent move and
+    # `exec_step_labeled` reads `run(c, 1)`, so neither calls the loop
+    tree = ast.parse(Path(machine.__file__).read_text(encoding="utf-8"))
+    callers = {home.name: sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                              and node.func.id == "_iterate" for node in ast.walk(home))
+               for home in tree.body if isinstance(home, ast.FunctionDef)}
+    assert {name: n for name, n in callers.items() if n} == \
+        {"lts_step": 1, "_settled": 2, "run": 2, "_resume": 2}

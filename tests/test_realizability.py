@@ -479,6 +479,12 @@ class TestRealizes:
         pole = finite_pole("end * nil")
         assert realizes(pole, IDENTITY, TruthValue(())).is_verified
 
+    def test_open_terms_rejected(self):
+        with pytest.raises(ValueError, match="^realizer is not closed: x$"):
+            RealizerList.of([parse_term("x")])
+        with pytest.raises(ValueError, match="^realizer candidate is not closed: x$"):
+            realizes(finite_pole("end * nil"), parse_term("x"), TruthValue.of([EMPTY]))
+
     def test_refuted_carries_the_stack(self):
         pole = FinitePole.of([parse_process("end * nil")], fuel=100)
         verdict = realizes(pole, CALLCC, TruthValue.of([EMPTY]))
@@ -663,6 +669,22 @@ class TestCheckEntailment:
         assert verdict.is_refuted
         index, combo, pi = verdict.witness
         assert index == "i" and combo == (END,) and pi == EMPTY
+
+    def test_without_context(self):
+        # no realizer lists to sample: only a conclusion row that samples
+        # all stacks makes the Verified sampled
+        pole = FinitePole.of([Pair(FST, EMPTY)], fuel=500)
+        explicit = TruthValue.of([stack_of(FST)])
+
+        def entail(**rows):
+            return check_entailment(pole, Sequent((), Predicate.of(rows), IDENTITY))
+
+        assert entail(i=explicit, j=explicit) == Verdict.verified()
+        assert entail(i=explicit, j=falsity_sample([stack_of(FST)])) == \
+            Verdict.verified(sampled=True)
+        verdict = entail(i=explicit, j=TruthValue.of([stack_of(FST), stack_of(IDENTITY)]))
+        assert verdict.is_refuted
+        assert verdict.witness == ("j", (), stack_of(IDENTITY))
 
     def test_effectful_candidate_rejected_before_checking(self):
         with pytest.raises(NotProofLike):
@@ -860,6 +882,10 @@ def _consistency(**keys):
 
 
 class TestScenarioJson:
+    def test_unknown_pole_kind(self):
+        with pytest.raises(ValueError, match="^unknown pole kind 'nope'$"):
+            pole_from_json({"kind": "nope"})
+
     def test_entailment_round_trip(self):
         payload = {
             "kind": "entailment",

@@ -307,6 +307,12 @@ class TestPretty:
         text = pretty(lambda_chain(names, "a0"))
         assert text == "".join(f"\\{n}. " for n in names) + "a0"
 
+    def test_errors(self):
+        with pytest.raises(TypeError, match="^cannot print 5$"):
+            pretty(5)
+        with pytest.raises(ValueError, match="^Church numerals are defined for naturals only$"):
+            church_numeral(-1)
+
 
 class TestSubstitute:
     def test_replaces_free_occurrence(self):
@@ -318,6 +324,11 @@ class TestSubstitute:
         assert result.param != "y"
         assert result.body == Var("y")
         assert result == parse_term(r"\z. y")  # alpha-equal reading
+
+    def test_renaming_skips_taken_names(self):
+        # y is free in the argument and y1 in the body, so the binder is y2
+        result = substitute(parse_term(r"\y. x y1"), "x", Var("y"))
+        assert pretty(result) == r"\y2. y y1"
 
     def test_bound_occurrences_shadow(self):
         t = Abs("x", Var("x"))
@@ -473,6 +484,20 @@ class TestIdentity:
     ])
     def test_pairs(self, left, right):
         self._check_both_orders(parse_process(left), parse_process(right))
+
+    @pytest.mark.parametrize("left, right", [(r"\x. \y. x y", r"\x. \y. y x"), ("f x", "x f")])
+    def test_unequal_with_equal_hashes(self, left, right):
+        # hashes leave names out, so only the variable test tells these apart;
+        # pair heads and stack entries are closed, so `f x` goes under \f. \x.
+        a, b = parse_term(left), parse_term(right)
+        assert hash(a) == hash(b)
+        self._check_both_orders(a, b)
+        for name in sorted(a.fvs, reverse=True):
+            a, b = Abs(name, a), Abs(name, b)
+        assert hash(a) == hash(b)
+        self._check_both_orders(Pair(a, stack_of(END)), Pair(b, stack_of(END)))
+        self._check_both_orders(stack_of(END, a), stack_of(END, b))
+        self._check_both_orders(stack_of(a), stack_of(b))
 
     def test_pair_whose_saved_stack_is_its_tail(self):
         # what `cc` leaves: the continuation holds the stack that is also the tail
