@@ -3,12 +3,13 @@ execution.
 
 A process `t * π` steps silently by push (an application pushes its
 argument), pop (an abstraction binds the top of the stack to its
-parameter), save (`cc` captures the stack as a continuation) and restore
-(a continuation reinstates its stack).  The instruction constants in
-head position step visibly: `read` continues with its first, second or
-third argument as the next input bit is 0, 1 or used up; `write0` and
-`write1` write a bit and continue with their argument; `end` discards
-the stack and terminates at TOP.
+parameter), save (`cc` pushes the rest of the stack as a continuation
+term, `cc * t·π ≻ t * k_π·π`) and restore (a continuation reinstates
+its stack).  The instruction constants in head position step visibly:
+`read` continues with its first, second or third argument as the next
+input bit is 0, 1 or used up; `write0` and `write1` write a bit and
+continue with their argument; `end` discards the stack and terminates
+at TOP.
 
 One closure machine loop (Krivine, "A call-by-name lambda-calculus
 machine", HOSC 2007), `_iterate`, serves `run`, `lts_step`,
@@ -17,7 +18,10 @@ other steps read.  Its state is a term, an environment and a stack of
 closures, so a pop binds a name instead of copying the body, and a
 loaded `Pair`'s stack is used as it is.  It holds every rule, each
 written once, in place, with no helper call per step: push, pop, save,
-restore, read, write and end.  At an instruction head `run`, which
+restore, read, write and end.  A save pushes `Kont(π)` and goes on with
+that same `Stack` π, the rest read back first if it still holds closure
+cells, so a continuation is a term here as in the paper, and the saved
+stack and the tail are one object.  At an instruction head `run`, which
 passes its input, loads only the closure of the branch its next input
 bit selects.  Without input the loop stops there and gives back what its
 moves are made of, building none: one of four label tuples, the closures
@@ -28,14 +32,13 @@ Barenbaum and Mazza, "Distilling abstract machines", ICFP 2014), so
 traces and step counts are those of the substitution machine.  The loop
 runs over `range(fuel)`, whose index is the step count, so no step tests
 the budget, and only the loop says whether a rule applies: where it
-spends its fuel, `run` asks it for one more step, and `settled_moves`
-leaves the chain to `settle`.  It notes each visible step as (index,
-action), a run's result keeps that list, and its TAU-padded trace is
-built only on demand.  A state where a chain stops short of TOP is read
-back to a process once, by `_read_back`, which emits closed terms as
-they are, without walking them.  Written bits are prepended, so the
-final output string is read verbatim as a most-significant-bit-first
-binary numeral.
+spends its fuel, `run` and `settled_moves` ask it for one more step.
+It notes each visible step as (index, action), a run's result keeps
+that list, and its TAU-padded trace is built only on demand.  A state
+where a chain stops short of TOP is read back to a process once, by
+`_read_back`, which emits closed terms as they are, without walking
+them.  Written bits are prepended, so the final output string is read
+verbatim as a most-significant-bit-first binary numeral.
 
 Within one call, the execution relation replays a thunk, a variable
 bound to an application, in the manner of Sestoft's update markers
@@ -55,8 +58,8 @@ done, the one answer behind `equivalence.observable`, `weak_bisim` and
 stops, with nothing read back.  `settle` is the exact loop: it follows
 `eval_step` with a seen-set, for finite-pole membership, which passes
 its seeds as targets, and for a chain that spends its fuel in
-`settled_moves`, to tell a cycle, spent fuel and a chain stuck at its
-last step apart.  No path here copies a body through `substitute`.
+`settled_moves` and can still step, to tell a cycle from spent fuel.
+No path here copies a body through `substitute`.
 
 `_runs_on_inputs` gives a trace pole the runs on every input of at most
 n bits from one walk over the input tree: the loop pauses w's run at the
@@ -183,16 +186,6 @@ _TAU, _R0, _R1, _REPS, _W0, _W1, _E = Action
 # entries are closures with the empty environment.
 
 
-class _Captured:
-    """A continuation saved by `cc` during a run.  It holds the closure
-    stack, and reads back to a `Kont` of that stack's read-back."""
-
-    __slots__ = ("stack",)
-
-    def __init__(self, stack):
-        self.stack = stack
-
-
 # The labels of an instruction's moves in `_iterate`: a read's branches
 # in the order R0, R1, REPS, or the one move of a write or end.
 _READS, _WRITES0, _WRITES1, _ENDS = (_R0, _R1, _REPS), (_W0,), (_W1,), (_E,)
@@ -213,7 +206,7 @@ def lts_step(p: Process) -> tuple[tuple[Action, Process], ...]:
 
 
 # Read-back work items; see `_read_back`.
-_TERM, _CLOSURE, _STACK, _APP, _ABS, _CONS, _KONT, _MEMO = range(8)
+_TERM, _CLOSURE, _STACK, _APP, _ABS, _CONS, _MEMO = range(7)
 
 
 def _read_back(t: Term, env, s) -> Pair:
@@ -225,20 +218,21 @@ def _read_back(t: Term, env, s) -> Pair:
     reaches, name for name.  One walk from an explicit work list,
     building terms and stacks on `out`.  What is already its own
     read-back goes to `out` at once and pushes no work: a closure whose
-    environment is empty or whose term is closed (never a continuation
-    that `cc` saved), as the head, a variable's value or a cell's entry,
-    a variable bound inside the term being read back, a `Stack`, and a
-    closed child of an application, which, as the argument, rides on the
-    build item.  Work is pushed for open subterms, other closures and
-    stack cells, and for the nodes built from them.  Those closures and
-    cells are read back once each (memoized by identity within this
-    call), so a stack that `cc` saved and also kept as the tail reads
-    back to one shared `Stack`."""
+    environment is empty or whose term is closed, as the head, a
+    variable's value or a cell's entry, a variable bound inside the term
+    being read back, a `Stack`, and a closed child of an application,
+    which, as the argument, rides on the build item.  Work is pushed for
+    open subterms, other closures and stack cells, and for the nodes
+    built from them.  Those closures and cells are read back once each
+    (memoized by identity within this call), so a closure that an
+    environment binds twice reads back to one shared term.  A
+    continuation that `cc` saved is a closed `Kont` whose `Stack` the
+    loop went on with, so it and the tail are one object already."""
     memo: dict[int, object] = {}
     out: list = []
     work: list = [(_STACK, s)]
     pop, push = work.pop, work.append
-    if type(t) is not _Captured and (env is None or not t.fvs):
+    if env is None or not t.fvs:
         out.append(t)
     else:
         push((_CLOSURE, (t, env)))
@@ -260,14 +254,10 @@ def _read_back(t: Term, env, s) -> Pair:
             if tag is _STACK:  # a (closure, rest) cell
                 push((_CONS,))
                 push((_STACK, e))
-                if type(u[0]) is not _Captured and (u[1] is None or not u[0].fvs):
+                if u[1] is None or not u[0].fvs:
                     out.append(u[0])
                 else:
                     push((_CLOSURE, u))
-                continue
-            if type(u) is _Captured:
-                push((_KONT,))
-                push((_STACK, u.stack))
                 continue
         else:
             if tag is _APP:
@@ -280,8 +270,6 @@ def _read_back(t: Term, env, s) -> Pair:
             elif tag is _CONS:
                 tail = out.pop()
                 out.append(Stack(out.pop(), tail))
-            elif tag is _KONT:
-                out.append(Kont(out.pop()))
             else:
                 memo[id(item[1])] = out[-1]
             continue
@@ -294,7 +282,7 @@ def _read_back(t: Term, env, s) -> Pair:
             c = e[1]
             if c is None:  # bound inside the term being read back
                 out.append(u)
-            elif type(c[0]) is not _Captured and (c[1] is None or not c[0].fvs):
+            elif c[1] is None or not c[0].fvs:
                 out.append(c[0])
             else:
                 push((_CLOSURE, c))
@@ -319,7 +307,7 @@ def _read_back(t: Term, env, s) -> Pair:
 # What `_iterate` reads on every step, unpacked into locals at once: a
 # local reads faster than a global, and one unpack costs less per call
 # than a load of each.
-_LOOP_GLOBALS = Var, App, Abs, Kont, _Captured, CALLCC, tuple, list
+_LOOP_GLOBALS = Var, App, Abs, Kont, CALLCC, tuple, list
 
 
 def _unmarked(s, marks: int):
@@ -350,11 +338,15 @@ def _iterate(t: Term, env, s, fuel: int, source: str | None, pause: bool = False
     indirections builds up.  A silent step calls no helper: both lookups
     and the pop of the closure stack are written in place, and so are
     the read, write and end rules, which pop three arguments, one or
-    none (an instruction that lacks one is stuck).  Given `source`, the
-    input bits, this is the execution relation: a read takes its first
-    or second argument as the next unread bit is 0 or 1, or its third
-    when the input is used up (`read` counts the bits read), and loads
-    only that closure.  Given None it is the evaluation relation, which
+    none (an instruction that lacks one is stuck).  Two calls are the
+    exceptions: a save, restore or visible step that finds thunk marks
+    drops them with `_unmarked`, and a save whose rest still holds
+    closure cells reads it back (`_read_back`) to the `Stack` that its
+    `Kont` holds and the loop goes on with.  Given `source`, the input
+    bits, this is the execution relation: a read takes its first or
+    second argument as the next unread bit is 0 or 1, or its third when
+    the input is used up (`read` counts the bits read), and loads only
+    that closure.  Given None it is the evaluation relation, which
     stops at an instruction head with its arguments, unpopped, and gives
     back in the `visible` slot its moves (labels, closures, rest):
     `labels` is `_READS`, `_WRITES0`, `_WRITES1` or `_ENDS`, and move
@@ -382,7 +374,7 @@ def _iterate(t: Term, env, s, fuel: int, source: str | None, pause: bool = False
     continuation, visible rule or returned state sees a mark.  The
     record lives for one call, and only given `source`: the evaluation
     relation's chains are short, and there it cost more than it saved."""
-    Var_, App_, Abs_, Kont_, Captured_, CALLCC_, tuple_, list_ = _LOOP_GLOBALS
+    Var_, App_, Abs_, Kont_, CALLCC_, tuple_, list_ = _LOOP_GLOBALS
     read = 0
     size = 0 if source is None else len(source)
     visible: list[tuple[int, Action]] = []
@@ -434,15 +426,17 @@ def _iterate(t: Term, env, s, fuel: int, source: str | None, pause: bool = False
                 if marks:  # a save, restore or visible step ends the thunks under way
                     s = _unmarked(s, marks)
                     marks = 0
-                if cls is Kont_ or cls is Captured_ or t is CALLCC_:
+                if cls is Kont_ or t is CALLCC_:
                     if type(s) is tuple_:
                         top, rest = s
                     elif s.head is None:
                         return "stuck", t, env, s, i, visible, read
                     else:
                         top, rest = (s.head, None), s.tail
-                    # restore a continuation's stack, or save the rest (cc)
-                    s = t.stack if t is not CALLCC_ else ((Captured_(rest), None), rest)
+                    if t is CALLCC_ and type(rest) is tuple_:  # a saved rest is a `Stack`
+                        rest = _read_back(t, None, rest).stack
+                    # restore a continuation's stack, or save the rest (cc) and go on with it
+                    s = t.stack if t is not CALLCC_ else ((Kont_(rest), None), rest)
                     t, env = top
                     continue
                 if t is READ:
@@ -530,7 +524,7 @@ def settle(p: Process, fuel: int, targets: Container[Process] = ()) -> tuple[str
     order at each process.  A fuel that is not an integer raises
     TypeError, a negative one ValueError.  Finite-pole membership passes
     its seeds as targets; `settled_moves` comes here only for a chain
-    that spends its fuel on closures."""
+    that spends its fuel on closures and can still step."""
     _check_bound(fuel)
     seen: set[Process] = set()
     current = p
@@ -561,9 +555,10 @@ def settled_moves(p: Process, fuel: int) -> tuple | None:
 
     The chain runs on closures, `_iterate` without input, and nothing is
     read back.  Silent steps are deterministic, so a chain stuck within
-    its fuel never repeated a state; only one that spends its fuel goes
-    to `settle`, which tells a cycle, spent fuel and a chain stuck at
-    its last step apart."""
+    its fuel never repeated a state.  Where the chain spends its fuel,
+    the loop is asked for one more step, as `run` asks it, and only if
+    a silent step applies there does the chain go to `settle`, to tell
+    a cycle from spent fuel."""
     _check_bound(fuel)
     return () if p is TOP else _settled(p.term, None, p.stack, fuel)
 
@@ -580,12 +575,11 @@ def _settled_successor(moves: tuple, k: int, fuel: int) -> tuple | None:
 def _settled(t: Term, env, s, fuel: int) -> tuple | None:
     """`settled_moves` of the process the closure state (t, env, s)
     stands for."""
-    outcome, _, _, _, _, moves, _ = _iterate(t, env, s, fuel, None)
-    if outcome == "fuel":
-        reason, p = settle(_read_back(t, env, s), fuel)
-        if reason != "stuck":
-            return None if reason == "fuel" else ()
-        outcome, _, _, _, _, moves, _ = _iterate(p.term, None, p.stack, 1, None)
+    outcome, u, e, rest, _, moves, _ = _iterate(t, env, s, fuel, None)
+    if outcome == "fuel":  # one more step: does a rule apply where the fuel ran out?
+        outcome, _, _, _, _, moves, _ = _iterate(u, e, rest, 1, None)
+        if outcome == "fuel":
+            return None if settle(_read_back(t, env, s), fuel)[0] == "fuel" else ()
     return moves if outcome == "moves" else ()
 
 

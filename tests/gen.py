@@ -8,6 +8,7 @@ tests, so shapes stay consistent across the suite.
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 
@@ -53,6 +54,25 @@ def random_term(rng: random.Random, size: int, bound: tuple[str, ...] = (),
     left = rng.randrange(1, size)
     return App(random_term(rng, left, bound, effects, kont),
                random_term(rng, size - left, bound, effects, kont))
+
+
+_BINDERS = ("x", "y", "z", "w", "u", "v")  # a binder is named by its depth
+
+
+@functools.cache
+def all_terms(size: int, bound: tuple[str, ...] = ()) -> tuple[Term, ...]:
+    """Every term of exactly `size` nodes, a variable or a constant
+    counting one, whose free variables are among `bound`: the five
+    constants, and each binder named by how many binders it is under.
+    Closed terms number 5, 6, 32, 104 and 498 at sizes 1 to 5."""
+    if size == 1:
+        return (*[Var(name) for name in bound], *_LEAF_CONSTANTS)
+    name = _BINDERS[len(bound)]
+    terms = [Abs(name, body) for body in all_terms(size - 1, bound + (name,))]
+    for left in range(1, size - 1):
+        terms += [App(fun, arg) for fun in all_terms(left, bound)
+                  for arg in all_terms(size - 1 - left, bound)]
+    return tuple(terms)
 
 
 def random_stack(rng: random.Random, max_entries: int = 3,

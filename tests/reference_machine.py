@@ -58,7 +58,12 @@ oracles.
 - `_read_back` as it stood when it pushed a work item for every
   subterm and every closure, closed ones included.  Oracle for
   `kamio.machine._read_back`, which emits closed terms and closures
-  without pushing work for them.
+  without pushing work for them.  It reads back the closure loop's
+  states here and `kamio.machine._iterate`'s alike.
+- `_Captured`, the continuation that the closure loop's save pushed
+  before a save pushed a `Kont`: it held the closure stack, and reads
+  back to a `Kont` of that stack's read-back.  Kept for the loop and the
+  read-back here; `kamio.machine` no longer has it.
 - The closure loop `_iterate` as it stood when it counted its fuel down
   and tested it at each rule, with the `_effect` it called and the
   `_pop` helper that `_effect` popped through.  Oracle for
@@ -88,7 +93,7 @@ import re
 from typing import Container
 
 from kamio.equivalence import DEFAULT_DEPTH, DEFAULT_OBS_FUEL, Observable
-from kamio.machine import DEFAULT_FUEL, Action, ExecutionContext, RunResult, _Captured
+from kamio.machine import DEFAULT_FUEL, Action, ExecutionContext, RunResult
 from kamio.realizability import COPY, READ_ALL_THEN_WRITE
 from kamio.syntax import (
     CALLCC, END, READ, RESERVED, TOP, WRITE0, WRITE1, Abs, App, Const, Kont, Pair, ParseError,
@@ -671,6 +676,16 @@ def settle(p: Process, fuel: int, targets: Container[Process] = ()) -> tuple[str
             return "fuel", current
         fuel -= 1
         current = successor
+
+
+class _Captured:
+    """A continuation saved by `cc` during a run.  It holds the closure
+    stack, and reads back to a `Kont` of that stack's read-back."""
+
+    __slots__ = ("stack",)
+
+    def __init__(self, stack):
+        self.stack = stack
 
 
 # Read-back work items; see `_read_back`.

@@ -17,13 +17,13 @@ from kamio.combinators import (
 from kamio.equivalence import observable
 from kamio.machine import (
     DEFAULT_FUEL, Action, ExecutionContext, RunResult, _ENDS, _READS, _WRITES0, _WRITES1,
-    _Captured, _iterate, _read_back, bin_nat,
+    _iterate, _read_back, bin_nat,
     eval_step, exec_step, exec_step_labeled, lts_step, nat_of_bin, run, settle,
     settled_moves, successor,
 )
 from kamio.realizability import FinitePole, FunctionPole
 from kamio.syntax import (
-    Abs, App, END, EMPTY, Pair, READ, TOP, Var, WRITE0, WRITE1,
+    Abs, App, END, EMPTY, Kont, Pair, READ, TOP, Var, WRITE0, WRITE1,
     church_numeral, parse_process, parse_term, pretty, stack_of,
 )
 
@@ -235,6 +235,27 @@ class TestSettledLabels:
         assert successor(settled_moves(parse_process("end * nil"), 0), 0) is TOP
         assert settled_moves(parse_process(OMEGA), 2) == ()
         assert settled_moves(TOP, 0) == ()
+
+    def test_budget_end_needs_no_settle(self, monkeypatch):
+        # a chain that reaches its last process in exactly `fuel` steps
+        # takes one more loop step there; only a silent step goes to `settle`
+        def no_settle(*args):
+            raise AssertionError("settle was called")
+
+        monkeypatch.setattr(machine, "settle", no_settle)
+        for text, fuel, labels in [
+            (r"(\x. read x x x) end * nil", 5, (Action.R0, Action.R1, Action.REPS)),
+            (r"(\x. x) write0 * end :: nil", 2, (Action.W0,)),
+            (r"(\x. x) end * nil", 2, (Action.E,)),
+            (r"(\x. write1) end * nil", 2, None),  # stuck: a write with no argument
+        ]:
+            chain = _silent_chain(parse_process(text))
+            assert len(chain) == fuel + 1
+            moves = settled_moves(chain[0], fuel)
+            assert settled_labels(moves) == (labels or ())
+            if labels:
+                assert [successor(moves, k) for k in range(len(labels))] == \
+                    [q for _, q in reference.lts_step(chain[-1])]
 
     @staticmethod
     def _check_every_fuel(p, last):
@@ -523,7 +544,7 @@ def assert_read_back_matches_reference(p, bits, limit=62):
                 cell, entries = s, q.stack
                 while cell.__class__ is tuple:
                     saved = cell[0][0]
-                    if saved.__class__ is _Captured and saved.stack is cell[1]:
+                    if type(saved) is Kont and cell[0][1] is None and saved.stack is cell[1]:
                         assert entries.head.stack is entries.tail
                         hits += q is got
                     cell, entries = cell[1], entries.tail
@@ -697,7 +718,7 @@ def assert_same_stop(p, fuel, source, walk=None):
     assert (got[0], *got[4:]) == (outcome, *expected[4:]), (pretty(p), fuel, source)
     assert got[0] not in ("stuck", "moves") or got[4] < fuel
     if expected[0] != "terminated":
-        got, expected = _read_back(*got[1:4]), _read_back(*expected[1:4])
+        got, expected = _read_back(*got[1:4]), reference._read_back(*expected[1:4])
         assert got == expected
         assert gen.same_names(got, expected)
     if source is not None:
@@ -803,7 +824,7 @@ def assert_pause_matches_reference(p, fuel):
     assert (got[0], *got[4:]) == (outcome, *expected[4:]), (pretty(p), fuel)
     if outcome != "terminated":
         gen.assert_no_mark(got[3])
-        assert _read_back(*got[1:4]) == _read_back(*expected[1:4])
+        assert _read_back(*got[1:4]) == reference._read_back(*expected[1:4])
 
 
 def assert_run_matches_reference_at_every_fuel(c, names):
@@ -906,6 +927,39 @@ class TestIterate:
         result = run(c, 2**70)
         assert result == reference.run(c, 2**70)
         assert result.final.output == bits[::-1]
+
+
+# The stacks every small process runs on: the empty stack, each closed
+# term of at most two nodes alone, and each pair of constants.
+SMALL_STACKS = [EMPTY, *[stack_of(t) for n in (1, 2) for t in gen.all_terms(n)],
+                *[stack_of(a, b) for a in gen.all_terms(1) for b in gen.all_terms(1)]]
+
+
+class TestEverySmallProcess:
+    """Every closed term of at most five nodes (`gen.all_terms`: 645 of
+    them, `cc end write0` among them, whose save reads back a pushed
+    cell) on each of the 37 `SMALL_STACKS`, against the oracles: `run` on
+    four inputs, the labels of `settled_moves`, and `settle`, each at
+    fuel 60 and name for name, and `parse_term(pretty(t)) == t`."""
+
+    @pytest.mark.parametrize("size", range(1, 6))
+    def test_matches_reference(self, size):
+        assert len(SMALL_STACKS) == 37
+        for t in gen.all_terms(size):
+            parsed = parse_term(pretty(t))
+            assert parsed == t and gen.same_names(parsed, t)
+            for stack in SMALL_STACKS:
+                p = Pair(t, stack)
+                for bits in ("", "0", "1", "01"):
+                    c = ExecutionContext(p, bits)
+                    got, expected = run(c, 60), reference.run(c, 60)
+                    assert got == expected, (pretty(p), bits)
+                    assert gen.same_names(got.final.process, expected.final.process)
+                ob = reference.observable(p, 60)
+                assert settled_labels(settled_moves(p, 60)) == \
+                    (None if ob.kind == "unknown" else tuple(ob.entries or ())), pretty(p)
+                got, expected = settle(p, 60), reference.settle(p, 60)
+                assert got == expected and gen.same_names(got[1], expected[1]), pretty(p)
 
 
 def closure_stacks():

@@ -13,8 +13,8 @@ from kamio.combinators import R as READER
 from kamio.combinators import B, F, S, W, Y, compile_function
 from kamio.equivalence import weak_bisim
 from kamio.machine import (
-    Action, ExecutionContext, _Captured, _resume, _runs_on_inputs, bin_nat, eval_step,
-    nat_of_bin, run,
+    Action, ExecutionContext, _resume, _runs_on_inputs, bin_nat, eval_step,
+    nat_of_bin, run, settle,
 )
 from kamio.realizability import (
     COPY, ContextEntry, FinitePole, FunctionPole, IDENTITY, Predicate,
@@ -243,7 +243,7 @@ def runs_one_by_one(p, max_input_len, fuel):
 
 
 # A copy loop that saves the stack with `cc` before each read and writes
-# through the saved continuation, so every paused read holds a `_Captured`.
+# through the saved continuation, so every paused read holds a `Kont`.
 CC_COPY = Pair(Y, stack_of(parse_term(r"\x. cc (\k. read (k (write0 x)) (k (write1 x)) end)")))
 
 
@@ -334,7 +334,7 @@ class TestRunsOnInputs:
         assert t is READ
         while env[0] != "k":
             env = env[2]
-        assert env[1][0].__class__ is _Captured
+        assert type(env[1][0]) is Kont
         for bit in "01":
             assert _resume(paused, bit, True, ())[:2] == ("input", (
                 Action.R0 if bit == "0" else Action.R1, Action.W0 if bit == "0" else Action.W1))
@@ -639,6 +639,51 @@ class TestFunctoriality:
         assert as_stack_sets(forall_along({k: k for k in k_set}, theta)) == as_stack_sets(theta)
         assert as_stack_sets(forall_along({k: g[f[k]] for k in k_set}, theta, i_set)) == \
             as_stack_sets(forall_along(g, forall_along(f, theta, j_set), i_set))
+
+
+# Proof-like candidates for the adjunction: they pop, push, apply or
+# save what the realizer and the stack hold.
+ADJUNCTION_CANDIDATES = [IDENTITY, FST, CALLCC, parse_term(r"\x. x x"),
+                         parse_term(r"\x. \y. y x"), parse_term(r"\x. cc (\k. x k)")]
+
+
+class TestAdjunction:
+    """`∀_f ⊣ f*`: for f: J -> I, a context φ on I with realizers R and
+    θ on J, the sequent f*φ ⊢ θ (realizers R∘f) and the sequent
+    φ ⊢ ∀_f θ (on all of I) put the candidate against the same
+    (realizer, stack) pairs, so `check_entailment` gives them one status.
+    On 100 seeded instances.  A random finite pole refutes almost every
+    instance, so each pole's seeds are where those pairs settle, and in
+    about half the instances one seed is dropped."""
+
+    def test_both_sequents_get_one_status(self):
+        rng = random.Random(35)
+        statuses = Counter()
+        for _ in range(100):
+            i_set = [f"i{n}" for n in range(rng.randint(1, 3))]
+            j_set = [f"j{n}" for n in range(rng.randint(1, 4))]
+            f = {j: rng.choice(i_set) for j in j_set}
+            phi = Predicate.of({i: TruthValue.of(rng.sample(STACK_POOL, rng.randint(0, 2)))
+                                for i in i_set})
+            realizers = {i: RealizerList.of(gen.random_term(rng, rng.randint(1, 6))
+                                            for _ in range(rng.randint(1, 2))) for i in i_set}
+            theta = Predicate.of({j: TruthValue.of(gen.random_stack(rng, 2)
+                                                   for _ in range(rng.randint(0, 2)))
+                                  for j in j_set})
+            candidate = rng.choice(ADJUNCTION_CANDIDATES)
+            seeds = {settle(Pair(candidate, pi.push(u)), 200)[1]
+                     for j in j_set for u in realizers[f[j]] for pi in theta(j)}
+            if seeds and rng.random() < 0.5:
+                seeds.discard(rng.choice(sorted(seeds, key=str)))
+            pole = FinitePole(frozenset(seeds), 200)
+            pulled = Sequent((ContextEntry(reindex(f, phi), {j: realizers[f[j]] for j in j_set}),),
+                             theta, candidate)
+            pushed = Sequent((ContextEntry(phi, realizers),), forall_along(f, theta, i_set),
+                             candidate)
+            verdict = check_entailment(pole, pulled)
+            assert verdict.status == check_entailment(pole, pushed).status, (f, candidate)
+            statuses[verdict.status] += 1
+        assert statuses["verified"] >= 20 and statuses["refuted"] >= 20, statuses
 
 
 def simple_sequent(pole_seed, context_lists, conclusion_stacks, candidate):
