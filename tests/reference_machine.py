@@ -1,6 +1,13 @@
 """Earlier versions of rewritten code, kept unchanged as differential
 oracles.
 
+The substitution machine below (`eval_step`, `exec_step_labeled` and
+`lts_step`, the paper's own machine on processes `t * π`) is the one
+ground truth for the closure machine: for `kamio.machine._iterate` and
+`_read_back`, for `run`, `lts_step` and `settled_moves`.  The tests walk
+a process once with it and read each stop of the closure loop off that
+walk; no earlier closure loop is kept beside it.
+
 - `eval_step` as it stood when it was the substitution machine, with
   its own push, pop, save and restore rules on processes and a pop that
   copies the body through `substitute`; its docstring is kept too.
@@ -55,28 +62,6 @@ oracles.
   a seen-set of the processes met.  Oracle for `kamio.machine.settle`,
   which is that exact loop again after a time when it settled a chain
   with no targets on closures.
-- `_read_back` as it stood when it pushed a work item for every
-  subterm and every closure, closed ones included.  Oracle for
-  `kamio.machine._read_back`, which emits closed terms and closures
-  without pushing work for them.  It reads back the closure loop's
-  states here and `kamio.machine._iterate`'s alike.
-- `_Captured`, the continuation that the closure loop's save pushed
-  before a save pushed a `Kont`: it held the closure stack, and reads
-  back to a `Kont` of that stack's read-back.  Kept for the loop and the
-  read-back here; `kamio.machine` no longer has it.
-- The closure loop `_iterate` as it stood when it counted its fuel down
-  and tested it at each rule, with the `_effect` it called and the
-  `_pop` helper that `_effect` popped through.  Oracle for
-  `kamio.machine._iterate`, compared at every fuel, with two outcomes
-  mapped: where no rule applies after `fuel` steps, this loop says
-  "stuck" and `kamio.machine._iterate` says "fuel" (`run` and
-  `settled_moves` still say "stuck" there), and where, without input,
-  this loop is stuck at an instruction head that has its arguments,
-  `kamio.machine._iterate` says "moves" and gives them back.  That
-  `_effect` built an (action, closure, rest) triple for every move, a
-  read's three included; oracle for those moves, which
-  `kamio.machine._iterate`, now the home of the read, write and end
-  rules too, gives as one label tuple and one tuple of closures.
 - The recursive `weak_bisim`.  Oracle for `kamio.equivalence.weak_bisim`.
   One edit: `visited` maps each pair to the depth left when it was
   explored, and a pair met again with more depth than that is explored
@@ -676,209 +661,6 @@ def settle(p: Process, fuel: int, targets: Container[Process] = ()) -> tuple[str
             return "fuel", current
         fuel -= 1
         current = successor
-
-
-class _Captured:
-    """A continuation saved by `cc` during a run.  It holds the closure
-    stack, and reads back to a `Kont` of that stack's read-back."""
-
-    __slots__ = ("stack",)
-
-    def __init__(self, stack):
-        self.stack = stack
-
-
-# Read-back work items; see `_read_back`.
-_TERM, _CLOSURE, _STACK, _APP, _ABS, _CONS, _KONT, _MEMO = range(8)
-
-
-def _read_back(t: Term, env, s) -> Pair:
-    """The process that the closure state (t, env, s) stands for.
-
-    Each free variable is replaced by the read-back of the closure it is
-    bound to.  Those are closed, so nothing is captured and no bound name
-    changes: the result is the process the substitution machine reaches,
-    name for name.  One walk from an explicit work list, building terms
-    and stacks on `out`.  Closures and stack cells are read back once
-    each (memoized by identity within this call), so a stack that `cc`
-    saved and also kept as the tail reads back to one shared `Stack`."""
-    memo: dict[int, object] = {}
-    out: list = []
-    work: list = [(_STACK, s), (_CLOSURE, (t, env))]
-    pop, push = work.pop, work.append
-    while work:
-        item = pop()
-        tag = item[0]
-        if tag is _TERM:
-            _, u, e = item
-            cls = u.__class__
-            if e is None or not u.fvs:
-                out.append(u)
-            elif cls is Var:
-                while e[0] != u.name:
-                    e = e[2]
-                if e[1] is None:  # bound inside the term being read back
-                    out.append(u)
-                else:
-                    push((_CLOSURE, e[1]))
-            elif cls is App:
-                push((_APP,))
-                push((_TERM, u.arg, e))
-                push((_TERM, u.fun, e))
-            else:  # an Abs: its parameter is bound in its body
-                push((_ABS, u.param))
-                push((_TERM, u.body, (u.param, None, e)))
-        elif tag is _CLOSURE or tag is _STACK:
-            x = item[1]
-            if x.__class__ is Stack:
-                out.append(x)
-            elif id(x) in memo:
-                out.append(memo[id(x)])
-            else:
-                push((_MEMO, x))
-                if tag is _STACK:  # a (closure, rest) cell
-                    push((_CONS,))
-                    push((_STACK, x[1]))
-                    push((_CLOSURE, x[0]))
-                elif x[0].__class__ is _Captured:
-                    push((_KONT,))
-                    push((_STACK, x[0].stack))
-                else:
-                    push((_TERM, x[0], x[1]))
-        elif tag is _APP:
-            arg = out.pop()
-            out.append(App(out.pop(), arg))
-        elif tag is _ABS:
-            out.append(Abs(item[1], out.pop()))
-        elif tag is _CONS:
-            tail = out.pop()
-            out.append(Stack(out.pop(), tail))
-        elif tag is _KONT:
-            out.append(Kont(out.pop()))
-        else:
-            memo[id(item[1])] = out[-1]
-    term, stack = out
-    return Pair(term, stack)
-
-
-# ---------------------------------------------------------------------------
-# The closure loop
-
-_TAU, _R0, _R1, _REPS, _W0, _W1, _E = Action
-
-
-def _pop(s):
-    """(closure, rest) for the top of closure stack s, or None if s is empty."""
-    if s.__class__ is tuple:
-        return s
-    if s.head is None:
-        return None
-    return (s.head, None), s.tail
-
-
-def _effect(t: Term, s) -> tuple:
-    """The visible transitions of head t on closure stack s, as
-    (action, closure, rest) triples: a read's three branches in the
-    order R0, R1, REPS, a write's one, or end's one, which leaves no
-    closure and no rest (None).  Empty if t is no instruction or lacks
-    its arguments."""
-    if t is END:
-        return (_E, None, None),
-    if t is WRITE0 or t is WRITE1:
-        top = _pop(s)
-        if top is None:
-            return ()
-        return ((_W0 if t is WRITE0 else _W1), top[0], top[1]),
-    if t is READ:
-        first = _pop(s)
-        second = first and _pop(first[1])
-        third = second and _pop(second[1])
-        if third is None:
-            return ()
-        rest = third[1]
-        return (_R0, first[0], rest), (_R1, second[0], rest), (_REPS, third[0], rest)
-    return ()
-
-
-def _iterate(p: Pair, fuel: int, source: str | None) -> tuple:
-    """Load p as a closure state and step it at most `fuel` times; return
-    (outcome, t, env, s, steps, visible, read), where (t, env, s) is the
-    state it stopped at.
-
-    Push, pop, save and restore each take one silent step, and a
-    variable head is replaced by the closure it is bound to without one;
-    a pushed variable pushes the closure it names, so no chain of
-    indirections builds up.  A silent step calls no helper: both
-    lookups and the pop of the closure stack are written in place.
-    Given `source`, the input bits, this is the execution relation: an
-    instruction head takes `_effect`'s step, and a read takes the branch
-    that the next unread bit selects (`read` counts the bits read).
-    Given None it is the evaluation relation, which stops at an
-    instruction head.  outcome is "terminated" (end was taken), "stuck"
-    (no step applies) or "fuel"; a last allowed step that lands on a
-    stuck state gives "stuck".  `visible` lists (index, action) for each
-    visible step, so a silent step appends nothing."""
-    t, env, s = p.term, None, p.stack
-    read = 0
-    visible: list[tuple[int, Action]] = []
-    left = fuel
-    while True:
-        cls = t.__class__
-        if cls is Var:
-            name = t.name
-            while env[0] != name:
-                env = env[2]
-            t, env = env[1]
-            cls = t.__class__
-        if cls is App:
-            if not left:
-                break
-            arg = t.arg
-            if arg.__class__ is Var:
-                name, e = arg.name, env
-                while e[0] != name:
-                    e = e[2]
-                s = e[1], s
-            else:
-                s = (arg, env), s
-            t = t.fun
-        elif cls is Abs or cls is Kont or cls is _Captured or t is CALLCC:
-            if s.__class__ is tuple:
-                top, rest = s
-            elif s.head is None:
-                return "stuck", t, env, s, fuel - left, visible, read
-            else:
-                top, rest = (s.head, None), s.tail
-            if not left:
-                break
-            if cls is Abs:
-                env = (t.param, top, env)
-                t = t.body
-                s = rest
-            elif cls is Kont or cls is _Captured:  # restore
-                s = t.stack
-                t, env = top
-            else:  # save
-                s = (_Captured(rest), None), rest
-                t, env = top
-        else:
-            moves = _effect(t, s) if source is not None else ()
-            if not moves:
-                return "stuck", t, env, s, fuel - left, visible, read
-            if not left:
-                break
-            if len(moves) == 1:
-                action, top, s = moves[0]
-            else:  # the read branch that the next input bit selects
-                bit = source[read:read + 1]
-                action, top, s = moves[int(bit) if bit else 2]
-                read += len(bit)
-            visible.append((fuel - left, action))
-            if top is None:
-                return "terminated", t, env, s, fuel - left + 1, visible, read
-            t, env = top
-        left -= 1
-    return "fuel", t, env, s, fuel, visible, read
 
 
 _LABEL_ORDER = (Action.R0, Action.R1, Action.REPS, Action.W0, Action.W1, Action.E)

@@ -269,15 +269,33 @@ class TestWeakBisim:
 def _agrees_with_reference(p, q):
     """Same verdict and witness as the recursive search at every depth up to
     6; where the search that ignores the depth left decides, the same
-    decision.  Small fuels put the stuck-or-fuel boundary of
-    `machine.settled_moves` within reach of short silent chains."""
+    decision.  Every refutation replays (`_assert_replays`).  Small fuels
+    put the stuck-or-fuel boundary of `machine.settled_moves` within reach
+    of short silent chains."""
     for fuel in (0, 1, 2, 3, 300):
         for depth in range(7):
             verdict = weak_bisim(p, q, depth, fuel)
             assert verdict == reference.weak_bisim(p, q, depth, fuel), (fuel, depth)
+            if verdict.is_refuted:
+                _assert_replays(p, q, verdict.witness, fuel)
             depth_blind = reference.weak_bisim(p, q, depth, fuel, depth_aware=False)
             if not depth_blind.is_unknown:
                 assert verdict.status == depth_blind.status, (fuel, depth)
+
+
+def _assert_replays(p, q, witness, fuel):
+    """The refutation `witness` of p against q, replayed through the
+    reference `observable` menus at `fuel`: both sides offer each label
+    of its prefix, and at its end, where both sides are settled, exactly
+    one offers its last label (a silent side offers none)."""
+    *prefix, last = witness
+    for label in prefix:
+        a, b = reference.observable(p, fuel), reference.observable(q, fuel)
+        assert a.is_menu and b.is_menu and label in a.entries and label in b.entries, witness
+        p, q = a.entries[label], b.entries[label]
+    a, b = reference.observable(p, fuel), reference.observable(q, fuel)
+    assert "unknown" not in (a.kind, b.kind), witness
+    assert (a.is_menu and last in a.entries) != (b.is_menu and last in b.entries), witness
 
 
 class TestWeakBisimReference:

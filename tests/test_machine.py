@@ -200,7 +200,8 @@ class TestSettledLabels:
     """The labels a settled process offers: `settled_moves(p, fuel)` is
     None where the reference `observable(p, fuel)` is unknown, and
     otherwise holds the menu's labels in order (none if silent), each
-    with a `successor` equal to the menu's, name for name."""
+    with a `successor` equal to the menu's, name for name.  Once it is
+    not None, its labels stay the same at every larger fuel."""
 
     @given(st.one_of(gen.processes(), gen.silent_loops()))
     def test_matches_observable_at_every_fuel(self, p):
@@ -259,11 +260,16 @@ class TestSettledLabels:
 
     @staticmethod
     def _check_every_fuel(p, last):
+        settled = None  # the labels, once `settled_moves` is not None
         for fuel in range(last + 1):
             moves, ob = settled_moves(p, fuel), reference.observable(p, fuel)
             entries = ob.entries or {}
             expected = None if ob.kind == "unknown" else tuple(entries)
             assert settled_labels(moves) == expected, fuel
+            if settled is None:
+                settled = settled_labels(moves)
+            else:
+                assert settled_labels(moves) == settled, fuel
             for k, label in enumerate(entries):
                 q = successor(moves, k)
                 assert q == entries[label] and pretty(q) == pretty(entries[label]), fuel
@@ -447,12 +453,15 @@ class TestRunProperties:
 
     @given(gen.contexts(), st.integers(0, 40), st.integers(0, 40))
     def test_fuel_monotonicity(self, c, fuel, extra):
+        # a run that ends within its fuel, terminated or stuck, ends the
+        # same at every larger fuel; one that spends it took `fuel` steps
         first = run(c, fuel)
-        if first.outcome == "terminated":
-            second = run(c, fuel + extra)
-            assert second.outcome == "terminated"
-            assert second.final == first.final
-            assert second.trace == first.trace
+        if first.outcome == "fuel":
+            assert first.steps == fuel
+            return
+        second = run(c, fuel + extra)
+        assert second == first
+        assert gen.same_names(second.final.process, first.final.process)
 
 
 COPY_LOOP = Pair(Y, stack_of(parse_term(r"\x. read (write0 x) (write1 x) end")))
@@ -526,28 +535,28 @@ COMPILED_PROGRAMS = [
 def assert_read_back_matches_reference(p, bits, limit=62):
     """Wherever `_iterate` stops p, with `bits` as input and without input,
     at every fuel up to the steps of p's silent chain or run (at most
-    `limit`) plus one, `_read_back` builds the process the reference
-    `_read_back` builds.  A stack cell whose saved continuation is the
-    cell's own rest reads back, on both sides, to a `Kont` that holds the
-    read-back tail itself.  Returns how many such cells were met."""
+    `limit`) plus one, `_read_back` builds the process that the
+    substitution machine's walk (`reference_walk`) reaches at that fuel,
+    name for name.  A stack cell whose saved continuation is the cell's
+    own rest reads back to a `Kont` that holds the read-back tail itself.
+    Returns how many such cells were met."""
     hits = 0
     for source in (None, bits):
-        last = _iterate(p.term, None, p.stack, limit, source)[4]
-        for fuel in range(last + 2):
+        contexts, actions, _ = reference_walk(ExecutionContext(p, source or ""), limit + 1,
+                                              silent=source is None)
+        for fuel in range(min(len(actions), limit) + 2):
             outcome, t, env, s = _iterate(p.term, None, p.stack, fuel, source)[:4]
             if outcome == "terminated":
                 continue
-            got, expected = _read_back(t, env, s), reference._read_back(t, env, s)
-            assert got == expected
-            assert pretty(got) == pretty(expected)
-            for q in (got, expected):
-                cell, entries = s, q.stack
-                while cell.__class__ is tuple:
-                    saved = cell[0][0]
-                    if type(saved) is Kont and cell[0][1] is None and saved.stack is cell[1]:
-                        assert entries.head.stack is entries.tail
-                        hits += q is got
-                    cell, entries = cell[1], entries.tail
+            got, expected = _read_back(t, env, s), contexts[min(fuel, len(actions))].process
+            assert got == expected and gen.same_names(got, expected), (pretty(p), fuel, source)
+            cell, entries = s, got.stack
+            while type(cell) is tuple:
+                saved = cell[0][0]
+                if type(saved) is Kont and cell[0][1] is None and saved.stack is cell[1]:
+                    assert entries.head.stack is entries.tail
+                    hits += 1
+                cell, entries = cell[1], entries.tail
     return hits
 
 
@@ -643,23 +652,33 @@ class TestClosureMachine:
         assert result.final.process == Pair(Abs("x", body), stack_of(END))
 
 
-def reference_walk(c, fuel):
+def _silent_step(c):
+    """`reference.exec_step_labeled` restricted to silent steps: the
+    evaluation relation, which stops at an instruction head."""
+    q = reference.eval_step(c.process)
+    return None if q is None else (Action.TAU, ExecutionContext(q, c.input, c.output))
+
+
+def reference_walk(c, fuel, silent=False):
     """The reference's run of c at `fuel`, walked once by
-    `reference.exec_step_labeled`: (contexts, actions, outcome), with at
-    most `fuel` actions.  `walked_run` reads its run at any fuel up to
-    `fuel` off the walk, so a check at every fuel costs one reference
-    walk, not one reference run per fuel."""
+    `reference.exec_step_labeled`, or, if `silent`, the chain of
+    `reference.eval_step` steps from c's process: (contexts, actions,
+    outcome), with at most `fuel` actions.  `walked_run` reads its run at
+    any fuel up to `fuel` off the walk, so a check at every fuel costs one
+    reference walk, not one reference run per fuel."""
+    step = _silent_step if silent else reference.exec_step_labeled
     contexts, actions = [c], []
     while len(actions) < fuel and contexts[-1].process is not TOP:
-        step = reference.exec_step_labeled(contexts[-1])
-        if step is None:
+        taken = step(contexts[-1])
+        if taken is None:
             break
-        actions.append(step[0])
-        contexts.append(step[1])
+        actions.append(taken[0])
+        contexts.append(taken[1])
     outcome = ("terminated" if contexts[-1].process is TOP
-               else "stuck" if reference.exec_step_labeled(contexts[-1]) is None else "fuel")
+               else "stuck" if step(contexts[-1]) is None else "fuel")
     walk = contexts, actions, outcome
-    assert walked_run(walk, fuel)[0] == reference.run(c, fuel)
+    if not silent:
+        assert walked_run(walk, fuel)[0] == reference.run(c, fuel)
     return walk
 
 
@@ -679,54 +698,54 @@ def walked_run(walk, fuel):
 def assert_iterate_matches_reference(p, bits, limit=200):
     """At every fuel from 0 to the steps of p's chain (at most `limit`)
     plus one, with `bits` as input and without input, `assert_same_stop`,
-    with the reference's runs on `bits` taken from one walk."""
+    reading the reference off one walk per source."""
     for source in (None, bits):
-        last = reference._iterate(p, limit, source)[4]
-        walk = None if source is None else reference_walk(ExecutionContext(p, source), last + 1)
-        for fuel in range(last + 2):
+        walk = reference_walk(ExecutionContext(p, source or ""), limit + 1, silent=source is None)
+        for fuel in range(min(len(walk[1]), limit) + 2):
             assert_same_stop(p, fuel, source, walk)
 
 
 def assert_same_stop(p, fuel, source, walk=None):
-    """`_iterate` stops where the loop it replaced stops
-    (`reference._iterate`): the same outcome, steps, visible steps and
-    bits read, and a state that reads back to the same process, name for
-    name.  Two outcomes are mapped: where the reference is stuck after
-    `fuel` steps, `_iterate` says "fuel", and it says "stuck" only after
-    fewer steps; where the reference, without input, is stuck at an
-    instruction head that has its arguments, `_iterate` says "moves",
-    with the reference `_effect`'s moves in the visible slot
-    (`assert_same_moves`), and the state it stopped at unpopped.  The
-    public results at that fuel still say "stuck" there: `run` matches
-    the reference `run` given `source`, read off `walk` (walked here if
-    None), and without it `settle` matches the reference `settle` and
-    the labels of `settled_moves` the reference `observable`; the trace
-    `run` builds, its step count and its visible trace are the reference
-    trace's."""
+    """`_iterate` stops where the substitution machine's walk of p stops
+    (`reference_walk`, walked here if None: the run on `source`, or
+    without input the chain of silent steps): the same outcome, steps,
+    visible steps and bits read, and a state that reads back to the
+    walk's process at that step, name for name.  The walk's outcome is
+    read two ways: where the walk is stuck at exactly `fuel` steps,
+    `_iterate` says "fuel", and it says "stuck" only after fewer steps;
+    where the silent walk stops at an instruction head whose
+    `reference.lts_step` offers moves, `_iterate` says "moves", with
+    those moves in the visible slot (`assert_same_moves`), and the state
+    it stopped at unpopped.  The public results at that fuel still say
+    "stuck" there: `run` matches the walk's run given `source`, and
+    without it `settle` matches the reference `settle` and the labels of
+    `settled_moves` the reference `observable`; the trace `run` builds,
+    its step count and its visible trace are the walk's."""
+    c = ExecutionContext(p, source or "")
+    expected, trace = walked_run(walk or reference_walk(c, fuel, silent=source is None), fuel)
+    q = expected.final.process
     got = _iterate(p.term, None, p.stack, fuel, source)
-    expected = reference._iterate(p, fuel, source)
     if got[0] != "terminated":
         gen.assert_no_mark(got[3])
-    outcome = expected[0]
-    if outcome == "stuck" and expected[4] == fuel:
+    outcome = expected.outcome
+    if outcome == "stuck" and expected.steps == fuel:
         outcome = "fuel"
-    elif outcome == "stuck" and source is None and reference._effect(expected[1], expected[3]):
+    elif outcome == "stuck" and source is None and reference.lts_step(q):
         outcome = "moves"
     if got[0] == "moves":
-        assert_same_moves(got[5], got[1], got[3])
+        assert_same_moves(got[5], got[3], q)
         got = (*got[:5], [], got[6])  # the evaluation relation notes no visible step
-    assert (got[0], *got[4:]) == (outcome, *expected[4:]), (pretty(p), fuel, source)
+    read = len(c.input) - len(expected.final.input)
+    assert (got[0], got[4], tuple(got[5]), got[6]) == \
+        (outcome, expected.steps, expected.visible, read), (pretty(p), fuel, source)
     assert got[0] not in ("stuck", "moves") or got[4] < fuel
-    if expected[0] != "terminated":
-        got, expected = _read_back(*got[1:4]), reference._read_back(*expected[1:4])
-        assert got == expected
-        assert gen.same_names(got, expected)
+    if outcome != "terminated":
+        stopped = _read_back(*got[1:4])
+        assert stopped == q and gen.same_names(stopped, q), (pretty(p), fuel, source)
     if source is not None:
-        c = ExecutionContext(p, source)
-        expected, trace = walked_run(walk or reference_walk(c, fuel), fuel)
         got = run(c, fuel)
         assert got == expected, (pretty(p), fuel, source)
-        assert gen.same_names(got.final.process, expected.final.process)
+        assert gen.same_names(got.final.process, q)
         assert got.trace == trace and got.steps == len(trace)
         assert got.visible_trace() == tuple([a for a in trace if a is not Action.TAU])
         return
@@ -738,20 +757,32 @@ def assert_same_stop(p, fuel, source, walk=None):
         (None if ob.kind == "unknown" else tuple(ob.entries or ()))
 
 
-def assert_same_moves(moves, t, s):
+def assert_same_moves(moves, s, q):
     """`moves`, the (labels, closures, rest) that `_iterate` gives back
-    where it stops at head t on closure stack s, are the reference
-    `_effect`'s (action, closure, rest) triples on that state: one of the
-    four label tuples, each closure equal, and the rest the very object
-    the reference pops to."""
-    expected = reference._effect(t, s)
+    where it stops on closure stack s at the process q, are q's
+    transitions in `reference.lts_step`: one of the four label tuples,
+    and a `successor` per move equal to the reference's, name for name.
+    The closures are the arguments popped off s, and the rest is the very
+    object left after popping them (None after end)."""
     labels, closures, rest = moves
     assert any(labels is c for c in (_READS, _WRITES0, _WRITES1, _ENDS))
-    assert len(labels) == len(closures) == len(expected) > 0
-    for action, closure, (ref_action, ref_closure, ref_rest) in zip(labels, closures, expected):
-        assert action is ref_action
-        assert closure == ref_closure
-        assert rest is ref_rest
+    expected = reference.lts_step(q)
+    assert labels == tuple([action for action, _ in expected])
+    for k, (_, r) in enumerate(expected):
+        got = successor(moves, k)
+        assert got == r and gen.same_names(got, r)
+    if labels is _ENDS:
+        assert closures == (None,) and rest is None
+        return
+    popped = []
+    for _ in labels:  # a read pops three arguments, a write one
+        if type(s) is tuple:
+            top, s = s
+        else:
+            top, s = (s.head, None), s.tail
+        popped.append(top)
+    assert closures == tuple(popped)
+    assert rest is s
 
 
 ITERATE_EDGE_CASES = [
@@ -803,28 +834,33 @@ THUNK_EFFECT_CASES = [
 DOUBLE = parse_term(resolve_names(r"\n. n (\m. S (S m)) #0", prelude_definitions(PRELUDE_SOURCE)))
 
 
-def assert_pause_matches_reference(p, fuel):
+def assert_pause_matches_reference(p, fuel, walk=None):
     """With `pause` set and no input, `_iterate` stops as "input" at the
-    first read that has its three entries, where the reference takes
-    its first REPS step, with the visible steps before it and that read
-    unpopped.  A run that takes no REPS step within `fuel` stops where
-    the reference stops, as `assert_same_stop` maps it: a read that
-    lacks an entry is "stuck", not "input"."""
+    first read that has its three entries, where the walk of p's run on
+    no input (`reference_walk`, walked here if None) takes its first REPS
+    step, with the visible steps before it and that read unpopped.  A run
+    that takes no REPS step within `fuel` stops where the walk stops, as
+    `assert_same_stop` reads it: a read that lacks an entry is "stuck",
+    not "input"."""
+    walk = walk or reference_walk(ExecutionContext(p), fuel)
     got = _iterate(p.term, None, p.stack, fuel, "", True)
-    expected = reference._iterate(p, fuel, "")
-    first = next((i for i, action in expected[5] if action is Action.REPS), None)
-    if first is None:
-        outcome = expected[0]
-        if outcome == "stuck" and expected[4] == fuel:
-            outcome = "fuel"
-    else:
-        expected = reference._iterate(p, first, "")
+    actions = walk[1][:fuel]
+    if Action.REPS in actions:
+        expected = walked_run(walk, actions.index(Action.REPS))[0]
         outcome = "input"
         assert got[1] is READ
-    assert (got[0], *got[4:]) == (outcome, *expected[4:]), (pretty(p), fuel)
+    else:
+        expected = walked_run(walk, fuel)[0]
+        outcome = expected.outcome
+        if outcome == "stuck" and expected.steps == fuel:
+            outcome = "fuel"
+    assert (got[0], got[4], tuple(got[5]), got[6]) == \
+        (outcome, expected.steps, expected.visible, 0), (pretty(p), fuel)
     if outcome != "terminated":
         gen.assert_no_mark(got[3])
-        assert _read_back(*got[1:4]) == reference._read_back(*expected[1:4])
+        stopped = _read_back(*got[1:4])
+        assert stopped == expected.final.process
+        assert gen.same_names(stopped, expected.final.process)
 
 
 def assert_run_matches_reference_at_every_fuel(c, names):
@@ -845,7 +881,7 @@ def assert_run_matches_reference_at_every_fuel(c, names):
 
 class TestIterate:
     """`_iterate`, a loop over `range(fuel)` with no stuck test after it,
-    against the loop it replaced, and `run`, `settle` and
+    against the substitution machine's walk, and `run`, `settle` and
     `settled_moves`, which say "stuck" at the budget's end, against
     their oracles.  Compiled programs enter thunks again and again, so
     there `_iterate` replays evaluations it has recorded."""
@@ -865,8 +901,9 @@ class TestIterate:
         p = parse_process(text)
         for bits in ("", "0", "1"):
             assert_iterate_matches_reference(p, bits, 40)
-        for fuel in range(reference._iterate(p, 40, "")[4] + 2):
-            assert_pause_matches_reference(p, fuel)
+        walk = reference_walk(ExecutionContext(p), 41)
+        for fuel in range(min(len(walk[1]), 40) + 2):
+            assert_pause_matches_reference(p, fuel, walk)
 
     @pytest.mark.parametrize("program, bits", COMPILED_PROGRAMS + [
         pytest.param(COPY_LOOP, "0000", id="copy-all-zero"),
@@ -963,8 +1000,10 @@ class TestEverySmallProcess:
 
 
 def closure_stacks():
-    """Closure stacks of 0 to 4 entries: for each split, the top entries
-    as (closure, rest) cells over a plain `Stack` of the others."""
+    """Closure stacks of 0 to 4 entries, each with the `Stack` it stands
+    for: for each split, the top entries as (closure, rest) cells over a
+    plain `Stack` of the others.  The entries are closed, so a cell's
+    environment reads back to nothing."""
     entries = [parse_term(text) for text in (r"\x. x", "end", "write0 end", "cc")]
     env = ("y", (END, None), None)
     for n in range(5):
@@ -972,27 +1011,28 @@ def closure_stacks():
             s = stack_of(*entries[cells:n])
             for term in reversed(entries[:cells]):
                 s = (term, env), s
-            yield s
+            yield s, stack_of(*entries[:n])
 
 
 class TestEffect:
-    """The read, write and end rules, now in `_iterate`'s instruction
-    branch: one step without input gives a head's moves back, one label
-    tuple and one tuple of closures, against the `_effect` that built an
-    (action, closure, rest) triple for every move."""
+    """The read, write and end rules, in `_iterate`'s instruction branch:
+    one step without input gives a head's moves back, one label tuple and
+    one tuple of closures, which are the visible transitions that
+    `reference.lts_step` takes on the process the state stands for."""
 
     @pytest.mark.parametrize("head", [END, WRITE0, WRITE1, READ, parse_term(r"\x. x")],
                              ids=pretty)
     def test_matches_reference(self, head):
-        for s in closure_stacks():
-            got, expected = _iterate(head, None, s, 1, None), reference._effect(head, s)
+        for s, stack in closure_stacks():
+            p = Pair(head, stack)
+            got, expected = _iterate(head, None, s, 1, None), reference.lts_step(p)
             if got[0] != "moves":
-                assert expected == ()
+                assert all(action is Action.TAU for action, _ in expected)
                 continue
             _, t, env, stopped, steps, moves, read = got
             assert (t, env, steps, read) == (head, None, 0, 0)
             assert stopped is s  # the state it stopped at, unpopped
-            assert_same_moves(moves, head, s)
+            assert_same_moves(moves, s, p)
 
 
 # The instructions and the label tuples of their moves: what only the
