@@ -10,10 +10,8 @@ step (`machine.eval_step`, one closure step read back) take any depth:
 `kamio bisim` verifies `#2000 * (\x. x x) :: (\x. x x) :: nil` against
 `(\z. z) (#2000) * (\x. x x) :: (\x. x x) :: nil`.
 
-Fuel: `--fuel`, else KAMIO_FUEL, else 1000000.  A realizability pole's
-budget is settled when its scenario is loaded: the pole's own "fuel" key
-(a union's passes to its members), else the scenario's "fuel", else the
-command-line fuel.
+Fuel: `--fuel`, else KAMIO_FUEL, else 1000000; `realize` hands it to
+`realizability.scenario_from_json`, which settles each pole's budget.
 """
 
 from __future__ import annotations
@@ -141,8 +139,10 @@ def _cmd_compile_fn(args) -> int:
     return 0
 
 
-def _parse_table(text: str) -> dict[int, int]:
-    table: dict[int, int] = {}
+def _parse_table(text: str) -> tuple[tuple[int, int], ...]:
+    """The rows of a TSV table, sorted.  Only what needs the text is
+    checked here, with its line number; `FunctionPole` checks the rest."""
+    rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -150,22 +150,15 @@ def _parse_table(text: str) -> dict[int, int]:
         parts = line.split("\t") if "\t" in line else line.split()
         if len(parts) != 2:
             raise ValueError(f"table line {lineno}: expected `n<TAB>m`, got {raw!r}")
-        n, m = (realizability._decimal(cell, f"table line {lineno}: cell") for cell in parts)
-        if n < 0 or m < 0:
-            raise ValueError(f"table line {lineno}: naturals required")
-        if n in table:
-            raise ValueError(f"table line {lineno}: input {n} already has a row")
-        table[n] = m
-    if not table:
-        raise ValueError("table has no rows")
-    return table
+        rows.append(tuple(realizability._decimal(cell, f"table line {lineno}: cell")
+                          for cell in parts))
+    return tuple(sorted(rows))
 
 
 def _cmd_verify_impl(args) -> int:
     proc = _load(args.file, args, "process")
-    table = _parse_table(_read(args.table))
-    rows = [(n, table[n], implements_row(proc, n, table[n], args.fuel))
-            for n in sorted(table)]
+    pole = realizability.FunctionPole(_parse_table(_read(args.table)), args.fuel)
+    rows = [(n, m, implements_row(proc, n, m, pole.fuel)) for n, m in pole.table]
     overall = Verdict.all_of((verdict for _, _, verdict in rows),
                              sampled=True)  # table rows only, not all of dom(f)
     if args.output_format == "json":
@@ -182,10 +175,7 @@ def _cmd_verify_impl(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    obj = json.loads(_read(args.file))
-    if isinstance(obj, dict):
-        obj.setdefault("fuel", args.fuel)  # a scenario's own fuel wins
-    scenario = realizability.scenario_from_json(obj)
+    scenario = realizability.scenario_from_json(json.loads(_read(args.file)), args.fuel)
     verdict, report = realizability.run_scenario(scenario)
     print(json.dumps(report, indent=2))
     return _verdict_exit(verdict)

@@ -555,10 +555,11 @@ def settled_moves(p: Process, fuel: int) -> tuple | None:
 
     The chain runs on closures, `_iterate` without input, and nothing is
     read back.  Silent steps are deterministic, so a chain stuck within
-    its fuel never repeated a state.  Where the chain spends its fuel,
-    the loop is asked for one more step, as `run` asks it, and only if
-    a silent step applies there does the chain go to `settle`, to tell
-    a cycle from spent fuel."""
+    its fuel never repeated a state.  The loop is given one step more
+    than the fuel: the evaluation relation has no effects, so that step
+    only tells whether a rule applies where the fuel ran out, and only
+    if one does does the chain go to `settle`, to tell a cycle from
+    spent fuel."""
     _check_bound(fuel)
     return () if p is TOP else _settled(p.term, None, p.stack, fuel)
 
@@ -575,11 +576,9 @@ def _settled_successor(moves: tuple, k: int, fuel: int) -> tuple | None:
 def _settled(t: Term, env, s, fuel: int) -> tuple | None:
     """`settled_moves` of the process the closure state (t, env, s)
     stands for."""
-    outcome, u, e, rest, _, moves, _ = _iterate(t, env, s, fuel, None)
-    if outcome == "fuel":  # one more step: does a rule apply where the fuel ran out?
-        outcome, _, _, _, _, moves, _ = _iterate(u, e, rest, 1, None)
-        if outcome == "fuel":
-            return None if settle(_read_back(t, env, s), fuel)[0] == "fuel" else ()
+    outcome, _, _, _, _, moves, _ = _iterate(t, env, s, fuel + 1, None)
+    if outcome == "fuel":
+        return None if settle(_read_back(t, env, s), fuel)[0] == "fuel" else ()
     return moves if outcome == "moves" else ()
 
 

@@ -647,22 +647,24 @@ class Scenario(_Record):
         _set(self, "member_samples", member_samples)
 
 
-def scenario_from_json(obj: dict) -> Scenario:
+def scenario_from_json(obj: dict, fuel: int = DEFAULT_FUEL) -> Scenario:
     """Load a scenario; a missing key or a value of the wrong type raises
-    ValueError."""
+    ValueError.  Each pole's budget is settled here: the pole's own "fuel"
+    key (a union's passes to its members), else the scenario's "fuel",
+    else `fuel`."""
     try:
-        return _scenario(obj)
+        return _scenario(obj, fuel)
     except KeyError as exc:
         raise ValueError(f"scenario is missing key {exc.args[0]!r}") from exc
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"malformed scenario: {exc}") from exc
 
 
-def _scenario(obj: dict) -> Scenario:
+def _scenario(obj: dict, fuel: int) -> Scenario:
     if not isinstance(obj, dict):
         raise ValueError("scenario must be a JSON object")
     kind = obj.get("kind", "entailment")
-    fuel = _fuel(obj.get("fuel", DEFAULT_FUEL))
+    fuel = _fuel(obj.get("fuel", fuel))
     pole = pole_from_json(obj["pole"], fuel)
     if kind == "entailment":
         conclusion = _predicate_from_json(obj["conclusion"], "conclusion")

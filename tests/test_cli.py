@@ -295,7 +295,7 @@ class TestCompileAndVerify:
         code, out, err = run_cli(capsys, "verify-impl", out_path, "--table", table)
         assert code == 1
         assert out == ""
-        assert err == "kamio: error: table line 2: input 3 already has a row\n"
+        assert err == "kamio: error: function pole table names input 3 twice\n"
 
     @pytest.mark.parametrize("text", ["", "# only a comment\n\n"], ids=["empty", "comments"])
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -307,7 +307,7 @@ class TestCompileAndVerify:
         code, out, err = run_cli(capsys, "verify-impl", out_path, "--table", table,
                                  "--format", fmt)
         assert (code, out) == (1, "")
-        assert err == "kamio: error: table has no rows\n"
+        assert err == "kamio: error: function pole table has no rows\n"
 
     def test_malformed_table_exit_1(self, files, capsys, tmp_path):
         lam = files("id.lam", r"\x. x")
@@ -331,7 +331,7 @@ class TestCompileAndVerify:
         ("+2\t4\n", 'table line 1: cell must be an integer, got "+2"'),
         ("0\t0\nx\t1\n", 'table line 2: cell must be an integer, got "x"'),
         ("0\t-0x1\n", 'table line 1: cell must be an integer, got "-0x1"'),
-        ("0\t0\n-1\t1\n", "table line 2: naturals required"),
+        ("0\t0\n-1\t1\n", "function pole table row -1: naturals required"),
     ], ids=["underscore", "arabic-indic", "plus", "letter", "hex", "negative"])
     def test_bad_table_cell_exit_1(self, files, capsys, tmp_path, rows, message):
         # `int` read the first three as rows 10, 3 and 2, and named no line
@@ -343,6 +343,23 @@ class TestCompileAndVerify:
         code, out, err = run_cli(capsys, "verify-impl", out_path, "--table", table)
         assert (code, out) == (1, "")
         assert err == f"kamio: error: {message}\n"
+
+    @pytest.mark.parametrize("rows, message", [
+        ([("0", "0"), ("-1", "1")], "function pole table row -1: naturals required"),
+        ([("0", "-1")], "function pole table row 0: naturals required"),
+        ([("3", "6"), ("03", "7")], "function pole table names input 3 twice"),
+        ([], "function pole table has no rows"),
+    ], ids=["negative-input", "negative-output", "repeated-input", "no-rows"])
+    def test_bad_table_fails_as_in_realize(self, files, capsys, tmp_path, rows, message):
+        # one function pole checks a table, whether from TSV or from JSON
+        out_path = str(tmp_path / "id.kam")
+        run_cli(capsys, "compile-fn", files("id.lam", r"\x. x"), "-o", out_path)
+        table = files("t.tsv", "".join(f"{n}\t{m}\n" for n, m in rows))
+        scenario = files("t.json", json.dumps({
+            "kind": "realizes", "term": r"\x. x", "truth_value": {"stacks": ["nil"]},
+            "pole": {"kind": "function", "table": {n: int(m) for n, m in rows}}}))
+        for argv in (["verify-impl", out_path, "--table", table], ["realize", scenario]):
+            assert run_cli(capsys, *argv) == (1, "", f"kamio: error: {message}\n")
 
 
 class TestRealize:

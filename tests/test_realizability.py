@@ -13,7 +13,7 @@ from kamio.combinators import R as READER
 from kamio.combinators import B, F, S, W, Y, compile_function
 from kamio.equivalence import weak_bisim
 from kamio.machine import (
-    Action, ExecutionContext, _resume, _runs_on_inputs, bin_nat, eval_step,
+    DEFAULT_FUEL, Action, ExecutionContext, _resume, _runs_on_inputs, bin_nat, eval_step,
     nat_of_bin, run, settle,
 )
 from kamio.realizability import (
@@ -987,10 +987,20 @@ class TestScenarioJson:
         assert [m.fuel for m in union.members] == [3, 50]
         assert pole_from_json({"kind": "trace", "spec": "copy"}, fuel=7).fuel == 7
         assert pole_from_json({"kind": "trace", "spec": "copy"}).fuel == TracePole("copy").fuel
-        scenario = scenario_from_json({"kind": "realizes", "fuel": 9, "term": r"\x. x",
-                                       "pole": {"kind": "finite", "seeds": []},
-                                       "truth_value": {"stacks": ["nil"]}})
-        assert (scenario.fuel, scenario.pole.fuel) == (9, 9)
+        assert scenario_from_json(_realizes()).pole.fuel == DEFAULT_FUEL
+        own = {"kind": "finite", "seeds": [], "fuel": 3}
+        # (scenario, argument) -> (scenario.fuel, scenario.pole.fuel): the
+        # argument is the budget only where the scenario has no "fuel" key
+        for payload, fuel, budgets in [
+                (_realizes(), 7, (7, 7)),
+                (_realizes(fuel=9), 7, (9, 9)),
+                (_realizes(pole=own), 7, (7, 3)),
+                (_realizes(fuel=9, pole=own), 7, (9, 3)),
+                (_realizes(fuel=9), -1, (9, 9))]:  # an argument not used is not checked
+            scenario = scenario_from_json(payload, fuel)
+            assert (scenario.fuel, scenario.pole.fuel) == budgets
+        with pytest.raises(ValueError, match="^fuel must be non-negative$"):
+            scenario_from_json(_realizes(pole=own), -1)
 
     @pytest.mark.parametrize("pole", [
         {"kind": "function", "table": {"0": 0}, "fuel": 2.5},
